@@ -8,6 +8,14 @@ States are sampled on the same scaled-time grid the ODE engine emits
 comparable without interpolation: grid entry ``s_k`` carries the state after
 ``round(s_k * n)`` steps.
 
+``simulate``, ``pilot_states`` and ``max_increment`` all advance the chain
+through one kernel, :func:`_chain_states`.  It generates each run's draws
+interval by interval and applies each interval as one counts-of-counts
+update, so a run costs O(n + interval) memory instead of O(horizon), and
+an interval of d draws costs O(min(n + d, d log d)) time instead of O(n).
+Bounded Philox draws are prefix-stable however the stream is split into
+calls, so the chunking leaves every seed's trajectory bitwise unchanged.
+
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
 drift, and a Lipschitz drift.
@@ -21,15 +29,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupon import CouponState, make_coupon_spec
+from .coupon import CouponState
 from .errors import ContractError
 from .ode import grid_times
-from .process import ProcessSpec, Trajectory, estimate_lipschitz, in_domain
+from .process import ProcessSpec, Trajectory, estimate_lipschitz
 from .rng import derive_seed, make_generator, spawn
 
 #: Stream indices reserved for auxiliary draws (pilot trajectory, Lipschitz
 #: sampling, per-state drift sampling); run indices must stay below this.
 _AUX_STREAM_BASE = 2**48
+
+#: Draws generated per refill of a chain's block buffer; longer intervals
+#: are drawn in one call.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,69 @@ class RunPlan:
         return derive_seed(self.master_seed, run_index)
 
 
-def _draws_for_run(plan: RunPlan, run_index: int) -> np.ndarray:
-    plan.run_seed(run_index)  # range check
-    gen = spawn(plan.master_seed, run_index)
-    return gen.integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
+def _dense_update(n: int, draws: int) -> bool:
+    """Whether ``draws`` steps are cheaper to apply by bincounts over all ``n`` types.
+
+    Measured per interval with numpy 2.4 on x86-64: the ``np.unique`` delta
+    update costs about 25 us plus 40 ns per draw, the two bincounts over all
+    types about 7 us plus 5 ns per type.
+    """
+    return n < 4096 + 8 * draws
+
+
+def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
+    """Advance a fresh coupon chain through the step counts ``stops``.
+
+    ``stops`` is a non-empty, non-decreasing sequence of step counts.
+    After each one the generator yields ``(t, counts, counts_of_counts)``:
+    the per-type copies and the bucket sizes (overflow at index ``l + 1``)
+    after ``t`` uniform draws from ``gen``.  Both arrays are updated in
+    place by the next interval, so callers copy what they keep.
+
+    Each interval's draws are taken from a block buffer of at most
+    ``_DRAW_BLOCK`` values (or drawn in one call if the interval is longer).
+    A short interval of d draws is reduced to distinct types and
+    multiplicities with ``np.unique`` and applied as one counts-of-counts
+    update: the touched types leave their old buckets and enter their new
+    ones, in O(d log d) rather than O(n) work.  An interval long next to
+    ``n`` (see :func:`_dense_update`) is applied with one bincount over all
+    types instead; both give the same integers.  Memory is O(n + interval)
+    rather than O(horizon).  Bounded Philox draws are prefix-stable however
+    a stream is split into calls, so the chain sees exactly the first
+    ``stops[-1]`` values of the stream, as if they had been drawn at once.
+    """
+    total = int(stops[-1])
+    counts = np.zeros(n, dtype=np.int64)
+    counts_of_counts = np.zeros(l + 2, dtype=np.int64)
+    counts_of_counts[0] = n
+    buf = np.empty(0, dtype=np.int64)
+    pos = t_prev = 0
+    for t in stops:
+        t = int(t)
+        need = t - t_prev
+        if need > 0:
+            left = buf.size - pos
+            if left < need:
+                # Refill to a whole block or the whole interval, never past
+                # the last stop: t_prev + left values are drawn already.
+                size = min(max(need, _DRAW_BLOCK), total - t_prev) - left
+                fresh = gen.integers(0, n, size=size, dtype=np.int64)
+                buf = np.concatenate((buf[pos:], fresh)) if left else fresh
+                pos = 0
+            chunk = buf[pos : pos + need]
+            pos += need
+            if _dense_update(n, need):
+                counts += np.bincount(chunk, minlength=n)
+                counts_of_counts[:] = np.bincount(np.minimum(counts, l + 1), minlength=l + 2)
+            else:
+                types, mult = np.unique(chunk, return_counts=True)
+                old = counts[types]
+                new = old + mult
+                counts_of_counts -= np.bincount(np.minimum(old, l + 1), minlength=l + 2)
+                counts_of_counts += np.bincount(np.minimum(new, l + 1), minlength=l + 2)
+                counts[types] = new
+            t_prev = t
+        yield t, counts, counts_of_counts
 
 
 def _grid_step_counts(plan: RunPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -112,58 +183,41 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     """Execute run ``run_index`` of the plan and sample it on the shared grid.
 
     The emitted grid times are bitwise-identical to the ODE engine's; each
-    carries the scaled bucket counts after the nearest whole step.  States
-    are scaled counts, so every entry lies in [0, 1] exactly.  Leaving the
-    coupon domain box is recorded as ``sigma_exit`` (it cannot happen for
-    the standard box, but the check mirrors the ODE engine's contract).
+    carries the scaled bucket counts after the nearest whole step.  Draws
+    are generated interval by interval from the run's stream (see
+    :func:`_chain_states`), so memory is O(n + interval) and the trajectory
+    does not depend on how the stream is split.  States are scaled counts
+    in [0, 1] at times in [0, s_max], strictly inside the coupon domain
+    box, so ``sigma_exit`` is always ``None``.
     """
-    draws = _draws_for_run(plan, run_index)
+    plan.run_seed(run_index)  # range check
     n, l = plan.n, plan.truncation
-    spec = make_coupon_spec(l, plan.resolved_s_max())
     grid, t_grid = _grid_step_counts(plan)
-
-    counts = np.zeros(n, dtype=np.int64)
     states = np.empty((grid.size, l + 2))
-    sigma_exit = None
-    emitted = 0
-    t_prev = 0
-    for k in range(grid.size):
-        t_k = int(t_grid[k])
-        if t_k > t_prev:
-            counts += np.bincount(draws[t_prev:t_k], minlength=n)
-            t_prev = t_k
-        buckets = np.bincount(np.minimum(counts, l + 1), minlength=l + 2)
-        z = buckets / n
-        states[k] = z
-        emitted += 1
-        if not in_domain(spec, float(grid[k]), z):
-            sigma_exit = float(grid[k])
-            break
-    return Trajectory(grid[:emitted], states[:emitted], sigma_exit)
+    chain = _chain_states(spawn(plan.master_seed, run_index), n, l, t_grid)
+    for k, (_t, _counts, counts_of_counts) in enumerate(chain):
+        states[k] = counts_of_counts / n
+    return Trajectory(grid, states, None)
 
 
 def max_increment(plan: RunPlan, run_index: int) -> int:
     """Largest one-step coordinate change over a replayed run.
 
-    Replays the run's draw sequence and reconstructs, for every step, which
-    bucket the drawn type left and entered.  For the coupon process the
-    answer is 1 for any run with at least one bucket-changing step.
+    Replays the run's whole horizon in intervals of ``n`` steps, with draws
+    generated per interval (memory O(n), not O(horizon)).  A step moves one
+    unit between adjacent buckets exactly when the drawn type held at most
+    ``l`` copies.  Every such move raises the bucket-index sum
+    ``sum_i i * counts_of_counts[i]`` by one and no step lowers it, so the
+    answer is 1 if the sum ends positive and 0 otherwise.  For the coupon
+    process it is 1 for any run with at least one step.
     """
-    draws = _draws_for_run(plan, run_index)
-    m = draws.size
-    l_over = plan.truncation + 1
-    # Occurrence rank of each draw within its type: stable argsort groups a
-    # type's draws in time order, so the within-group offset is the number
-    # of earlier draws of that type.
-    order = np.argsort(draws, kind="stable")
-    sorted_draws = draws[order]
-    starts = np.flatnonzero(np.r_[True, sorted_draws[1:] != sorted_draws[:-1]])
-    group_lengths = np.diff(np.r_[starts, m])
-    occ_sorted = np.arange(m, dtype=np.int64) - np.repeat(starts, group_lengths)
-    occ = np.empty(m, dtype=np.int64)
-    occ[order] = occ_sorted
-    changed = np.minimum(occ + 1, l_over) != np.minimum(occ, l_over)
-    return int(changed.any())
+    plan.run_seed(run_index)  # range check
+    n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
+    stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
+    for _t, _counts, counts_of_counts in _chain_states(
+            spawn(plan.master_seed, run_index), n, l, stops):
+        pass
+    return int(np.arange(l + 2) @ counts_of_counts > 0)
 
 
 @dataclass(frozen=True)
@@ -191,8 +245,12 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     independent), averages the per-coordinate change, and compares it with
     the predicted one-step mean -- by default the exact coupon formula
     (y_{i-1} - y_i)/n, or ``drift(s, z)`` if a drift function is supplied.
-    Coordinates whose sampled change is deterministic get a z-score of zero
-    when they match the prediction and infinity when they do not.
+    Where the sampled change has zero variance (no sample moved the
+    coordinate, or every sample moved it alike), the standard error falls
+    back to the smallest one the prediction ``mu`` allows for an
+    integer-valued increment, sqrt((|mu| - mu^2) / sample_count).  Only where
+    that floor is zero too is the change deterministic; it then gets a
+    z-score of zero when it matches the prediction and infinity when not.
     """
     if sample_count < 100:
         raise ContractError(f"sample_count must be >= 100, got {sample_count}")
@@ -224,6 +282,11 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
         )
 
     var = np.maximum(mean_sq - empirical**2, 0.0) * sample_count / (sample_count - 1)
+    # Increments are integers, so E[X^2] >= |E[X]| and under the null the
+    # variance is at least |mu| - mu^2.  A coordinate that no sample moved
+    # has empirical variance 0; it is tested against that floor instead.
+    floor = np.maximum(np.abs(predicted) - predicted**2, 0.0)
+    var = np.where(var > 0, var, floor)
     stderr = np.sqrt(var / sample_count)
     z = np.zeros(l + 2)
     live = stderr > 0
@@ -244,29 +307,20 @@ def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:
     """Snapshot ``count`` states, evenly spaced in steps, from a pilot run.
 
     The pilot draws from its own reserved stream so it never shares
-    randomness with the plan's numbered runs.
+    randomness with the plan's numbered runs.  Draws are generated per
+    interval between snapshots (see :func:`_chain_states`); only the
+    snapshots themselves hold O(n) copies.
     """
     if count < 1:
         raise ContractError(f"count must be positive, got {count}")
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
-    gen = spawn(plan.master_seed, _AUX_STREAM_BASE)
-    draws = gen.integers(0, n, size=m, dtype=np.int64)
     times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
-    counts = np.zeros(n, dtype=np.int64)
-    states = []
-    t_prev = 0
-    for t_k in times:
-        t_k = int(t_k)
-        if t_k > t_prev:
-            counts += np.bincount(draws[t_prev:t_k], minlength=n)
-            t_prev = t_k
-        states.append(CouponState(
-            n=n,
-            t=t_k,
-            per_type_counts=counts.copy(),
-            counts_of_counts=np.bincount(np.minimum(counts, l + 1), minlength=l + 2),
-        ))
-    return states
+    chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times)
+    return [
+        CouponState(n=n, t=t, per_type_counts=counts.copy(),
+                    counts_of_counts=counts_of_counts.copy())
+        for t, counts, counts_of_counts in chain
+    ]
 
 
 @dataclass(frozen=True)

@@ -216,3 +216,70 @@ def test_check_hypotheses_rejects_sign_flipped_drift():
                               lipschitz_samples=1000)
     assert not report.drift.passed
     assert report.drift.observed > 5.0
+
+
+def _state_from_counts_of_counts(counts_of_counts):
+    coc = np.asarray(counts_of_counts, dtype=np.int64)
+    per_type = np.repeat(np.arange(coc.size, dtype=np.int64), coc)
+    return CouponState(n=int(coc.sum()), t=int(per_type.sum()),
+                       per_type_counts=per_type, counts_of_counts=coc)
+
+
+# A state reached by a pilot run of `check --n 100000`: coordinates 6..8 hold
+# three types between them, so 10^4 samples usually move none of them even
+# though the drift predicts a nonzero mean there.
+_SPARSE_TAIL_STATE = (49443, 34784, 12296, 2885, 509, 80, 1, 2, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_empirical_drift_accepts_true_drift_with_unsampled_coordinates(seed):
+    state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
+    report = empirical_drift(state, 10_000, seed=seed, drift=coupon_drift(10))
+    assert np.isfinite(report.z_scores).all()
+    assert report.max_abs_z <= 5.0
+    # The unsampled coordinate 8 is tested against the integer-increment floor.
+    mu = report.predicted[8]
+    assert report.stderr[8] == math.sqrt((abs(mu) - mu**2) / 10_000)
+
+
+def test_empirical_drift_rejects_doubled_drift_at_sparse_state():
+    state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
+    true_drift = coupon_drift(10)
+    report = empirical_drift(state, 10_000, seed=1,
+                             drift=lambda s, z: 2 * true_drift(s, z))
+    assert report.max_abs_z > 5.0
+    assert np.isfinite(report.z_scores[:6]).all()
+
+
+def test_empirical_drift_deterministic_mismatch_is_infinite():
+    # From the fresh state every sample moves bucket 0 -> 1; a prediction of
+    # -2 for coordinate 0 allows no variance at all, so it is rejected outright.
+    state = CouponState.fresh(6, l=2)
+    report = empirical_drift(state, 500, seed=2,
+                             drift=lambda s, z: np.array([-2.0, 2.0, 0.0, 0.0]))
+    assert report.z_scores[0] == np.inf
+
+
+def test_check_hypotheses_rejects_doubled_drift():
+    plan = RunPlan(n=10_000, run_count=1, master_seed=2)
+    base = make_coupon_spec(10, plan.resolved_s_max())
+    true_drift = coupon_drift(10)
+    doubled = ProcessSpec(
+        coord_count=base.coord_count,
+        drift=lambda s, z: 2 * true_drift(s, z),
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=base.domain,
+        lipschitz_hint=2.0,
+    )
+    report = check_hypotheses(doubled, plan, 10, lipschitz_samples=1000)
+    assert report.increment.passed
+    assert not report.drift.passed
+
+
+def test_check_hypotheses_passes_true_drift_at_large_n():
+    plan = RunPlan(n=100_000, run_count=1, master_seed=7)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    report = check_hypotheses(spec, plan, 50, lipschitz_samples=1000)
+    assert report.drift.passed, report.drift.detail
+    assert report.drift.observed <= 5.0
