@@ -19,14 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupon import cover_time, exact_cover_tail, make_coupon_spec
-from .errors import ContractError, FitError
+from .errors import ContractError, FitError, PrecisionLossError
 from .montecarlo import RunPlan, simulate
 from .ode import IntegratorConfig, integrate
 from .process import Trajectory
 from .rng import derive_seed
-
-#: Largest n for which the exact cover-time oracle is evaluated per row.
-EXACT_ORACLE_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,10 @@ class GumbelRow:
 
     ``ref_paper`` is the triple-exponential curve 1 - exp(-exp(-exp(c)));
     ``ref_classical`` the double-exponential 1 - exp(-exp(-c)).  Both are
-    reference curves only.  ``exact``, when present, is the
-    inclusion-exclusion value of the same tail probability.
+    reference curves only.  ``exact`` is the inclusion-exclusion value of
+    the same tail probability, or ``None`` when the oracle cancelled
+    catastrophically at this threshold; ``exact_error`` then holds the
+    :class:`PrecisionLossError` message.
     """
 
     c: float
@@ -169,6 +168,7 @@ class GumbelRow:
     ref_paper: float
     ref_classical: float
     exact: Optional[float]
+    exact_error: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,10 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
 
     Runs ``trials`` independent cover times (one derived stream each), then
     evaluates the tail at threshold K = ceil(n ln n + c n) for every c.
-    The exact column is P(T >= K) = exact_cover_tail(n, K - 1), computed
-    when n is small enough for the oracle to be cheap.
+    The exact column is P(T >= K) = exact_cover_tail(n, K - 1) for every
+    row where the oracle keeps its precision; a row where it raises
+    :class:`PrecisionLossError` (thresholds far below n ln n) keeps its
+    empirical value, with ``exact`` left ``None`` and the reason recorded.
     """
     if trials < 100:
         raise ContractError(f"trials must be >= 100, got {trials}")
@@ -201,9 +203,11 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
         threshold = max(math.ceil(n * math.log(n) + c * n), 0)
         empirical = float(np.mean(times >= threshold))
         stderr = math.sqrt(empirical * (1.0 - empirical) / trials)
-        exact = None
-        if n <= EXACT_ORACLE_MAX_N:
+        exact, exact_error = None, None
+        try:
             exact = exact_cover_tail(n, max(threshold - 1, 0))
+        except PrecisionLossError as exc:
+            exact_error = str(exc)
         rows.append(GumbelRow(
             c=c,
             threshold=threshold,
@@ -212,5 +216,6 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
             ref_paper=1.0 - math.exp(-math.exp(-math.exp(c))),
             ref_classical=1.0 - math.exp(-math.exp(-c)),
             exact=exact,
+            exact_error=exact_error,
         ))
     return GumbelReport(n=n, trials=trials, rows=tuple(rows))

@@ -399,7 +399,10 @@ def _cmd_gumbel(config: dict, out_dir: str) -> int:
                      f"{_fmt(row.ref_paper)},{_fmt(row.ref_classical)},{exact}")
     _write_lines(os.path.join(out_dir, "gumbel.csv"), lines)
     seeds = {"master": config["seed"]}
-    _write_manifest(out_dir, "gumbel", config, seeds, ["gumbel.csv"])
+    unavailable = [{"c": row.c, "reason": row.exact_error}
+                   for row in report.rows if row.exact_error is not None]
+    _write_manifest(out_dir, "gumbel", config, seeds, ["gumbel.csv"],
+                    {"exact_unavailable": unavailable})
     return 0
 
 

@@ -27,7 +27,7 @@ from .errors import CapExceededError, ContractError, PrecisionLossError
 from .process import DomainBox, ProcessSpec
 from .rng import make_generator
 
-#: Hard cap on cover-time steps, guarding against generator pathology.
+#: Largest cover time :func:`cover_time` returns; a larger sample raises.
 COVER_TIME_CAP = 10**9
 
 #: Relative size below which inclusion-exclusion terms are dropped.
@@ -182,32 +182,20 @@ def coupon_step(state: CouponState, draw: int) -> CouponState:
 def cover_time(n: int, seed: int) -> int:
     """Steps until every type has been drawn at least once.
 
-    Consumes uniform draws from a Philox stream keyed by ``seed`` (generated
-    in blocks; the draw sequence is fixed by the seed alone, so the result
-    is reproducible).  Raises :class:`CapExceededError` past 10^9 draws.
+    Once ``k`` types are held, the wait for a new one is geometric with
+    success probability (n - k)/n, independent of the past, so the cover time
+    is the sum of n independent waits, T = sum_{k<n} Geom((n - k)/n).  The
+    waits are drawn in one call from a Philox stream keyed by ``seed``, so
+    the result is reproducible and costs O(n) time and memory whatever T
+    turns out to be.  Raises :class:`CapExceededError` when T exceeds
+    :data:`COVER_TIME_CAP`.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    gen = make_generator(seed)
-    seen = np.zeros(n, dtype=bool)
-    remaining = n
-    consumed = 0
-    # First block covers the typical n ln n + O(n) horizon; extensions are rare.
-    block_size = int(n * math.log(max(n, 2))) + 4 * n + 16
-    while True:
-        block_size = min(block_size, COVER_TIME_CAP - consumed)
-        if block_size <= 0:
-            raise CapExceededError(f"cover time exceeded {COVER_TIME_CAP} steps (n={n})")
-        block = gen.integers(0, n, size=block_size, dtype=np.int64)
-        uniques, first_idx = np.unique(block, return_index=True)
-        new_mask = ~seen[uniques]
-        if new_mask.any():
-            seen[uniques[new_mask]] = True
-            remaining -= int(new_mask.sum())
-            if remaining == 0:
-                return consumed + int(first_idx[new_mask].max()) + 1
-        consumed += block_size
-        block_size = 4 * n + 16
+    total = int(make_generator(seed).geometric((n - np.arange(n)) / n).sum())
+    if total > COVER_TIME_CAP:
+        raise CapExceededError(f"cover time {total} exceeded {COVER_TIME_CAP} steps (n={n})")
+    return total
 
 
 def exact_cover_tail(n: int, k: int) -> float:

@@ -174,7 +174,16 @@ def test_gumbel_exact_column_presence():
     assert small.rows[0].exact is not None
     assert 0.0 <= small.rows[0].exact <= 1.0
     large = gumbel_experiment(2500, 100, [0.0], master_seed=6)
-    assert large.rows[0].exact is None
+    assert 0.0 < large.rows[0].exact < 1.0
+    assert large.rows[0].exact_error is None
+    # far below n ln n the inclusion-exclusion sum cancels past double
+    # precision: that row loses its exact value, the others keep theirs
+    mixed = gumbel_experiment(1000, 100, [-4.0, 0.0], master_seed=1)
+    lost, kept = mixed.rows
+    assert lost.exact is None
+    assert "cancelled catastrophically" in lost.exact_error
+    assert lost.empirical == 1.0
+    assert kept.exact is not None and kept.exact_error is None
 
 
 def test_gumbel_empirical_tracks_exact_oracle():

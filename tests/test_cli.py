@@ -94,11 +94,16 @@ def test_gumbel_csv_schema_and_negative_cs(tmp_path):
     assert lines[1].startswith("-1,")
 
 
-def test_gumbel_exact_column_empty_above_oracle_limit(tmp_path):
-    assert run_in(tmp_path, ["gumbel", "--n", "2200", "--trials", "100",
-                             "--cs", "0", "--seed", "1"]) == 0
-    row = (tmp_path / "gumbel.csv").read_text().splitlines()[1]
-    assert row.endswith(",")
+def test_gumbel_exact_column_empty_on_precision_loss(tmp_path):
+    assert run_in(tmp_path, ["gumbel", "--n", "1000", "--trials", "100",
+                             "--cs", "-4,0", "--seed", "1"]) == 0
+    lost, kept = (tmp_path / "gumbel.csv").read_text().splitlines()[1:]
+    assert lost.startswith("-4,") and lost.endswith(",")
+    assert kept.startswith("0,") and not kept.endswith(",")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    [entry] = manifest["exact_unavailable"]
+    assert entry["c"] == -4.0
+    assert "cancelled catastrophically" in entry["reason"]
 
 
 def test_check_writes_verdict(tmp_path):
@@ -120,10 +125,9 @@ def test_invalid_configurations_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # threshold far below n ln n: the exact tail oracle hits catastrophic
-    # cancellation, which is a numerical failure, not a config error
-    code = run_in(tmp_path, ["gumbel", "--n", "500", "--trials", "100",
-                             "--cs", "-6", "--seed", "2"])
+    # a repeated n leaves the log-log fit no spread, which is a numerical
+    # failure (FitError), not a config error
+    code = run_in(tmp_path, ["scaling", "--ns", "50,50", "--runs", "2", "--seed", "2"])
     assert code == 3
     assert "numerical" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wormald import (
     closed_form_system,
     coupon_step,
     cover_time,
+    derive_seed,
     evaluate_drift,
     exact_cover_tail,
     make_coupon_spec,
@@ -227,6 +229,40 @@ def test_cover_time_mean_matches_harmonic_formula():
     mean = np.mean(times)
     # sd of T for n=5 is about 5.1, so 5 standard errors is about 0.57
     assert abs(mean - expected) <= 0.6
+
+
+@pytest.mark.parametrize("n", [4, 15])
+def test_cover_time_distribution_matches_exact_oracle(n):
+    """Kolmogorov-Smirnov distance of 20,000 cover times to the exact law.
+
+    1.95/sqrt(N) is the two-sided KS critical value at alpha = 1e-3; the
+    maximum runs over the whole support, one past the largest sample.
+    """
+    trials = 20_000
+    times = np.array([cover_time(n, derive_seed(n, i)) for i in range(trials)])
+    ks = np.arange(int(times.max()) + 1)
+    ecdf = np.searchsorted(np.sort(times), ks, side="right") / trials
+    exact = np.array([1.0 - exact_cover_tail(n, int(k)) for k in ks])
+    assert np.max(np.abs(ecdf - exact)) <= 1.95 / math.sqrt(trials)
+
+
+def fsum_cover_tail(n, k, terms=80):
+    """P(cover > k) with each inclusion-exclusion term to 50 digits, fsum-added.
+
+    Terms past j = 80 are below 1e-80 for the thresholds used here.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return math.fsum((-1) ** (j + 1) * float(math.comb(n, j) * (Decimal(n - j) / n) ** k)
+                         for j in range(1, terms + 1))
+
+
+@pytest.mark.parametrize("n", [2500, 5000])
+def test_exact_tail_at_large_n_matches_fsum_reference(n):
+    for c in (-1.0, 0.0, 1.0, 2.0):
+        k = math.ceil(n * math.log(n) + c * n) - 1
+        expected = fsum_cover_tail(n, k)
+        assert abs(exact_cover_tail(n, k) - expected) <= 1e-10 * expected
 
 
 def test_cover_time_cap(monkeypatch):
