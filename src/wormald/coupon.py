@@ -46,7 +46,7 @@ def coupon_drift(l: int):
         raise ContractError(f"truncation level must be >= 1, got {l}")
 
     def drift(s: float, z: np.ndarray) -> np.ndarray:
-        out = np.empty(l + 2)
+        out = np.empty(z.shape)
         out[0] = -z[0]
         out[1 : l + 1] = z[0:l] - z[1 : l + 1]
         out[l + 1] = z[l]

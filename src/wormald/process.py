@@ -7,6 +7,13 @@ uniform bound on one-step increments, the bound on coordinate magnitudes,
 and the open box on which the drift is Lipschitz.  The ODE and Monte Carlo
 engines both speak this language.
 
+A drift accepts a batch of points, coordinates first as in
+``scipy.integrate.solve_ivp(vectorized=True)``: ``z`` of shape ``(a,)`` or
+``(a, B)`` with ``s`` a scalar or of shape ``(B,)``, returning the shape of
+``z``.  :func:`estimate_lipschitz` evaluates all its points in one call;
+:func:`evaluate_drift`, the RK4 engine and the drift check pass single
+points.
+
 All values here are immutable after construction and every operation is pure
 given its inputs (randomness enters only through an explicit seed), so they
 are safe to share across threads or processes without synchronization.
@@ -15,14 +22,16 @@ are safe to share across threads or processes without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import ContractError, DriftEvaluationError, EstimationError
 from .rng import make_generator
 
-DriftFunction = Callable[[float, np.ndarray], np.ndarray]
+#: ``drift(s, z)``: ``z`` of shape ``(a,)`` or a batch ``(a, B)`` with ``s`` of
+#: shape ``(B,)``; returns the shape of ``z`` (or ``(a,)`` if constant).
+DriftFunction = Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -69,7 +78,11 @@ class ProcessSpec:
         Number of tracked coordinates.
     drift : callable ``(s, z) -> ndarray``
         Deterministic drift; must be pure and return a finite vector of
-        length ``coord_count`` everywhere inside ``domain``.
+        length ``coord_count`` everywhere inside ``domain``.  It must also
+        take a batch: ``z`` of shape ``(coord_count, B)`` with ``s`` of shape
+        ``(B,)``, returning ``(coord_count, B)``, one column per point.  A
+        drift that does not depend on the point may return
+        ``(coord_count,)`` for a batch as well.
     increment_bound : float
         Uniform bound on per-step coordinate changes of the discrete process.
     magnitude_bound : float
@@ -196,7 +209,10 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     one.
 
     Pairs at zero distance are skipped; if every pair degenerates an
-    :class:`EstimationError` is raised.
+    :class:`EstimationError` is raised.  The drift is called once for all
+    first points and once for all second points, as ``(a, B)`` batches, so
+    memory is O(``sample_count`` * a).  A non-finite drift value at any
+    sampled point raises :class:`DriftEvaluationError`.
     """
     if sample_count < 2:
         raise ContractError(f"sample_count must be >= 2, got {sample_count}")
@@ -209,18 +225,31 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     high = np.concatenate(([box.s_high], box.z_high))
     points = low + raw * (high - low)
 
-    best = 0.0
-    seen_valid = False
-    for u, v in points:
-        dist = float(np.sum(np.abs(u - v)))
-        if dist == 0.0:
-            continue
-        seen_valid = True
-        fu = spec.drift(u[0], u[1:])
-        fv = spec.drift(v[0], v[1:])
-        ratio = float(np.max(np.abs(np.asarray(fu) - np.asarray(fv)))) / dist
-        if ratio > best:
-            best = ratio
-    if not seen_valid:
+    u, v = points[:, 0], points[:, 1]
+    dist = np.sum(np.abs(u - v), axis=-1)
+    valid = dist != 0.0
+    if not valid.any():
         raise EstimationError("all sampled pairs were degenerate (zero distance)")
-    return best
+    u, v, dist = u[valid], v[valid], dist[valid]
+    fu = _drift_batch(spec, u)
+    fv = _drift_batch(spec, v)
+    return float(np.max(np.max(np.abs(fu - fv), axis=0) / dist))
+
+
+def _drift_batch(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:
+    """Drift at each row ``(s, z...)`` of ``points``, as an ``(a, B)`` block.
+
+    A drift that does not depend on the point may return shape ``(a,)``; it
+    is taken as one column.  The points are drawn from the domain box, so any
+    non-finite value raises, without the membership test of
+    :func:`evaluate_drift`.
+    """
+    z = points[:, 1:].T
+    out = np.asarray(spec.drift(points[:, 0], z), dtype=float)
+    if out.shape == (spec.coord_count,):
+        out = out[:, None]
+    elif out.shape != z.shape:
+        raise ContractError(f"drift returned shape {out.shape} for a batch of shape {z.shape}")
+    if not np.all(np.isfinite(out)):
+        raise DriftEvaluationError("drift non-finite at a point sampled from the domain box")
+    return out

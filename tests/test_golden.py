@@ -12,6 +12,10 @@ library versions.  The ``*_blocks`` cases run past one draw block.
 The ``gumbel`` digest was recorded with cover times sampled as sums of n
 geometric waits; its c = -4 row is on the oracle's precision-loss path, so
 its ``exact`` cell is empty.
+
+The ``check`` digest pins ``check.json`` (the three hypothesis verdicts); it
+was recorded with the Lipschitz estimator still looping over point pairs one
+drift call at a time, before it evaluated all pairs in one batched call.
 """
 
 import hashlib
@@ -32,6 +36,12 @@ GOLDEN = {
         ["simulate", "--n", "20000", "--seed", "9", "--l", "6"],
         {
             "trajectory.csv": "9b877f5cb62b9bd6a4c0a175a6c1d0e18257714cd624ce5745d092057186c3ed",
+        },
+    ),
+    "check": (
+        ["check", "--n", "2000", "--runs", "2", "--seed", "5"],
+        {
+            "check.json": "2a4c780d3b04e525f26924ee355404d131e701ee2c4a8b6d43d8e965936bf026",
         },
     ),
     "compare": (
@@ -71,5 +81,5 @@ def test_cli_output_matches_golden_digest(case, tmp_path):
     args, digests = GOLDEN[case]
     assert run_cli(args + ["--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir() if p.suffix == ".csv"}
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
     assert written == digests

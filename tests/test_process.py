@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormald import (
     ContractError,
@@ -10,10 +12,12 @@ from wormald import (
     ProcessSpec,
     Trajectory,
     estimate_lipschitz,
+    coupon_drift,
     evaluate_drift,
     in_domain,
     make_coupon_spec,
 )
+from wormald.rng import make_generator
 
 
 def unit_box(a, s_high=10.1):
@@ -205,3 +209,84 @@ def test_lipschitz_deterministic_and_input_checked():
     assert estimate_lipschitz(spec, 300, seed=5) == estimate_lipschitz(spec, 300, seed=5)
     with pytest.raises(ContractError):
         estimate_lipschitz(spec, 1, seed=5)
+
+
+def _lipschitz_pair_loop(spec, sample_count, seed):
+    """Reference estimator: one drift call per point, pair by pair."""
+    box = spec.domain
+    raw = make_generator(seed).uniform(size=(sample_count, 2, 1 + spec.coord_count))
+    low = np.concatenate(([box.s_low], box.z_low))
+    high = np.concatenate(([box.s_high], box.z_high))
+    best = 0.0
+    for u, v in low + raw * (high - low):
+        dist = float(np.sum(np.abs(u - v)))
+        if dist == 0.0:
+            continue
+        fu = spec.drift(u[0], u[1:])
+        fv = spec.drift(v[0], v[1:])
+        best = max(best, float(np.max(np.abs(fu - fv))) / dist)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(1, 12), sample_count=st.integers(2, 3000),
+       seed=st.integers(0, 2**63 - 1))
+def test_lipschitz_batch_equals_pair_loop(l, sample_count, seed):
+    spec = make_coupon_spec(l, 4.0)
+    assert estimate_lipschitz(spec, sample_count, seed) == \
+        _lipschitz_pair_loop(spec, sample_count, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(1, 12), batch=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_coupon_drift_batch_equals_single_points(l, batch, seed):
+    drift = coupon_drift(l)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 4.0, size=batch)
+    # Rounding to one decimal gives equal neighbours and zeros of both signs.
+    z = np.round(rng.uniform(-0.1, 1.1, size=(l + 2, batch)), 1)
+    out = drift(s, z)
+    assert out.shape == z.shape
+    columns = np.stack([drift(s[j], z[:, j]) for j in range(batch)], axis=1)
+    assert out.tobytes() == columns.tobytes()
+
+
+def test_lipschitz_constant_vector_drift_is_zero():
+    spec = ProcessSpec(
+        coord_count=2,
+        drift=lambda s, z: np.array([1.5, -2.0]),
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=unit_box(2),
+    )
+    assert estimate_lipschitz(spec, 500, seed=4) == 0.0
+
+
+def test_lipschitz_wrong_batch_shape_rejected():
+    spec = ProcessSpec(
+        coord_count=2,
+        drift=lambda s, z: np.zeros(3),
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=unit_box(2),
+    )
+    with pytest.raises(ContractError):
+        estimate_lipschitz(spec, 100, seed=4)
+
+
+@pytest.mark.parametrize("drift", [
+    lambda s, z: np.array([np.nan]),
+    lambda s, z: np.where(z > 0.5, np.nan, 3.0 * z),
+], ids=["nan_everywhere", "nan_above_half"])
+def test_lipschitz_nonfinite_drift_raises(drift):
+    # A NaN ratio compares false against any bound: an estimator that let
+    # these pairs drop out would report 0.0 or ~3.0 and pass any hint.
+    spec = ProcessSpec(
+        coord_count=1,
+        drift=drift,
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=unit_box(1, s_high=1.0),
+    )
+    with pytest.raises(DriftEvaluationError):
+        estimate_lipschitz(spec, 1000, seed=3)
