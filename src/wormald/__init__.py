@@ -39,6 +39,7 @@ from .coupon import (
     closed_form,
     closed_form_system,
     coupon_drift,
+    coupon_reference,
     coupon_step,
     cover_time,
     exact_cover_tail,
@@ -102,6 +103,7 @@ __all__ = [
     "compare_run",
     "convergence_order",
     "coupon_drift",
+    "coupon_reference",
     "coupon_step",
     "cover_time",
     "derive_seed",

@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupon import cover_time, exact_cover_tail, make_coupon_spec
+from .coupon import coupon_reference, cover_time, exact_cover_tail
 from .errors import ContractError, FitError, PrecisionLossError
 from .montecarlo import RunPlan, simulate
-from .ode import IntegratorConfig, integrate
 from .process import Trajectory
 from .rng import derive_seed
 
@@ -66,18 +65,10 @@ def compare_run(n: int, l: int = 10, s_max: float = 4.0, seed: int = 0,
                 h: float = 1e-3, grid_stride: int = 10,
                 ) -> tuple[Trajectory, Trajectory, DeviationReport]:
     """One simulation, one integration, one deviation report, shared grid."""
-    if not s_max > 0:
-        raise ContractError(f"s_max must be positive, got {s_max}")
-    plan = RunPlan(
-        n=n, run_count=1, master_seed=seed,
-        horizon_steps=math.ceil(n * s_max), truncation=l,
-        h=h, grid_stride=grid_stride, s_max=s_max,
-    )
+    plan = RunPlan(n=n, master_seed=seed, truncation=l, h=h,
+                   grid_stride=grid_stride, s_max=s_max)
     sim = simulate(plan, 0)
-    spec = make_coupon_spec(l, s_max)
-    z0 = np.zeros(l + 2)
-    z0[0] = 1.0
-    ode = integrate(spec, z0, s_max, IntegratorConfig(h=h, grid_stride=grid_stride))
+    ode = coupon_reference(l, s_max, h, grid_stride)
     return sim, ode, sup_deviation(sim, ode)
 
 
@@ -120,18 +111,12 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
     if len(set(ns)) != len(ns):
         raise FitError("duplicate n values leave no spread to fit")
 
-    spec = make_coupon_spec(l, s_max)
-    z0 = np.zeros(l + 2)
-    z0[0] = 1.0
-    ode = integrate(spec, z0, s_max, IntegratorConfig(h=h, grid_stride=grid_stride))
+    ode = coupon_reference(l, s_max, h, grid_stride)
 
     rows = []
     for n in sorted(ns):
-        plan = RunPlan(
-            n=n, run_count=runs_per_n, master_seed=derive_seed(master_seed, n),
-            horizon_steps=math.ceil(n * s_max), truncation=l,
-            h=h, grid_stride=grid_stride, s_max=s_max,
-        )
+        plan = RunPlan(n=n, run_count=runs_per_n, master_seed=derive_seed(master_seed, n),
+                       truncation=l, h=h, grid_stride=grid_stride, s_max=s_max)
         sups = np.array([
             sup_deviation(simulate(plan, i), ode, i).sup_deviation
             for i in range(runs_per_n)
@@ -195,6 +180,8 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
         raise ContractError(f"n must be >= 10, got {n}")
     if len(cs) == 0:
         raise ContractError("need at least one c value")
+    if not all(math.isfinite(c) for c in cs):
+        raise ContractError(f"every c must be finite, got {list(cs)}")
 
     times = np.array([cover_time(n, derive_seed(master_seed, i)) for i in range(trials)])
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -32,39 +31,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import gumbel_experiment, scaling_study, sup_deviation
-from .coupon import make_coupon_spec
+from .analysis import compare_run, gumbel_experiment, scaling_study
+from .coupon import coupon_reference, make_coupon_spec
 from .errors import ContractError, NumericalError
 from .montecarlo import RunPlan, check_hypotheses, simulate
-from .ode import IntegratorConfig, integrate
+from .ode import IntegratorConfig
 from .process import Trajectory
 from .rng import derive_seed
 
 #: Environment variable naming the default output directory.
 OUT_DIR_ENV = "WORMALD_OUT"
-
-# Per-subcommand defaults; None marks required-or-derived values.  A flag
-# the user does not pass falls back to the config file, then to this table.
-_DEFAULTS = {
-    "solve": {"l": 10, "s_max": 4.0, "h": 1e-3, "grid_stride": 10},
-    "simulate": {"runs": 1, "seed": 0, "l": 10, "s_max": None,
-                 "h": 1e-3, "grid_stride": 10},
-    "compare": {"seed": 0, "l": 10, "s_max": 4.0, "h": 1e-3, "grid_stride": 10},
-    "scaling": {"ns": (1000, 10000, 100000), "runs": 20, "seed": 0, "l": 10,
-                "s_max": 4.0, "h": 1e-3, "grid_stride": 10},
-    "gumbel": {"trials": 1000, "cs": (-1.0, 0.0, 1.0, 2.0), "seed": 0},
-    "check": {"runs": 10, "seed": 0, "l": 10, "s_max": None,
-              "state_samples": 50, "drift_samples": 10000},
-}
-
-_REQUIRED = {
-    "solve": (),
-    "simulate": ("n",),
-    "compare": ("n",),
-    "scaling": (),
-    "gumbel": ("n",),
-    "check": ("n",),
-}
 
 
 def _fmt(x: float) -> str:
@@ -113,61 +89,63 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *names):
-        # Every default is None so explicit flags are distinguishable from
-        # config-file and built-in defaults during resolution.
+    def add_common(p, *names, runs=None, s_max=None):
+        # --n has no default: it is required, but may come from --config.
         if "n" in names:
             p.add_argument("--n", type=int, default=None, help="number of coupon types")
         if "runs" in names:
-            p.add_argument("--runs", type=int, default=None, help="number of runs")
+            p.add_argument("--runs", type=int, default=runs, help="number of runs")
         if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="master seed")
+            p.add_argument("--seed", type=int, default=RunPlan.master_seed,
+                           help="master seed")
         if "l" in names:
-            p.add_argument("--l", type=int, default=None, help="truncation level")
+            p.add_argument("--l", type=int, default=RunPlan.truncation,
+                           help="truncation level")
         if "s_max" in names:
-            p.add_argument("--s-max", dest="s_max", type=float, default=None,
+            p.add_argument("--s-max", dest="s_max", type=float, default=s_max,
                            help="scaled-time horizon")
         if "h" in names:
-            p.add_argument("--h", type=float, default=None, help="RK4 step size")
+            p.add_argument("--h", type=float, default=IntegratorConfig.h,
+                           help="RK4 step size")
         if "grid_stride" in names:
-            p.add_argument("--grid-stride", dest="grid_stride", type=int, default=None,
-                           help="emit every k-th step")
+            p.add_argument("--grid-stride", dest="grid_stride", type=int,
+                           default=IntegratorConfig.grid_stride, help="emit every k-th step")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
-        p.add_argument("--out", type=str, default=None,
+        p.add_argument("--out", type=str, default=os.environ.get(OUT_DIR_ENV, "."),
                        help=f"output directory (default ${OUT_DIR_ENV} or '.')")
 
     p = sub.add_parser("solve", help="integrate the coupon ODE system")
-    add_common(p, "l", "s_max", "h", "grid_stride")
+    add_common(p, "l", "s_max", "h", "grid_stride", s_max=4.0)
 
     p = sub.add_parser("simulate", help="run the coupon process")
-    add_common(p, "n", "runs", "seed", "l", "s_max", "h", "grid_stride")
+    add_common(p, "n", "runs", "seed", "l", "s_max", "h", "grid_stride", runs=1)
 
     p = sub.add_parser("compare", help="one simulation against the ODE")
-    add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride")
+    add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride", s_max=4.0)
 
     p = sub.add_parser("scaling", help="sup-deviation decay across n")
-    p.add_argument("--ns", type=_parse_int_list, default=None,
+    p.add_argument("--ns", type=_parse_int_list, default=(1000, 10000, 100000),
                    help="comma-separated n values")
-    add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride")
+    add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride", runs=20, s_max=4.0)
 
     p = sub.add_parser("gumbel", help="cover-time tail probabilities")
-    p.add_argument("--cs", type=_parse_float_list, default=None,
+    p.add_argument("--cs", type=_parse_float_list, default=(-1.0, 0.0, 1.0, 2.0),
                    help="comma-separated c values")
-    p.add_argument("--trials", type=int, default=None, help="cover times to sample")
+    p.add_argument("--trials", type=int, default=1000, help="cover times to sample")
     add_common(p, "n", "seed")
 
     p = sub.add_parser("check", help="verify the method's hypotheses empirically")
-    p.add_argument("--state-samples", dest="state_samples", type=int, default=None,
+    p.add_argument("--state-samples", dest="state_samples", type=int, default=50,
                    help="pilot states for the drift check")
-    p.add_argument("--drift-samples", dest="drift_samples", type=int, default=None,
+    p.add_argument("--drift-samples", dest="drift_samples", type=int, default=10000,
                    help="single-step samples per pilot state")
-    add_common(p, "n", "runs", "seed", "l", "s_max")
+    add_common(p, "n", "runs", "seed", "l", "s_max", runs=10)
 
     return parser
 
 
-def _load_config_file(path: str, allowed: Sequence[str]) -> dict:
+def _load_config_file(path: str, allowed: set[str]) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -177,72 +155,35 @@ def _load_config_file(path: str, allowed: Sequence[str]) -> dict:
         raise ContractError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ContractError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(allowed))
+    unknown = sorted(set(data) - allowed)
     if unknown:
         raise ContractError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
-_INT_KEYS = {"n", "runs", "seed", "l", "grid_stride", "trials",
-             "state_samples", "drift_samples"}
-_FLOAT_KEYS = {"s_max", "h"}
+def _flag_text(value) -> str:
+    """A config-file value as flag text: lists joined by commas, whole floats
+    as ints (so ``1e3`` is accepted for an integer flag)."""
+    items = value if isinstance(value, list) else [value]
+    return ",".join(format(v, ".0f") if isinstance(v, float) and v.is_integer() else str(v)
+                    for v in items)
 
 
-def _coerce(key: str, value):
-    """Give config-file values the same types the flag parsers produce."""
-    if key == "ns":
-        if isinstance(value, str):
-            return _parse_int_list(value)
-        return tuple(int(v) for v in value)
-    if key == "cs":
-        if isinstance(value, str):
-            return _parse_float_list(value)
-        return tuple(float(v) for v in value)
-    if key in _INT_KEYS:
-        try:
-            numeric = float(value)
-        except (TypeError, ValueError):
-            raise ContractError(f"config key {key!r} must be an integer") from None
-        if numeric != int(numeric):
-            raise ContractError(f"config key {key!r} must be an integer")
-        return int(numeric)
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ContractError(f"config key {key!r} must be a real number") from None
-    return value
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, reading a --config file's values as flags placed before argv's own.
 
-
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file values, and explicit flags, in that order."""
-    defaults = _DEFAULTS[args.command]
-    allowed = list(defaults) + list(_REQUIRED[args.command]) + ["out"]
-    file_values = {}
-    if args.config is not None:
-        file_values = _load_config_file(args.config, allowed)
-
-    config = {}
-    for key in set(defaults) | set(_REQUIRED[args.command]):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            config[key] = flag_value
-        elif key in file_values:
-            config[key] = _coerce(key, file_values[key])
-        else:
-            config[key] = defaults.get(key)
-    for key in _REQUIRED[args.command]:
-        if config.get(key) is None:
-            raise ContractError(f"--{key} is required for '{args.command}'")
-
-    if args.out is not None:
-        out_dir = args.out
-    elif "out" in file_values:
-        out_dir = str(file_values["out"])
-    else:
-        out_dir = os.environ.get(OUT_DIR_ENV, ".")
-    config["out"] = out_dir
-    return config
+    The file's values go through the same argparse types as flags, and
+    argparse keeps the last occurrence of a flag, so explicit flags win.
+    """
+    parser = _build_parser()
+    argv = _normalize_list_flags(argv)
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = _load_config_file(args.config, set(vars(args)) - {"command", "config"})
+    at = argv.index(args.command) + 1
+    flags = [f"--{key.replace('_', '-')}={_flag_text(value)}" for key, value in values.items()]
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _write_lines(path: str, lines: Sequence[str]) -> None:
@@ -301,30 +242,16 @@ def _exit_fields(traj: Trajectory) -> dict:
 
 
 def _cmd_solve(config: dict, out_dir: str) -> int:
-    spec = make_coupon_spec(config["l"], config["s_max"])
-    z0 = np.zeros(spec.coord_count)
-    z0[0] = 1.0
-    traj = integrate(spec, z0, config["s_max"],
-                     IntegratorConfig(h=config["h"], grid_stride=config["grid_stride"]))
+    traj = coupon_reference(config["l"], config["s_max"], config["h"], config["grid_stride"])
     _write_lines(os.path.join(out_dir, "ode.csv"), _trajectory_lines(traj))
     _write_manifest(out_dir, "solve", config, {}, ["ode.csv"], _exit_fields(traj))
     return 0
 
 
-def _make_plan(config: dict) -> RunPlan:
-    n = config["n"]
-    s_max = config.get("s_max")
-    horizon = None if s_max is None else math.ceil(n * s_max)
-    return RunPlan(
-        n=n, run_count=config.get("runs", 1), master_seed=config["seed"],
-        horizon_steps=horizon, truncation=config["l"],
-        h=config.get("h", 1e-3), grid_stride=config.get("grid_stride", 10),
-        s_max=s_max,
-    )
-
-
 def _cmd_simulate(config: dict, out_dir: str) -> int:
-    plan = _make_plan(config)
+    plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
+                   truncation=config["l"], h=config["h"], grid_stride=config["grid_stride"],
+                   s_max=config["s_max"])
     runs = plan.run_count
     outputs = []
     exits = []
@@ -342,24 +269,21 @@ def _cmd_simulate(config: dict, out_dir: str) -> int:
 
 
 def _cmd_compare(config: dict, out_dir: str) -> int:
-    plan = _make_plan(dict(config, runs=1))
-    sim = simulate(plan, 0)
-    spec = make_coupon_spec(config["l"], plan.resolved_s_max())
-    z0 = np.zeros(spec.coord_count)
-    z0[0] = 1.0
-    ode = integrate(spec, z0, plan.resolved_s_max(),
-                    IntegratorConfig(h=config["h"], grid_stride=config["grid_stride"]))
-    report = sup_deviation(sim, ode)
+    sim, ode, report = compare_run(
+        n=config["n"], l=config["l"], s_max=config["s_max"], seed=config["seed"],
+        h=config["h"], grid_stride=config["grid_stride"],
+    )
     _write_lines(os.path.join(out_dir, "trajectory.csv"), _trajectory_lines(sim))
     _write_lines(os.path.join(out_dir, "ode.csv"), _trajectory_lines(ode))
     _write_lines(os.path.join(out_dir, "deviation.csv"), _deviation_lines([report]))
-    seeds = {"master": plan.master_seed, "runs": [plan.run_seed(0)]}
+    seeds = {"master": config["seed"], "runs": [derive_seed(config["seed"], 0)]}
     # Deviation is measured at emitted grid points only.  Between two
     # consecutive points the chain takes (steps) draws, each moving a scaled
     # coordinate by at most 1/n, so the true sup over every step can exceed
     # the reported one by at most max(steps between points)/n.
-    steps = np.rint(sim.s * plan.n).astype(np.int64)
-    gap_bound = float(np.diff(steps).max()) / plan.n if steps.size > 1 else 0.0
+    n = config["n"]
+    steps = np.rint(sim.s * n).astype(np.int64)
+    gap_bound = float(np.diff(steps).max()) / n if steps.size > 1 else 0.0
     extra = {
         "domain_exited": sim.sigma_exit is not None or ode.sigma_exit is not None,
         "grid_gap_bound": gap_bound,
@@ -407,7 +331,8 @@ def _cmd_gumbel(config: dict, out_dir: str) -> int:
 
 
 def _cmd_check(config: dict, out_dir: str) -> int:
-    plan = _make_plan(config)
+    plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
+                   truncation=config["l"], s_max=config["s_max"])
     spec = make_coupon_spec(config["l"], plan.resolved_s_max())
     report = check_hypotheses(spec, plan, config["state_samples"],
                               drift_samples=config["drift_samples"])
@@ -443,17 +368,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, run one subcommand, return the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_normalize_list_flags(list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    try:
-        config = _resolve_config(args)
-        out_dir = config["out"]
-        os.makedirs(out_dir, exist_ok=True)
-        return _DISPATCH[args.command](config, out_dir)
+        args = _parse_args(list(argv))
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
+        if "n" in config and config["n"] is None:
+            raise ContractError(f"--n is required for '{args.command}'")
+        os.makedirs(args.out, exist_ok=True)
+        return _DISPATCH[args.command](config, args.out)
+    except SystemExit as exc:  # argparse: --help, --version or a bad flag
+        return int(exc.code) if exc.code is not None else 0
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

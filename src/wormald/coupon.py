@@ -11,8 +11,10 @@ than ``l`` copies, which closes the system so the coordinates always sum to
 
 whose solution from z_0(0)=1 is the Poisson profile z_i(s) = s^i e^-s / i!
 (:func:`closed_form`), the overflow coordinate being the matching Poisson
-tail.  :func:`exact_cover_tail` gives the exact distribution of the cover
-time by inclusion-exclusion, independent of any simulation.
+tail.  :func:`coupon_reference` integrates the system from that start on
+the grid the simulator shares.  :func:`exact_cover_tail` gives the exact
+distribution of the cover time by inclusion-exclusion, independent of any
+simulation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceededError, ContractError, PrecisionLossError
-from .process import DomainBox, ProcessSpec
+from .ode import IntegratorConfig, integrate
+from .process import DomainBox, ProcessSpec, Trajectory
 from .rng import make_generator
 
 #: Largest cover time :func:`cover_time` returns; a larger sample raises.
@@ -66,8 +69,8 @@ def make_coupon_spec(l: int = 10, s_max: float = 4.0) -> ProcessSpec:
     """
     if l < 1:
         raise ContractError(f"truncation level must be >= 1, got {l}")
-    if not s_max > 0:
-        raise ContractError(f"s_max must be positive, got {s_max}")
+    if not 0 < s_max < math.inf:
+        raise ContractError(f"s_max must be positive and finite, got {s_max}")
     a = l + 2
     domain = DomainBox(
         s_low=-0.1,
@@ -83,6 +86,20 @@ def make_coupon_spec(l: int = 10, s_max: float = 4.0) -> ProcessSpec:
         domain=domain,
         lipschitz_hint=1.0,
     )
+
+
+def coupon_reference(l: int = 10, s_max: float = 4.0, h: float = 1e-3,
+                     grid_stride: int = 10) -> Trajectory:
+    """The coupon ODE solution from z_0(0) = 1, integrated to ``s_max``.
+
+    This is the reference every simulated coupon run is compared with; its
+    grid is :func:`wormald.ode.grid_times` ``(h, grid_stride, s_max)``, the
+    one :func:`wormald.montecarlo.simulate` samples on.
+    """
+    spec = make_coupon_spec(l, s_max)
+    z0 = np.zeros(spec.coord_count)
+    z0[0] = 1.0
+    return integrate(spec, z0, s_max, IntegratorConfig(h=h, grid_stride=grid_stride))
 
 
 def closed_form(s: float, i: int) -> float:

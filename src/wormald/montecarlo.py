@@ -48,10 +48,11 @@ _DRAW_BLOCK = 1 << 16
 class RunPlan:
     """A reproducible batch of simulation runs at one system size.
 
-    ``horizon_steps`` defaults to ceil(n ln n), the natural horizon for the
-    coupon process; ``s_max`` defaults to the scaled horizon
-    ``horizon_steps / n``.  ``h`` and ``grid_stride`` define the shared
-    sampling grid (see :func:`wormald.ode.grid_times`).
+    Each run replays ``horizon_steps`` steps.  Left out, it is
+    ceil(n * s_max) when the scaled horizon ``s_max`` is given, and
+    ceil(n ln n), the natural horizon for the coupon process, otherwise;
+    ``s_max`` left out is ``horizon_steps / n``.  ``h`` and ``grid_stride``
+    define the shared sampling grid (see :func:`wormald.ode.grid_times`).
     """
 
     n: int
@@ -74,13 +75,13 @@ class RunPlan:
             raise ContractError(f"truncation must be >= 1, got {self.truncation}")
         if self.horizon_steps is not None and self.horizon_steps < 1:
             raise ContractError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if not self.h > 0:
-            raise ContractError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ContractError(f"h must be positive and finite, got {self.h}")
         if self.grid_stride < 1:
             raise ContractError(f"grid_stride must be >= 1, got {self.grid_stride}")
         if self.s_max is not None:
-            if not self.s_max > 0:
-                raise ContractError(f"s_max must be positive, got {self.s_max}")
+            if not 0 < self.s_max < math.inf:
+                raise ContractError(f"s_max must be positive and finite, got {self.s_max}")
             if self.s_max * self.n > self.resolved_horizon() * (1.0 + 1e-9):
                 raise ContractError(
                     f"s_max={self.s_max} reaches past the horizon of "
@@ -90,6 +91,8 @@ class RunPlan:
     def resolved_horizon(self) -> int:
         if self.horizon_steps is not None:
             return self.horizon_steps
+        if self.s_max is not None:
+            return math.ceil(self.n * self.s_max)
         return max(1, math.ceil(self.n * math.log(self.n)))
 
     def resolved_s_max(self) -> float:

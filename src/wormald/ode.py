@@ -38,8 +38,8 @@ class IntegratorConfig:
     grid_stride: int = 10
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ContractError(f"step size must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ContractError(f"step size must be positive and finite, got {self.h}")
         if self.grid_stride < 1:
             raise ContractError(f"grid_stride must be >= 1, got {self.grid_stride}")
 

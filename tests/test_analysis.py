@@ -144,6 +144,9 @@ def test_gumbel_input_validation():
         gumbel_experiment(9, 100, [0.0], 0)
     with pytest.raises(ContractError):
         gumbel_experiment(100, 100, [], 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractError):
+            gumbel_experiment(100, 100, [0.0, bad], 0)
 
 
 def test_gumbel_reference_curves_at_zero():

@@ -1,12 +1,14 @@
 """Tests for the command-line front end: schemas, exit codes, byte stability."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from wormald.cli import run_cli
+from wormald.cli import _build_parser, _normalize_list_flags, run_cli
 
 
 def read_bytes(path):
@@ -168,6 +170,60 @@ def test_config_file_lists_and_type_checks(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 40.5, "trials": 110}))
     assert run_cli(["gumbel", "--config", str(bad), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command, values, expected", [
+    # rejected with exit 2, as the same text given as a flag would be
+    ("gumbel", {"n": 40, "trials": 110, "cs": ["a"]}, None),
+    ("gumbel", {"n": 40, "trials": 110, "cs": {"x": 1}}, None),
+    ("scaling", {"ns": "abc"}, None),
+    ("scaling", {"ns": [1000.5, 2000.7], "runs": 2}, None),
+    ("simulate", {"n": True}, None),
+    # accepted, with the values the manifest recorded before
+    ("simulate", {"n": 1e3, "s_max": 0.5}, ("n", 1000)),
+    ("simulate", {"n": "80"}, ("n", 80)),
+    ("gumbel", {"n": 40, "trials": 110, "cs": "-2,1"}, ("cs", [-2.0, 1.0])),
+    ("gumbel", {"n": 40, "trials": 110, "cs": [-1, 0.5]}, ("cs", [-1.0, 0.5])),
+])
+def test_config_file_values_read_as_flag_text(tmp_path, capsys, command, values, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    code = run_cli([command, "--config", str(cfg), "--out", str(out)])
+    if expected is None:
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        return
+    assert code == 0
+    key, value = expected
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config[key] == value
+    assert type(config[key]) is type(value)
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--n", "10", "--s-max", "inf"],
+    ["compare", "--n", "10", "--s-max", "nan"],
+    ["solve", "--s-max", "inf"],
+    ["simulate", "--n", "10", "--h", "inf"],
+    ["gumbel", "--n", "10", "--cs", "nan", "--trials", "100"],
+    ["check", "--n", "100", "--s-max", "nan"],
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, args):
+    assert run_in(tmp_path, args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("wormald ")]
+    assert len(commands) == 6
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(_normalize_list_flags(argv[1:])).command == argv[1]
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

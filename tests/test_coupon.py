@@ -41,6 +41,9 @@ def test_spec_preconditions():
         make_coupon_spec(0, 4.0)
     with pytest.raises(ContractError):
         make_coupon_spec(10, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ContractError):
+            make_coupon_spec(10, bad)
 
 
 def test_drift_all_mass_at_truncation_flows_to_overflow():

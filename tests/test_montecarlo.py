@@ -29,6 +29,10 @@ def test_plan_defaults_follow_n_log_n():
     assert plan.resolved_horizon() == math.ceil(1000 * math.log(1000))
     assert plan.resolved_s_max() == plan.resolved_horizon() / 1000
     assert RunPlan(n=1).resolved_horizon() == 1
+    # a given s_max sets the horizon to ceil(n * s_max) instead
+    assert RunPlan(n=10, s_max=4.0).resolved_horizon() == 40
+    assert RunPlan(n=1000, s_max=2.0).resolved_horizon() == 2000
+    assert RunPlan(n=7, s_max=0.5).resolved_horizon() == 4
 
 
 def test_plan_validation():
@@ -44,6 +48,11 @@ def test_plan_validation():
         RunPlan(n=10, grid_stride=0)
     with pytest.raises(ContractError):
         RunPlan(n=100, horizon_steps=50, s_max=1.0)  # horizon too short for s_max
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ContractError):
+            RunPlan(n=10, s_max=bad)
+        with pytest.raises(ContractError):
+            RunPlan(n=10, h=bad)
 
 
 def test_run_seeds_are_distinct_and_range_checked():

@@ -14,6 +14,7 @@ from wormald import (
     closed_form,
     closed_form_system,
     convergence_order,
+    coupon_reference,
     grid_times,
     integrate,
     make_coupon_spec,
@@ -55,6 +56,9 @@ def test_integrator_config_validation():
         IntegratorConfig(h=0.0)
     with pytest.raises(ContractError):
         IntegratorConfig(grid_stride=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ContractError):
+            IntegratorConfig(h=bad)
 
 
 def test_zero_drift_constant_solution():
@@ -189,3 +193,12 @@ def test_ode_grid_is_the_shared_grid():
     spec = make_coupon_spec(3, 4.0)
     traj = integrate(spec, coupon_z0(3), 2.5, IntegratorConfig(h=1e-3, grid_stride=10))
     assert np.array_equal(traj.s, grid_times(1e-3, 10, 2.5))
+
+
+def test_coupon_reference_is_the_e0_integration():
+    ref = coupon_reference(4, 2.0)
+    direct = integrate(make_coupon_spec(4, 2.0), coupon_z0(4), 2.0,
+                       IntegratorConfig(h=1e-3, grid_stride=10))
+    assert ref.s.tobytes() == direct.s.tobytes()
+    assert ref.z.tobytes() == direct.z.tobytes()
+    assert ref.sigma_exit is None and direct.sigma_exit is None
