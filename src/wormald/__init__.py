@@ -27,7 +27,6 @@ from .errors import (
 from .process import (
     DomainBox,
     ProcessSpec,
-    ScaledPoint,
     Trajectory,
     estimate_lipschitz,
     evaluate_drift,
@@ -92,7 +91,6 @@ __all__ = [
     "PrecisionLossError",
     "ProcessSpec",
     "RunPlan",
-    "ScaledPoint",
     "ScalingReport",
     "ScalingRow",
     "Trajectory",

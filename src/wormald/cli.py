@@ -47,18 +47,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals: {text!r}") from exc
+def _list_of(kind, what: str):
+    """argparse type for a comma-separated list of ``kind`` values (empty entries skipped)."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip() != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}: {text!r}") from exc
+    return parse
 
 
 def _normalize_list_flags(argv: list[str]) -> list[str]:
@@ -125,12 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride", s_max=4.0)
 
     p = sub.add_parser("scaling", help="sup-deviation decay across n")
-    p.add_argument("--ns", type=_parse_int_list, default=(1000, 10000, 100000),
+    p.add_argument("--ns", type=_list_of(int, "integers"), default=(1000, 10000, 100000),
                    help="comma-separated n values")
     add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride", runs=20, s_max=4.0)
 
     p = sub.add_parser("gumbel", help="cover-time tail probabilities")
-    p.add_argument("--cs", type=_parse_float_list, default=(-1.0, 0.0, 1.0, 2.0),
+    p.add_argument("--cs", type=_list_of(float, "reals"), default=(-1.0, 0.0, 1.0, 2.0),
                    help="comma-separated c values")
     p.add_argument("--trials", type=int, default=1000, help="cover times to sample")
     add_common(p, "n", "seed")
@@ -212,8 +208,13 @@ def _deviation_lines(reports) -> list[str]:
     return lines
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out_dir: str, command: str, config: dict, seeds: dict,
-                    outputs: Sequence[str], extra: Optional[dict] = None) -> str:
+                    outputs: Sequence[str], extra: Optional[dict] = None) -> None:
     manifest = {
         "command": command,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
@@ -228,10 +229,7 @@ def _write_manifest(out_dir: str, command: str, config: dict, seeds: dict,
     }
     if extra:
         manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _exit_fields(traj: Trajectory) -> dict:
@@ -344,9 +342,7 @@ def _cmd_check(config: dict, out_dir: str) -> int:
             for chk in report.checks
         ],
     }
-    path = os.path.join(out_dir, "check.json")
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out_dir, "check.json"), payload)
     seeds = {"master": plan.master_seed,
              "runs": [plan.run_seed(i) for i in range(plan.run_count)]}
     _write_manifest(out_dir, "check", config, seeds, ["check.json"],

@@ -31,13 +31,16 @@ import numpy as np
 
 from .coupon import CouponState
 from .errors import ContractError
-from .ode import grid_times
-from .process import ProcessSpec, Trajectory, estimate_lipschitz
+from .ode import IntegratorConfig, grid_times
+from .process import DriftFunction, ProcessSpec, Trajectory, estimate_lipschitz
 from .rng import derive_seed, make_generator, spawn
 
 #: Stream indices reserved for auxiliary draws (pilot trajectory, Lipschitz
 #: sampling, per-state drift sampling); run indices must stay below this.
 _AUX_STREAM_BASE = 2**48
+
+#: Largest |z| a one-step mean may reach in the drift check.
+Z_THRESHOLD = 5.0
 
 #: Draws generated per refill of a chain's block buffer; longer intervals
 #: are drawn in one call.
@@ -48,17 +51,17 @@ _DRAW_BLOCK = 1 << 16
 class RunPlan:
     """A reproducible batch of simulation runs at one system size.
 
-    Each run replays ``horizon_steps`` steps.  Left out, it is
-    ceil(n * s_max) when the scaled horizon ``s_max`` is given, and
-    ceil(n ln n), the natural horizon for the coupon process, otherwise;
-    ``s_max`` left out is ``horizon_steps / n``.  ``h`` and ``grid_stride``
-    define the shared sampling grid (see :func:`wormald.ode.grid_times`).
+    Each run replays ceil(n * s_max) steps when the scaled horizon ``s_max``
+    is given, and max(1, ceil(n ln n)), the natural horizon for the coupon
+    process, otherwise; ``s_max`` left out is that horizon over ``n``.
+    ``h`` and ``grid_stride`` define the shared sampling grid (see
+    :func:`wormald.ode.grid_times`) and are checked as an
+    :class:`~wormald.ode.IntegratorConfig`.
     """
 
     n: int
     run_count: int = 1
     master_seed: int = 0
-    horizon_steps: Optional[int] = None
     truncation: int = 10
     h: float = 1e-3
     grid_stride: int = 10
@@ -73,24 +76,11 @@ class RunPlan:
             raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
         if self.truncation < 1:
             raise ContractError(f"truncation must be >= 1, got {self.truncation}")
-        if self.horizon_steps is not None and self.horizon_steps < 1:
-            raise ContractError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if not 0 < self.h < math.inf:
-            raise ContractError(f"h must be positive and finite, got {self.h}")
-        if self.grid_stride < 1:
-            raise ContractError(f"grid_stride must be >= 1, got {self.grid_stride}")
-        if self.s_max is not None:
-            if not 0 < self.s_max < math.inf:
-                raise ContractError(f"s_max must be positive and finite, got {self.s_max}")
-            if self.s_max * self.n > self.resolved_horizon() * (1.0 + 1e-9):
-                raise ContractError(
-                    f"s_max={self.s_max} reaches past the horizon of "
-                    f"{self.resolved_horizon()} steps at n={self.n}"
-                )
+        IntegratorConfig(self.h, self.grid_stride)
+        if self.s_max is not None and not 0 < self.s_max < math.inf:
+            raise ContractError(f"s_max must be positive and finite, got {self.s_max}")
 
     def resolved_horizon(self) -> int:
-        if self.horizon_steps is not None:
-            return self.horizon_steps
         if self.s_max is not None:
             return math.ceil(self.n * self.s_max)
         return max(1, math.ceil(self.n * math.log(self.n)))
@@ -193,11 +183,10 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     in [0, 1] at times in [0, s_max], strictly inside the coupon domain
     box, so ``sigma_exit`` is always ``None``.
     """
-    plan.run_seed(run_index)  # range check
     n, l = plan.n, plan.truncation
     grid, t_grid = _grid_step_counts(plan)
     states = np.empty((grid.size, l + 2))
-    chain = _chain_states(spawn(plan.master_seed, run_index), n, l, t_grid)
+    chain = _chain_states(make_generator(plan.run_seed(run_index)), n, l, t_grid)
     for k, (_t, _counts, counts_of_counts) in enumerate(chain):
         states[k] = counts_of_counts / n
     return Trajectory(grid, states, None)
@@ -214,11 +203,10 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     answer is 1 if the sum ends positive and 0 otherwise.  For the coupon
     process it is 1 for any run with at least one step.
     """
-    plan.run_seed(run_index)  # range check
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
-    for _t, _counts, counts_of_counts in _chain_states(
-            spawn(plan.master_seed, run_index), n, l, stops):
+    gen = make_generator(plan.run_seed(run_index))
+    for _t, _counts, counts_of_counts in _chain_states(gen, n, l, stops):
         pass
     return int(np.arange(l + 2) @ counts_of_counts > 0)
 
@@ -240,14 +228,14 @@ class DriftCheckReport:
 
 
 def empirical_drift(state: CouponState, sample_count: int, seed: int,
-                    drift=None) -> DriftCheckReport:
+                    drift: DriftFunction) -> DriftCheckReport:
     """Sample independent single steps from a frozen state and test the drift.
 
     Draws ``sample_count`` fresh uniform types from a Philox stream keyed by
     ``seed`` (each sample restarts from the same state, so the steps are
     independent), averages the per-coordinate change, and compares it with
-    the predicted one-step mean -- by default the exact coupon formula
-    (y_{i-1} - y_i)/n, or ``drift(s, z)`` if a drift function is supplied.
+    the predicted one-step mean ``drift(s, z)`` at the state's scaled time
+    and counts (for the coupon chain, :func:`wormald.coupon.coupon_drift`).
     Where the sampled change has zero variance (no sample moved the
     coordinate, or every sample moved it alike), the standard error falls
     back to the smallest one the prediction ``mu`` allows for an
@@ -273,16 +261,7 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     empirical = (inc - dec) / sample_count
     mean_sq = (inc + dec) / sample_count  # each move contributes (+-1)^2
 
-    if drift is None:
-        y = state.counts_of_counts.astype(float)
-        predicted = np.empty(l + 2)
-        predicted[0] = -y[0] / n
-        predicted[1 : l + 1] = (y[0:l] - y[1 : l + 1]) / n
-        predicted[l + 1] = y[l] / n
-    else:
-        predicted = np.asarray(
-            drift(state.t / n, state.counts_of_counts / n), dtype=float
-        )
+    predicted = np.asarray(drift(state.t / n, state.counts_of_counts / n), dtype=float)
 
     var = np.maximum(mean_sq - empirical**2, 0.0) * sample_count / (sample_count - 1)
     # Increments are integers, so E[X^2] >= |E[X]| and under the null the
@@ -355,14 +334,15 @@ class HypothesisReport:
 
 
 def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
-                     drift_samples: int = 10_000, lipschitz_samples: int = 20_000,
-                     z_threshold: float = 5.0) -> HypothesisReport:
+                     drift_samples: int = 10_000,
+                     lipschitz_samples: int = 20_000) -> HypothesisReport:
     """Empirically verify the bounded-increment, drift, and Lipschitz hypotheses.
 
     (1) replays every run in the plan and checks the largest one-step change
-    against ``spec.increment_bound``; (2) samples one-step means at
-    ``state_samples`` pilot states and fails if any z-score against
-    ``spec.drift`` exceeds ``z_threshold`` in magnitude; (3) estimates the
+    against ``spec.increment_bound``; (2) samples one-step means at up to
+    ``state_samples`` distinct pilot states (a horizon of m steps has m + 1)
+    and fails if any z-score against ``spec.drift`` exceeds
+    :data:`Z_THRESHOLD` in magnitude; (3) estimates the
     drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
     checks the estimate does not exceed it.  Thresholds are engineering
     choices and are echoed in the report details.
@@ -381,10 +361,10 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     worst_z = 0.0
     worst_state = ""
-    for k, state in enumerate(pilot_states(plan, state_samples)):
+    for examined, state in enumerate(pilot_states(plan, state_samples), start=1):
         report = empirical_drift(
             state, drift_samples,
-            seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + 1 + k),
+            seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + examined),
             drift=spec.drift,
         )
         if report.max_abs_z > worst_z:
@@ -392,10 +372,10 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
             worst_state = report.description
     drift_check = HypothesisCheck(
         name="drift_matches_one_step_means",
-        passed=worst_z <= z_threshold,
+        passed=worst_z <= Z_THRESHOLD,
         observed=worst_z,
-        bound=z_threshold,
-        detail=f"worst |z| over {state_samples} pilot states x {drift_samples} "
+        bound=Z_THRESHOLD,
+        detail=f"worst |z| over {examined} pilot states x {drift_samples} "
                f"samples, at state [{worst_state}]",
     )
 

@@ -22,7 +22,7 @@ are safe to share across threads or processes without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -115,13 +115,6 @@ class ProcessSpec:
             raise ContractError("lipschitz_hint must be non-negative")
 
 
-class ScaledPoint(NamedTuple):
-    """One trajectory sample: scaled time ``s = t/n`` and scaled state ``z = Y/n``."""
-
-    s: float
-    z: np.ndarray
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A trajectory on a fixed grid of scaled times.
@@ -154,9 +147,6 @@ class Trajectory:
     @property
     def coord_count(self) -> int:
         return self.z.shape[1]
-
-    def point(self, k: int) -> ScaledPoint:
-        return ScaledPoint(float(self.s[k]), self.z[k])
 
 
 def _check_dims(spec: ProcessSpec, z: np.ndarray) -> np.ndarray:

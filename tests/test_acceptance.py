@@ -149,7 +149,7 @@ def test_07_trajectories_concentrate_at_large_n():
     budget, tol = 30.0, 0.02
     start = time.perf_counter()
     plan = RunPlan(n=100_000, run_count=20, master_seed=MASTER_SEED,
-                   truncation=10, horizon_steps=400_000, s_max=4.0)
+                   truncation=10, s_max=4.0)
     ode = integrate(make_coupon_spec(10, 4.0), coupon_z0(), 4.0)
     sups = [sup_deviation(simulate(plan, i), ode, i).sup_deviation
             for i in range(plan.run_count)]

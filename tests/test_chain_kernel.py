@@ -46,19 +46,14 @@ def _replay(plan, stream_index):
 @st.composite
 def plans(draw):
     n = draw(st.integers(1, 60))
-    horizon = draw(st.none() | st.integers(1, min(400, 8 * n)))
-    plan = RunPlan(n=n, horizon_steps=horizon)
-    s_max = draw(st.none() | st.floats(0.05, 1.0).map(
-        lambda f: f * plan.resolved_horizon() / n))
     return RunPlan(
         n=n,
         run_count=draw(st.integers(1, 3)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        horizon_steps=horizon,
         truncation=draw(st.integers(1, 6)),
         h=draw(st.sampled_from([0.01, 0.05, 0.1])),
         grid_stride=draw(st.integers(1, 20)),
-        s_max=s_max,
+        s_max=draw(st.none() | st.floats(0.01, min(400, 8 * n) / n)),
     )
 
 

@@ -108,6 +108,16 @@ def test_gumbel_exact_column_empty_on_precision_loss(tmp_path):
     assert "cancelled catastrophically" in entry["reason"]
 
 
+def test_gumbel_saturates_reference_curves_at_large_abs_c(tmp_path):
+    # exp(710) overflows a double; the reference curves take it as inf
+    assert run_in(tmp_path, ["gumbel", "--n", "10", "--trials", "100",
+                             "--cs=-710,710"]) == 0
+    assert (tmp_path / "gumbel.csv").read_text().splitlines()[1:] == [
+        "-710,1,0,0.63212055882855767,1,1",
+        "710,0,0,0,0,0",
+    ]
+
+
 def test_check_writes_verdict(tmp_path):
     assert run_in(tmp_path, ["check", "--n", "300", "--runs", "2", "--seed", "5",
                              "--state-samples", "4", "--drift-samples", "500"]) == 0
@@ -115,6 +125,14 @@ def test_check_writes_verdict(tmp_path):
     assert payload["passed"] is True
     assert [c["name"] for c in payload["checks"]] == [
         "bounded_increments", "drift_matches_one_step_means", "lipschitz_drift"]
+
+
+def test_check_reports_distinct_pilot_states_examined(tmp_path):
+    # a horizon of ceil(5 ln 5) = 9 steps has only 10 distinct states
+    assert run_in(tmp_path, ["check", "--n", "5", "--runs", "1",
+                             "--state-samples", "100", "--drift-samples", "100"]) == 0
+    drift = json.loads((tmp_path / "check.json").read_text())["checks"][1]
+    assert drift["detail"].startswith("worst |z| over 10 pilot states x 100 samples")
 
 
 def test_invalid_configurations_exit_2(tmp_path, capsys):
@@ -209,6 +227,7 @@ def test_config_file_values_read_as_flag_text(tmp_path, capsys, command, values,
     ["simulate", "--n", "10", "--h", "inf"],
     ["gumbel", "--n", "10", "--cs", "nan", "--trials", "100"],
     ["check", "--n", "100", "--s-max", "nan"],
+    ["gumbel", "--n", "10", "--cs", "1e308", "--trials", "100"],
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, args):
     assert run_in(tmp_path, args) == 2
@@ -224,6 +243,12 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in commands:
         assert parser.parse_args(_normalize_list_flags(argv[1:])).command == argv[1]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

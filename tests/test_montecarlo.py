@@ -43,11 +43,7 @@ def test_plan_validation():
     with pytest.raises(ContractError):
         RunPlan(n=10, truncation=0)
     with pytest.raises(ContractError):
-        RunPlan(n=10, horizon_steps=0)
-    with pytest.raises(ContractError):
         RunPlan(n=10, grid_stride=0)
-    with pytest.raises(ContractError):
-        RunPlan(n=100, horizon_steps=50, s_max=1.0)  # horizon too short for s_max
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(ContractError):
             RunPlan(n=10, s_max=bad)
@@ -127,12 +123,12 @@ def test_max_increment_is_one_for_coupon():
     plan = RunPlan(n=1000, run_count=3, master_seed=6)
     for i in range(3):
         assert max_increment(plan, i) == 1
-    assert max_increment(RunPlan(n=2, horizon_steps=10, master_seed=0), 0) == 1
+    assert max_increment(RunPlan(n=2, master_seed=0, s_max=5.0), 0) == 1
 
 
 def test_empirical_drift_fresh_state_is_deterministic_transition():
     state = CouponState.fresh(6, l=2)
-    report = empirical_drift(state, 2000, seed=14)
+    report = empirical_drift(state, 2000, seed=14, drift=coupon_drift(2))
     assert report.empirical[0] == -1.0
     assert report.empirical[1] == 1.0
     assert report.predicted[0] == -1.0
@@ -143,7 +139,7 @@ def test_empirical_drift_worked_example():
     state = CouponState.fresh(4, l=2)
     coupon_step(state, 0)
     coupon_step(state, 1)
-    report = empirical_drift(state, 20_000, seed=77)
+    report = empirical_drift(state, 20_000, seed=77, drift=coupon_drift(2))
     assert np.array_equal(report.predicted, [-0.5, 0.0, 0.5, 0.0])
     assert report.max_abs_z < 5.0
     assert abs(report.empirical[2] - 0.5) <= 4 * report.stderr[2]
@@ -151,21 +147,12 @@ def test_empirical_drift_worked_example():
 
 def test_empirical_drift_validates_and_reproduces():
     state = CouponState.fresh(10, l=2)
+    drift = coupon_drift(2)
     with pytest.raises(ContractError):
-        empirical_drift(state, 99, seed=0)
-    a = empirical_drift(state, 500, seed=3)
-    b = empirical_drift(state, 500, seed=3)
+        empirical_drift(state, 99, seed=0, drift=drift)
+    a = empirical_drift(state, 500, seed=3, drift=drift)
+    b = empirical_drift(state, 500, seed=3, drift=drift)
     assert np.array_equal(a.empirical, b.empirical)
-
-
-def test_empirical_drift_accepts_explicit_drift_function():
-    state = CouponState.fresh(8, l=3)
-    for draw in (0, 0, 1, 2, 3, 3):
-        coupon_step(state, draw)
-    default = empirical_drift(state, 1000, seed=5)
-    explicit = empirical_drift(state, 1000, seed=5, drift=coupon_drift(3))
-    assert np.array_equal(default.empirical, explicit.empirical)
-    assert np.max(np.abs(default.predicted - explicit.predicted)) <= 1e-12
 
 
 def test_pilot_states_span_the_run():

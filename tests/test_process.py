@@ -166,9 +166,6 @@ def test_trajectory_accessors_and_immutability():
     traj = Trajectory(np.array([0.0, 0.5]), np.array([[1.0, 0.0], [0.5, 0.5]]))
     assert len(traj) == 2
     assert traj.coord_count == 2
-    p = traj.point(1)
-    assert p.s == 0.5
-    assert np.array_equal(p.z, [0.5, 0.5])
     with pytest.raises(ValueError):
         traj.z[0, 0] = 9.0
 
