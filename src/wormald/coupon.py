@@ -33,6 +33,10 @@ from .rng import make_generator
 #: Largest cover time :func:`cover_time` returns; a larger sample raises.
 COVER_TIME_CAP = 10**9
 
+#: Log of a tail bound below which the tail rounds to 0.0 (2**-1075 is about
+#: exp(-745.13)).
+_ZERO_TAIL_LOG = -746.0
+
 #: Relative size below which inclusion-exclusion terms are dropped.
 _TAIL_TERM_CUTOFF = 1e-30
 
@@ -221,7 +225,9 @@ def exact_cover_tail(n: int, k: int) -> float:
     Sums (-1)^(j+1) C(n,j) (1 - j/n)^k over j with terms evaluated in the
     log domain and added by signed compensated (Neumaier) summation.  The
     term magnitudes are log-concave in j, so summation stops once they are
-    decreasing and below 1e-30 of the largest term.  If the result is
+    decreasing and below 1e-30 of the largest term.  A tail whose union
+    bound n (1 - 1/n)^k is below half the smallest subnormal is 0.0 and
+    returned as such, without summing.  If the result is
     smaller than the accumulated rounding-error bound, the alternating sum
     has cancelled catastrophically and :class:`PrecisionLossError` is
     raised rather than returning noise.
@@ -233,6 +239,10 @@ def exact_cover_tail(n: int, k: int) -> float:
     if k == 0:
         return 1.0
     if n == 1:
+        return 0.0
+    # Union bound: P(T > k) <= n (1 - 1/n)^k.  Below exp(-746) < 2**-1075
+    # the tail rounds to 0.0, which the alternating sum could not resolve.
+    if math.log(n) + k * math.log1p(-1 / n) < _ZERO_TAIL_LOG:
         return 0.0
 
     log_binom_n = math.lgamma(n + 1)

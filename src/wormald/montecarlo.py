@@ -8,8 +8,9 @@ States are sampled on the same scaled-time grid the ODE engine emits
 comparable without interpolation: grid entry ``s_k`` carries the state after
 ``round(s_k * n)`` steps.
 
-``simulate``, ``pilot_states`` and ``max_increment`` all advance the chain
-through one kernel, :func:`_chain_states`.  It generates each run's draws
+``simulate``, the pilot run (:func:`_pilot_chain`, listed by
+``pilot_states``) and ``max_increment`` all advance the chain through one
+kernel, :func:`_chain_states`.  It generates each run's draws
 interval by interval and applies each interval as one counts-of-counts
 update, so a run costs O(n + interval) memory instead of O(horizon), and
 an interval of d draws costs O(min(n + d, d log d)) time instead of O(n).
@@ -18,7 +19,9 @@ calls, so the chunking leaves every seed's trajectory bitwise unchanged.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
-drift, and a Lipschitz drift.
+drift, and a Lipschitz drift.  It takes the pilot states one at a time and
+the Lipschitz pairs in fixed blocks, so its memory is O(n + block) whatever
+the sample counts.
 """
 
 from __future__ import annotations
@@ -285,24 +288,35 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     )
 
 
-def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:
-    """Snapshot ``count`` states, evenly spaced in steps, from a pilot run.
+def _pilot_chain(plan: RunPlan, count: int):
+    """Yield ``count`` states, evenly spaced in steps, of a pilot run, one at a time.
 
     The pilot draws from its own reserved stream so it never shares
     randomness with the plan's numbered runs.  Draws are generated per
-    interval between snapshots (see :func:`_chain_states`); only the
-    snapshots themselves hold O(n) copies.
+    interval between snapshots (see :func:`_chain_states`), and each yielded
+    state is a fresh copy, so a caller that drops each state before taking
+    the next holds O(n) memory however many it examines.  A horizon of m
+    steps has m + 1 distinct states, so ``count`` is clamped to m + 1 before
+    the times are spaced: above that, the rounded times are exactly 0..m.
     """
     if count < 1:
         raise ContractError(f"count must be positive, got {count}")
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
-    times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
+    times = np.unique(np.linspace(0, m, min(count, m + 1)).round().astype(np.int64))
     chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times)
-    return [
-        CouponState(n=n, t=t, per_type_counts=counts.copy(),
-                    counts_of_counts=counts_of_counts.copy())
-        for t, counts, counts_of_counts in chain
-    ]
+    for t, counts, counts_of_counts in chain:
+        yield CouponState(n=n, t=t, per_type_counts=counts.copy(),
+                          counts_of_counts=counts_of_counts.copy())
+
+
+def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:
+    """Snapshot ``count`` states, evenly spaced in steps, from a pilot run.
+
+    The list of the states :func:`_pilot_chain` yields; every snapshot holds
+    an O(n) copy of the per-type counts, so the list costs O(n * count).
+    :func:`check_hypotheses` walks the same states one at a time instead.
+    """
+    return list(_pilot_chain(plan, count))
 
 
 @dataclass(frozen=True)
@@ -340,8 +354,10 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     (1) replays every run in the plan and checks the largest one-step change
     against ``spec.increment_bound``; (2) samples one-step means at up to
-    ``state_samples`` distinct pilot states (a horizon of m steps has m + 1)
-    and fails if any z-score against ``spec.drift`` exceeds
+    ``state_samples`` distinct pilot states (a horizon of m steps has m + 1),
+    the states of :func:`pilot_states` taken one at a time from
+    :func:`_pilot_chain` so that they cost O(n) memory however many, and
+    fails if any z-score against ``spec.drift`` exceeds
     :data:`Z_THRESHOLD` in magnitude; (3) estimates the
     drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
     checks the estimate does not exceed it.  Thresholds are engineering
@@ -361,7 +377,7 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     worst_z = 0.0
     worst_state = ""
-    for examined, state in enumerate(pilot_states(plan, state_samples), start=1):
+    for examined, state in enumerate(_pilot_chain(plan, state_samples), start=1):
         report = empirical_drift(
             state, drift_samples,
             seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + examined),

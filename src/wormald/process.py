@@ -10,9 +10,9 @@ engines both speak this language.
 A drift accepts a batch of points, coordinates first as in
 ``scipy.integrate.solve_ivp(vectorized=True)``: ``z`` of shape ``(a,)`` or
 ``(a, B)`` with ``s`` a scalar or of shape ``(B,)``, returning the shape of
-``z``.  :func:`estimate_lipschitz` evaluates all its points in one call;
-:func:`evaluate_drift`, the RK4 engine and the drift check pass single
-points.
+``z``.  :func:`estimate_lipschitz` evaluates its points in one call per
+block of pairs; :func:`evaluate_drift`, the RK4 engine and the drift check
+pass single points.
 
 All values here are immutable after construction and every operation is pure
 given its inputs (randomness enters only through an explicit seed), so they
@@ -28,6 +28,9 @@ import numpy as np
 
 from .errors import ContractError, DriftEvaluationError, EstimationError
 from .rng import make_generator
+
+#: Point pairs :func:`estimate_lipschitz` draws and evaluates at a time.
+_PAIR_BLOCK = 4096
 
 #: ``drift(s, z)``: ``z`` of shape ``(a,)`` or a batch ``(a, B)`` with ``s`` of
 #: shape ``(B,)``; returns the shape of ``z`` (or ``(a,)`` if constant).
@@ -199,31 +202,39 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     one.
 
     Pairs at zero distance are skipped; if every pair degenerates an
-    :class:`EstimationError` is raised.  The drift is called once for all
-    first points and once for all second points, as ``(a, B)`` batches, so
-    memory is O(``sample_count`` * a).  A non-finite drift value at any
-    sampled point raises :class:`DriftEvaluationError`.
+    :class:`EstimationError` is raised.  Pairs are taken in blocks of
+    :data:`_PAIR_BLOCK`: each block's draw continues the same stream, and
+    the drift is called once for the block's first points and once for its
+    second points, as ``(a, B)`` batches, so memory is O(block * a) whatever
+    ``sample_count`` is.  A non-finite drift value at any sampled point
+    raises :class:`DriftEvaluationError`.
     """
     if sample_count < 2:
         raise ContractError(f"sample_count must be >= 2, got {sample_count}")
     box = spec.domain
     gen = make_generator(seed)
-    # One (sample_count, 2, dim) draw keeps the stream layout prefix-stable.
     dim = 1 + spec.coord_count
-    raw = gen.uniform(size=(sample_count, 2, dim))
     low = np.concatenate(([box.s_low], box.z_low))
     high = np.concatenate(([box.s_high], box.z_high))
-    points = low + raw * (high - low)
-
-    u, v = points[:, 0], points[:, 1]
-    dist = np.sum(np.abs(u - v), axis=-1)
-    valid = dist != 0.0
-    if not valid.any():
+    best = None
+    for start in range(0, sample_count, _PAIR_BLOCK):
+        # Uniform Philox doubles are prefix-stable across calls, so the
+        # blocks read the stream exactly as one (sample_count, 2, dim) draw.
+        raw = gen.uniform(size=(min(_PAIR_BLOCK, sample_count - start), 2, dim))
+        points = low + raw * (high - low)
+        u, v = points[:, 0], points[:, 1]
+        dist = np.sum(np.abs(u - v), axis=-1)
+        valid = dist != 0.0
+        if not valid.any():
+            continue
+        u, v, dist = u[valid], v[valid], dist[valid]
+        fu = _drift_batch(spec, u)
+        fv = _drift_batch(spec, v)
+        ratio = float(np.max(np.max(np.abs(fu - fv), axis=0) / dist))
+        best = ratio if best is None else max(best, ratio)
+    if best is None:
         raise EstimationError("all sampled pairs were degenerate (zero distance)")
-    u, v, dist = u[valid], v[valid], dist[valid]
-    fu = _drift_batch(spec, u)
-    fv = _drift_batch(spec, v)
-    return float(np.max(np.max(np.abs(fu - fv), axis=0) / dist))
+    return best
 
 
 def _drift_batch(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:

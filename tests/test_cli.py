@@ -118,6 +118,17 @@ def test_gumbel_saturates_reference_curves_at_large_abs_c(tmp_path):
     ]
 
 
+def test_gumbel_fills_exact_zero_at_a_huge_threshold(tmp_path):
+    # k is about 1e301 here: the tail is 0, not a cancelled sum.
+    assert run_in(tmp_path, ["gumbel", "--n", "10", "--trials", "100",
+                             "--cs=1e300"]) == 0
+    assert (tmp_path / "gumbel.csv").read_text().splitlines()[1:] == [
+        "1.0000000000000001e+300,0,0,0,0,0",
+    ]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exact_unavailable"] == []
+
+
 def test_check_writes_verdict(tmp_path):
     assert run_in(tmp_path, ["check", "--n", "300", "--runs", "2", "--seed", "5",
                              "--state-samples", "4", "--drift-samples", "500"]) == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ def test_exact_tail_trivial_cases():
         exact_cover_tail(0, 1)
     with pytest.raises(ContractError):
         exact_cover_tail(3, -1)
+
+
+def _fraction_cover_tail(n, k):
+    """P(cover > k) as an exact rational, by inclusion-exclusion."""
+    return sum((-1) ** (j + 1) * math.comb(n, j) * Fraction(n - j, n) ** k
+               for j in range(1, n))
+
+
+def test_exact_tail_is_zero_where_it_rounds_to_zero():
+    # A tail at k near 1e301 is 0 and must be returned as such, not refused.
+    assert exact_cover_tail(10, 10**301) == 0.0
+    assert exact_cover_tail(1000, 10**40) == 0.0
+    # First k whose union bound n (1 - 1/n)^k falls below exp(-746): the
+    # exact value there rounds to 0.0, while one step earlier it need not.
+    n = 10
+    k = math.ceil((-746 - math.log(n)) / math.log1p(-1 / n))
+    assert math.log(n) + (k - 1) * math.log1p(-1 / n) >= -746
+    assert float(_fraction_cover_tail(n, k)) == 0.0
+    assert exact_cover_tail(n, k) == 0.0
 
 
 def test_exact_tail_small_cases_match_enumeration():

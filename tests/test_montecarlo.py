@@ -1,6 +1,8 @@
 """Tests for seeded simulation runs, increment replay, and hypothesis checks."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from wormald import (
     pilot_states,
     simulate,
 )
+from wormald import montecarlo
 
 
 def test_plan_defaults_follow_n_log_n():
@@ -166,6 +169,62 @@ def test_pilot_states_span_the_run():
         assert int(state.per_type_counts.sum()) == state.t
     with pytest.raises(ContractError):
         pilot_states(plan, 0)
+
+
+@pytest.mark.parametrize("n, s_max", [(1, 1.0), (3, 2.0), (7, 0.5), (50, 3.0)])
+def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
+    plan = RunPlan(n=n, master_seed=2, s_max=s_max)
+    m = plan.resolved_horizon()
+    for count in (m, m + 1, m + 2, 3 * m + 7, 10_000):
+        unclamped = np.unique(np.linspace(0, m, count).round().astype(np.int64))
+        assert [s.t for s in pilot_states(plan, count)] == unclamped.tolist()
+    assert [s.t for s in pilot_states(plan, 10_000)] == list(range(m + 1))
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_memory_does_not_grow_with_state_samples():
+    # A horizon of 10 steps has 11 states; asking for five million must not
+    # space five million times first (40 MB of float64).
+    plan = RunPlan(n=5, master_seed=1)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    peak = _traced_peak_mb(lambda: check_hypotheses(
+        spec, plan, 5_000_000, drift_samples=100, lipschitz_samples=100))
+    assert peak < 4.0
+
+
+def test_check_hypotheses_examines_the_pilot_states():
+    plan = RunPlan(n=200, run_count=1, master_seed=4)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    seen = []
+
+    def record(state, *args, **kwargs):
+        seen.append((state.t, state.per_type_counts.copy(), state.counts_of_counts.copy()))
+        return empirical_drift(state, *args, **kwargs)
+
+    with mock.patch.object(montecarlo, "empirical_drift", record):
+        check_hypotheses(spec, plan, 9, drift_samples=100, lipschitz_samples=100)
+    pilot = pilot_states(plan, 9)
+    assert [t for t, _, _ in seen] == [state.t for state in pilot]
+    for (_, per_type, buckets), state in zip(seen, pilot):
+        assert np.array_equal(per_type, state.per_type_counts)
+        assert np.array_equal(buckets, state.counts_of_counts)
+
+
+def test_check_hypotheses_holds_one_pilot_state_at_a_time():
+    # 200 snapshots of 1e5 int64 counts would take 160 MB at once.
+    plan = RunPlan(n=100_000, master_seed=5)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    peak = _traced_peak_mb(lambda: check_hypotheses(
+        spec, plan, 200, drift_samples=100, lipschitz_samples=100))
+    assert peak < 16.0
 
 
 def test_check_hypotheses_passes_for_coupon():

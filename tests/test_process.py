@@ -1,5 +1,7 @@
 """Tests for the process abstraction: drift evaluation, domain box, Lipschitz."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from wormald import (
     ContractError,
     DomainBox,
     DriftEvaluationError,
+    EstimationError,
     ProcessSpec,
     Trajectory,
     estimate_lipschitz,
@@ -17,6 +20,7 @@ from wormald import (
     in_domain,
     make_coupon_spec,
 )
+from wormald import process
 from wormald.rng import make_generator
 
 
@@ -227,11 +231,47 @@ def _lipschitz_pair_loop(spec, sample_count, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(l=st.integers(1, 12), sample_count=st.integers(2, 3000),
-       seed=st.integers(0, 2**63 - 1))
-def test_lipschitz_batch_equals_pair_loop(l, sample_count, seed):
+       block=st.integers(1, 4096), seed=st.integers(0, 2**63 - 1))
+def test_lipschitz_batch_equals_pair_loop(l, sample_count, block, seed):
     spec = make_coupon_spec(l, 4.0)
-    assert estimate_lipschitz(spec, sample_count, seed) == \
-        _lipschitz_pair_loop(spec, sample_count, seed)
+    with mock.patch.object(process, "_PAIR_BLOCK", block):
+        batched = estimate_lipschitz(spec, sample_count, seed)
+    assert batched == _lipschitz_pair_loop(spec, sample_count, seed)
+
+
+@pytest.mark.parametrize("sample_count", [4095, 4096, 4097, 3 * 4096 + 1])
+def test_lipschitz_blocks_equal_pair_loop_across_block_edges(sample_count):
+    assert process._PAIR_BLOCK == 4096
+    spec = make_coupon_spec(3, 4.0)
+    assert estimate_lipschitz(spec, sample_count, seed=11) == \
+        _lipschitz_pair_loop(spec, sample_count, seed=11)
+
+
+class _DegenerateFirst:
+    """Generator stand-in: the first ``degenerate`` draws give equal points."""
+
+    def __init__(self, seed, degenerate):
+        self._gen = make_generator(seed)
+        self._degenerate = degenerate
+
+    def uniform(self, size):
+        if self._degenerate > 0:
+            self._degenerate -= 1
+            return np.full(size, 0.5)
+        return self._gen.uniform(size=size)
+
+
+def test_lipschitz_skips_degenerate_blocks_and_raises_only_if_all_are():
+    spec = make_coupon_spec(3, 4.0)
+    with mock.patch.object(process, "_PAIR_BLOCK", 4), \
+            mock.patch.object(process, "make_generator",
+                              lambda seed: _DegenerateFirst(seed, 2)):
+        est = estimate_lipschitz(spec, 12, seed=5)
+        with pytest.raises(EstimationError):
+            estimate_lipschitz(spec, 8, seed=5)
+    # Only the last block's pairs count: the first two blocks' draws were
+    # degenerate, so the estimate is that of the stream's first 4 pairs.
+    assert est == _lipschitz_pair_loop(spec, 4, seed=5)
 
 
 @settings(max_examples=40, deadline=None)
