@@ -369,7 +369,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
         if "n" in config and config["n"] is None:
             raise ContractError(f"--n is required for '{args.command}'")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ContractError(f"cannot create output directory {args.out}: {exc}") from exc
         return _DISPATCH[args.command](config, args.out)
     except SystemExit as exc:  # argparse: --help, --version or a bad flag
         return int(exc.code) if exc.code is not None else 0

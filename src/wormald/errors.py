@@ -21,7 +21,7 @@ class NumericalError(WormaldError, RuntimeError):
 
 
 class DriftEvaluationError(NumericalError):
-    """A drift function returned a non-finite value inside its domain."""
+    """A drift function returned a non-finite value."""
 
 
 class DivergenceError(NumericalError):

@@ -35,7 +35,7 @@ import numpy as np
 from .coupon import CouponState
 from .errors import ContractError
 from .ode import IntegratorConfig, grid_times
-from .process import DriftFunction, ProcessSpec, Trajectory, estimate_lipschitz
+from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
 from .rng import derive_seed, make_generator, spawn
 
 #: Stream indices reserved for auxiliary draws (pilot trajectory, Lipschitz
@@ -231,14 +231,15 @@ class DriftCheckReport:
 
 
 def empirical_drift(state: CouponState, sample_count: int, seed: int,
-                    drift: DriftFunction) -> DriftCheckReport:
+                    spec: ProcessSpec) -> DriftCheckReport:
     """Sample independent single steps from a frozen state and test the drift.
 
     Draws ``sample_count`` fresh uniform types from a Philox stream keyed by
     ``seed`` (each sample restarts from the same state, so the steps are
     independent), averages the per-coordinate change, and compares it with
-    the predicted one-step mean ``drift(s, z)`` at the state's scaled time
-    and counts (for the coupon chain, :func:`wormald.coupon.coupon_drift`).
+    the predicted one-step mean, ``spec``'s drift at the state's scaled time
+    and counts (:func:`wormald.process.evaluate_drift`, so a spec not of the
+    state's ``truncation + 2`` coordinates raises :class:`ContractError`).
     Where the sampled change has zero variance (no sample moved the
     coordinate, or every sample moved it alike), the standard error falls
     back to the smallest one the prediction ``mu`` allows for an
@@ -264,7 +265,7 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     empirical = (inc - dec) / sample_count
     mean_sq = (inc + dec) / sample_count  # each move contributes (+-1)^2
 
-    predicted = np.asarray(drift(state.t / n, state.counts_of_counts / n), dtype=float)
+    predicted = evaluate_drift(spec, state.t / n, state.counts_of_counts / n)
 
     var = np.maximum(mean_sq - empirical**2, 0.0) * sample_count / (sample_count - 1)
     # Increments are integers, so E[X^2] >= |E[X]| and under the null the
@@ -361,7 +362,8 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     :data:`Z_THRESHOLD` in magnitude; (3) estimates the
     drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
     checks the estimate does not exceed it.  Thresholds are engineering
-    choices and are echoed in the report details.
+    choices and are echoed in the report details.  A non-finite drift at any
+    examined point raises :class:`DriftEvaluationError`.
     """
     worst_inc = 0
     for i in range(plan.run_count):
@@ -381,9 +383,10 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
         report = empirical_drift(
             state, drift_samples,
             seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + examined),
-            drift=spec.drift,
+            spec=spec,
         )
-        if report.max_abs_z > worst_z:
+        # ties go to the earliest state, so one is named even if every |z| is 0
+        if examined == 1 or report.max_abs_z > worst_z:
             worst_z = report.max_abs_z
             worst_state = report.description
     drift_check = HypothesisCheck(

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DivergenceError
-from .process import ProcessSpec, Trajectory, in_domain
+from .process import ProcessSpec, Trajectory, evaluate_drift, in_domain
 
 #: Grid values this close to s_max (relatively) are treated as landed on it.
 _REL_FUZZ = 1e-9
@@ -85,20 +85,23 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
     Raises
     ------
     ContractError
-        If z0 lies outside the domain at s=0 or s_max exceeds the domain.
+        If z0 has the wrong shape or lies outside the domain at s=0,
+        s_max exceeds the domain, or the drift at (0, z0) has the wrong shape.
+    DriftEvaluationError
+        If the drift at (0, z0) is non-finite.
     DivergenceError
         If the state becomes non-finite, reporting the offending s.
     """
     z = np.array(z0, dtype=float, copy=True)
-    if z.shape != (spec.coord_count,):
-        raise ContractError(f"z0 has shape {z.shape}, expected ({spec.coord_count},)")
     if not in_domain(spec, 0.0, z):
         raise ContractError("initial state z0 lies outside the domain at s=0")
     if s_max > spec.domain.s_high:
         raise ContractError(f"s_max={s_max} exceeds the domain bound {spec.domain.s_high}")
+    evaluate_drift(spec, 0.0, z)
 
     grid = grid_times(config.h, config.grid_stride, s_max)
     h = config.h
+    # Unchecked: ~16,000 calls per run; the state is checked at every emitted point.
     f = spec.drift
 
     # Number of full h-steps; the remainder (if any) is one shorter step.

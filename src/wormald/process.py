@@ -7,12 +7,9 @@ uniform bound on one-step increments, the bound on coordinate magnitudes,
 and the open box on which the drift is Lipschitz.  The ODE and Monte Carlo
 engines both speak this language.
 
-A drift accepts a batch of points, coordinates first as in
-``scipy.integrate.solve_ivp(vectorized=True)``: ``z`` of shape ``(a,)`` or
-``(a, B)`` with ``s`` a scalar or of shape ``(B,)``, returning the shape of
-``z``.  :func:`estimate_lipschitz` evaluates its points in one call per
-block of pairs; :func:`evaluate_drift`, the RK4 engine and the drift check
-pass single points.
+Every engine calls a spec's drift through :func:`evaluate_drift`, which
+states the point and batch contract and checks it; only the RK4 inner loop
+of :func:`wormald.ode.integrate` calls the drift directly.
 
 All values here are immutable after construction and every operation is pure
 given its inputs (randomness enters only through an explicit seed), so they
@@ -32,8 +29,7 @@ from .rng import make_generator
 #: Point pairs :func:`estimate_lipschitz` draws and evaluates at a time.
 _PAIR_BLOCK = 4096
 
-#: ``drift(s, z)``: ``z`` of shape ``(a,)`` or a batch ``(a, B)`` with ``s`` of
-#: shape ``(B,)``; returns the shape of ``z`` (or ``(a,)`` if constant).
+#: ``drift(s, z)`` for one point or a batch; see :func:`evaluate_drift`.
 DriftFunction = Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
 
 
@@ -80,12 +76,9 @@ class ProcessSpec:
     coord_count : int
         Number of tracked coordinates.
     drift : callable ``(s, z) -> ndarray``
-        Deterministic drift; must be pure and return a finite vector of
-        length ``coord_count`` everywhere inside ``domain``.  It must also
-        take a batch: ``z`` of shape ``(coord_count, B)`` with ``s`` of shape
-        ``(B,)``, returning ``(coord_count, B)``, one column per point.  A
-        drift that does not depend on the point may return
-        ``(coord_count,)`` for a batch as well.
+        Deterministic, pure drift, taking one point or a batch of points
+        and returning finite values; :func:`evaluate_drift` states the
+        contract and checks it.
     increment_bound : float
         Uniform bound on per-step coordinate changes of the discrete process.
     magnitude_bound : float
@@ -152,36 +145,50 @@ class Trajectory:
         return self.z.shape[1]
 
 
-def _check_dims(spec: ProcessSpec, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.coord_count,):
-        raise ContractError(f"state has shape {z.shape}, expected ({spec.coord_count},)")
-    return z
+def evaluate_drift(spec: ProcessSpec, s: Union[float, np.ndarray],
+                   z: np.ndarray) -> np.ndarray:
+    """Evaluate the drift at one point or a batch, checking its contract.
 
-
-def evaluate_drift(spec: ProcessSpec, s: float, z: np.ndarray) -> np.ndarray:
-    """Evaluate the drift at (s, z), validating shape and finiteness.
+    A point is ``z`` of shape ``(a,)`` with a scalar ``s``, passed to the
+    drift as a Python float.  A batch is ``z`` of shape ``(a, B)``,
+    coordinates first as in ``scipy.integrate.solve_ivp(vectorized=True)``,
+    with ``s`` of shape ``(B,)``; the drift returns one column per point.  A
+    drift that does not depend on the point may answer a batch with shape
+    ``(a,)``, which is broadcast to every column.  The result is a float
+    array of ``z``'s shape, read-only where it was broadcast.
 
     Raises
     ------
     ContractError
-        If ``z`` does not have ``coord_count`` entries, or the drift returns
-        a vector of the wrong length.
+        If ``z`` is neither a point nor a batch of ``coord_count``
+        coordinates, ``s`` does not match the batch, or the drift returns
+        the wrong shape.
     DriftEvaluationError
-        If the drift returns a non-finite value at a point inside the domain.
+        If the drift returns a non-finite value.
     """
-    z = _check_dims(spec, z)
-    out = np.asarray(spec.drift(float(s), z), dtype=float)
-    if out.shape != (spec.coord_count,):
-        raise ContractError(f"drift returned shape {out.shape}, expected ({spec.coord_count},)")
-    if not np.all(np.isfinite(out)) and in_domain(spec, s, z):
-        raise DriftEvaluationError(f"drift non-finite at s={s!r} inside the domain")
+    z = np.asarray(z, dtype=float)
+    a = spec.coord_count
+    if z.shape == (a,):
+        s = float(s)
+    elif z.ndim != 2 or z.shape[0] != a or np.shape(s) != z.shape[1:]:
+        raise ContractError(f"state of shape {z.shape} with s of shape {np.shape(s)}: expected "
+                            f"({a},) with a scalar s, or ({a}, B) with s of shape (B,)")
+    out = np.asarray(spec.drift(s, z), dtype=float)
+    if z.ndim == 2 and out.shape == (a,):
+        out = np.broadcast_to(out[:, None], z.shape)
+    if out.shape != z.shape:
+        raise ContractError(f"drift returned shape {out.shape}, expected {z.shape}")
+    if not np.all(np.isfinite(out)):
+        where = f"s={s!r}" if z.ndim == 1 else f"a batch of {z.shape[1]} points"
+        raise DriftEvaluationError(f"drift non-finite at {where}")
     return out
 
 
 def in_domain(spec: ProcessSpec, s: float, z: np.ndarray) -> bool:
     """Strict membership test for the open domain box."""
-    z = _check_dims(spec, z)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (spec.coord_count,):
+        raise ContractError(f"state has shape {z.shape}, expected ({spec.coord_count},)")
     box = spec.domain
     if not (box.s_low < s < box.s_high):
         return False
@@ -228,29 +235,11 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
         if not valid.any():
             continue
         u, v, dist = u[valid], v[valid], dist[valid]
-        fu = _drift_batch(spec, u)
-        fv = _drift_batch(spec, v)
+        fu = evaluate_drift(spec, u[:, 0], u[:, 1:].T)
+        fv = evaluate_drift(spec, v[:, 0], v[:, 1:].T)
         ratio = float(np.max(np.max(np.abs(fu - fv), axis=0) / dist))
         best = ratio if best is None else max(best, ratio)
     if best is None:
         raise EstimationError("all sampled pairs were degenerate (zero distance)")
     return best
 
-
-def _drift_batch(spec: ProcessSpec, points: np.ndarray) -> np.ndarray:
-    """Drift at each row ``(s, z...)`` of ``points``, as an ``(a, B)`` block.
-
-    A drift that does not depend on the point may return shape ``(a,)``; it
-    is taken as one column.  The points are drawn from the domain box, so any
-    non-finite value raises, without the membership test of
-    :func:`evaluate_drift`.
-    """
-    z = points[:, 1:].T
-    out = np.asarray(spec.drift(points[:, 0], z), dtype=float)
-    if out.shape == (spec.coord_count,):
-        out = out[:, None]
-    elif out.shape != z.shape:
-        raise ContractError(f"drift returned shape {out.shape} for a batch of shape {z.shape}")
-    if not np.all(np.isfinite(out)):
-        raise DriftEvaluationError("drift non-finite at a point sampled from the domain box")
-    return out

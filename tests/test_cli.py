@@ -146,6 +146,29 @@ def test_check_reports_distinct_pilot_states_examined(tmp_path):
     assert drift["detail"].startswith("worst |z| over 10 pilot states x 100 samples")
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "1", "--runs", "1"],
+    ["--n", "3", "--runs", "1", "--state-samples", "1"],
+], ids=["n1", "one_state"])
+def test_check_names_the_first_state_when_every_z_is_zero(tmp_path, args):
+    # Every pilot state here moves deterministically, so every |z| is 0 and
+    # the tie goes to the first examined state, the fresh one at t=0.
+    assert run_in(tmp_path, ["check"] + args) == 0
+    drift = json.loads((tmp_path / "check.json").read_text())["checks"][1]
+    assert drift["observed"] == 0.0
+    n = args[1]
+    assert drift["detail"].endswith(f"at state [n={n} t=0 counts_of_counts=({n}, "
+                                    + "0, " * 10 + "0)]")
+
+
+def test_out_that_is_a_regular_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    assert run_cli(["solve", "--l", "2", "--s-max", "1", "--out", str(target)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert target.read_text() == "not a directory\n"
+
+
 def test_invalid_configurations_exit_2(tmp_path, capsys):
     assert run_in(tmp_path, ["simulate", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for seeded simulation runs, increment replay, and hypothesis checks."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -10,6 +11,7 @@ import pytest
 from wormald import (
     ContractError,
     CouponState,
+    DriftEvaluationError,
     ProcessSpec,
     RunPlan,
     check_hypotheses,
@@ -131,7 +133,7 @@ def test_max_increment_is_one_for_coupon():
 
 def test_empirical_drift_fresh_state_is_deterministic_transition():
     state = CouponState.fresh(6, l=2)
-    report = empirical_drift(state, 2000, seed=14, drift=coupon_drift(2))
+    report = empirical_drift(state, 2000, seed=14, spec=make_coupon_spec(2))
     assert report.empirical[0] == -1.0
     assert report.empirical[1] == 1.0
     assert report.predicted[0] == -1.0
@@ -142,7 +144,7 @@ def test_empirical_drift_worked_example():
     state = CouponState.fresh(4, l=2)
     coupon_step(state, 0)
     coupon_step(state, 1)
-    report = empirical_drift(state, 20_000, seed=77, drift=coupon_drift(2))
+    report = empirical_drift(state, 20_000, seed=77, spec=make_coupon_spec(2))
     assert np.array_equal(report.predicted, [-0.5, 0.0, 0.5, 0.0])
     assert report.max_abs_z < 5.0
     assert abs(report.empirical[2] - 0.5) <= 4 * report.stderr[2]
@@ -150,11 +152,11 @@ def test_empirical_drift_worked_example():
 
 def test_empirical_drift_validates_and_reproduces():
     state = CouponState.fresh(10, l=2)
-    drift = coupon_drift(2)
+    spec = make_coupon_spec(2)
     with pytest.raises(ContractError):
-        empirical_drift(state, 99, seed=0, drift=drift)
-    a = empirical_drift(state, 500, seed=3, drift=drift)
-    b = empirical_drift(state, 500, seed=3, drift=drift)
+        empirical_drift(state, 99, seed=0, spec=spec)
+    a = empirical_drift(state, 500, seed=3, spec=spec)
+    b = empirical_drift(state, 500, seed=3, spec=spec)
     assert np.array_equal(a.empirical, b.empirical)
 
 
@@ -289,7 +291,7 @@ _SPARSE_TAIL_STATE = (49443, 34784, 12296, 2885, 509, 80, 1, 2, 0, 0, 0, 0)
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_empirical_drift_accepts_true_drift_with_unsampled_coordinates(seed):
     state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
-    report = empirical_drift(state, 10_000, seed=seed, drift=coupon_drift(10))
+    report = empirical_drift(state, 10_000, seed=seed, spec=make_coupon_spec(10))
     assert np.isfinite(report.z_scores).all()
     assert report.max_abs_z <= 5.0
     # The unsampled coordinate 8 is tested against the integer-increment floor.
@@ -300,18 +302,46 @@ def test_empirical_drift_accepts_true_drift_with_unsampled_coordinates(seed):
 def test_empirical_drift_rejects_doubled_drift_at_sparse_state():
     state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
     true_drift = coupon_drift(10)
-    report = empirical_drift(state, 10_000, seed=1,
-                             drift=lambda s, z: 2 * true_drift(s, z))
+    doubled = dataclasses.replace(make_coupon_spec(10),
+                                  drift=lambda s, z: 2 * true_drift(s, z))
+    report = empirical_drift(state, 10_000, seed=1, spec=doubled)
     assert report.max_abs_z > 5.0
     assert np.isfinite(report.z_scores[:6]).all()
+
+
+def test_empirical_drift_rejects_wrong_shape_drift():
+    state = CouponState.fresh(6, l=2)
+    short = dataclasses.replace(make_coupon_spec(2), drift=lambda s, z: np.zeros(3))
+    with pytest.raises(ContractError):
+        empirical_drift(state, 500, seed=2, spec=short)
+    # a spec for another truncation level does not fit the state either
+    with pytest.raises(ContractError):
+        empirical_drift(state, 500, seed=2, spec=make_coupon_spec(3))
+
+
+def test_check_hypotheses_rejects_drift_nonfinite_on_the_simplex():
+    # Every pilot state sums to 1 and almost no Lipschitz sample does: a NaN
+    # there compares false against the z threshold and would pass silently.
+    plan = RunPlan(n=2000, run_count=1, master_seed=3)
+    true_drift = coupon_drift(10)
+
+    def simplex_nan(s, z):
+        on_simplex = np.abs(np.sum(z, axis=0) - 1.0) < 1e-9
+        return np.where(on_simplex, np.nan, true_drift(s, z))
+
+    spec = dataclasses.replace(make_coupon_spec(10, plan.resolved_s_max()),
+                               drift=simplex_nan)
+    with pytest.raises(DriftEvaluationError):
+        check_hypotheses(spec, plan, 20, drift_samples=1000, lipschitz_samples=1000)
 
 
 def test_empirical_drift_deterministic_mismatch_is_infinite():
     # From the fresh state every sample moves bucket 0 -> 1; a prediction of
     # -2 for coordinate 0 allows no variance at all, so it is rejected outright.
     state = CouponState.fresh(6, l=2)
-    report = empirical_drift(state, 500, seed=2,
-                             drift=lambda s, z: np.array([-2.0, 2.0, 0.0, 0.0]))
+    wrong = dataclasses.replace(make_coupon_spec(2),
+                                drift=lambda s, z: np.array([-2.0, 2.0, 0.0, 0.0]))
+    report = empirical_drift(state, 500, seed=2, spec=wrong)
     assert report.z_scores[0] == np.inf
 
 

@@ -176,6 +176,20 @@ def test_convergence_order_linear_drift():
     assert 3.5 <= est.order <= 4.5
 
 
+@pytest.mark.parametrize("length", [1, 4], ids=["short", "long"])
+def test_integrate_rejects_wrong_length_drift(length):
+    # RK4 would broadcast a length-1 drift over every coordinate silently.
+    spec = ProcessSpec(
+        coord_count=3,
+        drift=lambda s, z: np.zeros(length),
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=DomainBox(-0.1, 6.0, np.full(3, -0.1), np.full(3, 1.1)),
+    )
+    with pytest.raises(ContractError):
+        integrate(spec, np.full(3, 0.25), 1.0)
+
+
 def test_convergence_order_degenerate_on_zero_drift():
     spec = ProcessSpec(
         coord_count=1,

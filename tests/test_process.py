@@ -95,9 +95,9 @@ def test_nonfinite_drift_inside_domain_raises():
     )
     with pytest.raises(DriftEvaluationError):
         evaluate_drift(spec, 0.5, np.array([0.5]))
-    # Outside the domain a non-finite value is allowed through.
-    out = evaluate_drift(spec, 50.0, np.array([0.5]))
-    assert np.isnan(out[0])
+    # Outside the domain a non-finite value raises too.
+    with pytest.raises(DriftEvaluationError):
+        evaluate_drift(spec, 50.0, np.array([0.5]))
 
 
 def test_in_domain_examples():
@@ -286,6 +286,21 @@ def test_coupon_drift_batch_equals_single_points(l, batch, seed):
     assert out.shape == z.shape
     columns = np.stack([drift(s[j], z[:, j]) for j in range(batch)], axis=1)
     assert out.tobytes() == columns.tobytes()
+    spec = make_coupon_spec(l, 4.0)
+    checked = evaluate_drift(spec, s, z)
+    points = np.stack([evaluate_drift(spec, s[j], z[:, j]) for j in range(batch)], axis=1)
+    assert checked.tobytes() == points.tobytes()
+
+
+def test_evaluate_drift_batch_contract():
+    spec = zero_spec(3)
+    z = np.full((3, 5), 0.2)
+    # a drift that does not depend on the point may answer a batch with (a,)
+    assert np.array_equal(evaluate_drift(spec, np.zeros(5), z), np.zeros((3, 5)))
+    with pytest.raises(ContractError):
+        evaluate_drift(spec, np.zeros(4), z)  # one s per column
+    with pytest.raises(ContractError):
+        evaluate_drift(spec, 0.0, np.full((2, 5), 0.2))
 
 
 def test_lipschitz_constant_vector_drift_is_zero():
