@@ -9,14 +9,17 @@ Subcommands map one-to-one onto library operations:
 * ``gumbel``    cover-time tail probabilities, write gumbel.csv
 * ``check``     empirical hypothesis verification, write check.json
 
-Every invocation also writes ``manifest.json`` (config echo, seeds,
-package versions, output list) next to its data files.  Output is
-byte-stable: floats are printed with 17 significant digits, lines end in
-``\\n``, and the manifest carries no timestamps, so identical flags give
-byte-identical files.
+Each command only computes: it returns its files as text, keyed by name,
+with its seeds and its own manifest fields.  :func:`run_cli` then writes
+those files and ``manifest.json`` (config echo, seeds, package versions,
+output list) into ``--out``, so a command that fails writes nothing.
+Output is byte-stable: floats are printed with 17 significant digits,
+lines end in ``\\n``, and the manifest carries no timestamps, so identical
+flags give byte-identical files.
 
 Exit codes: 0 success (including domain exit, which is an outcome, not a
-failure), 2 invalid configuration, 3 numerical failure.
+failure), 2 invalid configuration or an output file that cannot be
+written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from .rng import derive_seed
 
 #: Environment variable naming the default output directory.
 OUT_DIR_ENV = "WORMALD_OUT"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _list_of(kind, what: str):
@@ -182,54 +181,22 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
-def _write_lines(path: str, lines: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _csv(header: str, rows) -> str:
+    """A CSV table: float cells as %.17g, ints as decimals, None as empty."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % x if isinstance(x, float) else "" if x is None else str(x)
+                              for x in row))
+    return "\n".join(lines) + "\n"
 
 
-def _trajectory_lines(traj: Trajectory) -> list[str]:
+def _trajectory_csv(traj: Trajectory) -> str:
     header = "s," + ",".join(f"z{i}" for i in range(traj.coord_count))
-    lines = [header]
-    for k in range(len(traj)):
-        lines.append(_fmt(traj.s[k]) + "," + ",".join(_fmt(v) for v in traj.z[k]))
-    return lines
+    return _csv(header, np.column_stack((traj.s, traj.z)).tolist())
 
 
-def _deviation_lines(reports) -> list[str]:
-    a = len(reports[0].per_coordinate)
-    header = "run,sup_dev,argmax_s," + ",".join(f"z{i}_dev" for i in range(a))
-    lines = [header]
-    for rep in reports:
-        lines.append(
-            f"{rep.run_index},{_fmt(rep.sup_deviation)},{_fmt(rep.argmax_s)},"
-            + ",".join(_fmt(v) for v in rep.per_coordinate)
-        )
-    return lines
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: str, command: str, config: dict, seeds: dict,
-                    outputs: Sequence[str], extra: Optional[dict] = None) -> None:
-    manifest = {
-        "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in config.items() if k != "out"},
-        "outputs": sorted(outputs),
-        "seeds": seeds,
-        "versions": {
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "wormald": __version__,
-        },
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _exit_fields(traj: Trajectory) -> dict:
@@ -239,41 +206,39 @@ def _exit_fields(traj: Trajectory) -> dict:
     }
 
 
-def _cmd_solve(config: dict, out_dir: str) -> int:
+def _cmd_solve(config: dict) -> tuple[dict, dict, dict]:
     traj = coupon_reference(config["l"], config["s_max"], config["h"], config["grid_stride"])
-    _write_lines(os.path.join(out_dir, "ode.csv"), _trajectory_lines(traj))
-    _write_manifest(out_dir, "solve", config, {}, ["ode.csv"], _exit_fields(traj))
-    return 0
+    return {"ode.csv": _trajectory_csv(traj)}, {}, _exit_fields(traj)
 
 
-def _cmd_simulate(config: dict, out_dir: str) -> int:
+def _cmd_simulate(config: dict) -> tuple[dict, dict, dict]:
     plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
                    truncation=config["l"], h=config["h"], grid_stride=config["grid_stride"],
                    s_max=config["s_max"])
     runs = plan.run_count
-    outputs = []
+    files = {}
     exits = []
     for i in range(runs):
         traj = simulate(plan, i)
         name = "trajectory.csv" if runs == 1 else f"trajectory_{i:03d}.csv"
-        _write_lines(os.path.join(out_dir, name), _trajectory_lines(traj))
-        outputs.append(name)
+        files[name] = _trajectory_csv(traj)
         exits.append(_exit_fields(traj))
     seeds = {"master": plan.master_seed,
              "runs": [plan.run_seed(i) for i in range(runs)]}
-    extra = exits[0] if runs == 1 else {"runs_exit": exits}
-    _write_manifest(out_dir, "simulate", config, seeds, outputs, extra)
-    return 0
+    return files, seeds, exits[0] if runs == 1 else {"runs_exit": exits}
 
 
-def _cmd_compare(config: dict, out_dir: str) -> int:
+def _cmd_compare(config: dict) -> tuple[dict, dict, dict]:
     sim, ode, report = compare_run(
         n=config["n"], l=config["l"], s_max=config["s_max"], seed=config["seed"],
         h=config["h"], grid_stride=config["grid_stride"],
     )
-    _write_lines(os.path.join(out_dir, "trajectory.csv"), _trajectory_lines(sim))
-    _write_lines(os.path.join(out_dir, "ode.csv"), _trajectory_lines(ode))
-    _write_lines(os.path.join(out_dir, "deviation.csv"), _deviation_lines([report]))
+    a = len(report.per_coordinate)
+    deviation = _csv("run,sup_dev,argmax_s," + ",".join(f"z{i}_dev" for i in range(a)),
+                     [[report.run_index, report.sup_deviation, report.argmax_s,
+                       *report.per_coordinate.tolist()]])
+    files = {"trajectory.csv": _trajectory_csv(sim), "ode.csv": _trajectory_csv(ode),
+             "deviation.csv": deviation}
     seeds = {"master": config["seed"], "runs": [derive_seed(config["seed"], 0)]}
     # Deviation is measured at emitted grid points only.  Between two
     # consecutive points the chain takes (steps) draws, each moving a scaled
@@ -289,46 +254,34 @@ def _cmd_compare(config: dict, out_dir: str) -> int:
         "sigma_exit_sim": sim.sigma_exit,
         "sup_deviation": report.sup_deviation,
     }
-    _write_manifest(out_dir, "compare", config, seeds,
-                    ["trajectory.csv", "ode.csv", "deviation.csv"], extra)
-    return 0
+    return files, seeds, extra
 
 
-def _cmd_scaling(config: dict, out_dir: str) -> int:
+def _cmd_scaling(config: dict) -> tuple[dict, dict, dict]:
     report = scaling_study(
         config["ns"], config["runs"], config["seed"],
         l=config["l"], s_max=config["s_max"],
         h=config["h"], grid_stride=config["grid_stride"],
     )
-    lines = ["n,runs,mean_sup_dev,stderr"]
-    for row in report.rows:
-        lines.append(f"{row.n},{row.run_count},"
-                     f"{_fmt(row.mean_sup_deviation)},{_fmt(row.stderr)}")
-    _write_lines(os.path.join(out_dir, "scaling.csv"), lines)
+    table = _csv("n,runs,mean_sup_dev,stderr",
+                 [[row.n, row.run_count, row.mean_sup_deviation, row.stderr]
+                  for row in report.rows])
     seeds = {"master": config["seed"],
              "per_n": {str(row.n): derive_seed(config["seed"], row.n) for row in report.rows}}
-    extra = {"alpha": report.alpha, "intercept": report.intercept}
-    _write_manifest(out_dir, "scaling", config, seeds, ["scaling.csv"], extra)
-    return 0
+    return {"scaling.csv": table}, seeds, {"alpha": report.alpha, "intercept": report.intercept}
 
 
-def _cmd_gumbel(config: dict, out_dir: str) -> int:
+def _cmd_gumbel(config: dict) -> tuple[dict, dict, dict]:
     report = gumbel_experiment(config["n"], config["trials"], config["cs"], config["seed"])
-    lines = ["c,empirical,stderr,ref_paper,ref_classical,exact"]
-    for row in report.rows:
-        exact = "" if row.exact is None else _fmt(row.exact)
-        lines.append(f"{_fmt(row.c)},{_fmt(row.empirical)},{_fmt(row.stderr)},"
-                     f"{_fmt(row.ref_paper)},{_fmt(row.ref_classical)},{exact}")
-    _write_lines(os.path.join(out_dir, "gumbel.csv"), lines)
-    seeds = {"master": config["seed"]}
+    table = _csv("c,empirical,stderr,ref_paper,ref_classical,exact",
+                 [[row.c, row.empirical, row.stderr, row.ref_paper, row.ref_classical, row.exact]
+                  for row in report.rows])
     unavailable = [{"c": row.c, "reason": row.exact_error}
                    for row in report.rows if row.exact_error is not None]
-    _write_manifest(out_dir, "gumbel", config, seeds, ["gumbel.csv"],
-                    {"exact_unavailable": unavailable})
-    return 0
+    return {"gumbel.csv": table}, {"master": config["seed"]}, {"exact_unavailable": unavailable}
 
 
-def _cmd_check(config: dict, out_dir: str) -> int:
+def _cmd_check(config: dict) -> tuple[dict, dict, dict]:
     plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
                    truncation=config["l"], s_max=config["s_max"])
     spec = make_coupon_spec(config["l"], plan.resolved_s_max())
@@ -342,12 +295,9 @@ def _cmd_check(config: dict, out_dir: str) -> int:
             for chk in report.checks
         ],
     }
-    _write_json(os.path.join(out_dir, "check.json"), payload)
     seeds = {"master": plan.master_seed,
              "runs": [plan.run_seed(i) for i in range(plan.run_count)]}
-    _write_manifest(out_dir, "check", config, seeds, ["check.json"],
-                    {"hypotheses_passed": report.passed})
-    return 0
+    return {"check.json": _json_text(payload)}, seeds, {"hypotheses_passed": report.passed}
 
 
 _DISPATCH = {
@@ -373,7 +323,28 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ContractError(f"cannot create output directory {args.out}: {exc}") from exc
-        return _DISPATCH[args.command](config, args.out)
+        files, seeds, extra = _DISPATCH[args.command](config)
+        manifest = {
+            "command": args.command,
+            "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.items()},
+            "outputs": sorted(files),
+            "seeds": seeds,
+            "versions": {
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+                "wormald": __version__,
+            },
+            **extra,
+        }
+        files["manifest.json"] = _json_text(manifest)
+        for name, text in files.items():
+            path = os.path.join(args.out, name)
+            try:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ContractError(f"cannot write {path}: {exc}") from exc
+        return 0
     except SystemExit as exc:  # argparse: --help, --version or a bad flag
         return int(exc.code) if exc.code is not None else 0
     except ContractError as exc:

@@ -52,8 +52,9 @@ def grid_times(h: float, grid_stride: int, s_max: float) -> np.ndarray:
     and simulation grids agree bitwise.  If s_max is not itself a grid
     multiple it is appended as the final entry.
     """
-    if not s_max > 0:
-        raise ContractError(f"s_max must be positive, got {s_max}")
+    IntegratorConfig(h, grid_stride)  # raises ContractError for a bad h or stride
+    if not 0 < s_max < math.inf:
+        raise ContractError(f"s_max must be positive and finite, got {s_max}")
     macro = grid_stride * h
     count = int(math.floor(s_max / macro + _REL_FUZZ))
     grid = (np.arange(count + 1, dtype=np.int64) * grid_stride) * h

@@ -169,6 +169,28 @@ def test_out_that_is_a_regular_file_exits_2(tmp_path, capsys):
     assert target.read_text() == "not a directory\n"
 
 
+def test_unwritable_data_file_exits_2(tmp_path, capsys):
+    blocked = tmp_path / "ode.csv"
+    blocked.mkdir()
+    assert run_in(tmp_path, ["solve", "--l", "2", "--s-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}:")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_manifest_exits_2(tmp_path, capsys):
+    (tmp_path / "manifest.json").mkdir()
+    assert run_in(tmp_path, ["gumbel", "--n", "20", "--trials", "100"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path / 'manifest.json'}:")
+
+
+def test_failing_command_writes_no_file(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["scaling", "--ns", "50,50", "--runs", "2", "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_invalid_configurations_exit_2(tmp_path, capsys):
     assert run_in(tmp_path, ["simulate", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -51,6 +51,15 @@ def test_grid_times_rejects_nonpositive_horizon():
         grid_times(1e-3, 10, 0.0)
 
 
+@pytest.mark.parametrize("h, grid_stride, s_max", [
+    (math.inf, 10, 1.0), (-1e-3, 10, 1.0), (0.0, 10, 1.0), (math.nan, 10, 1.0),
+    (1e-3, 0, 1.0), (1e-3, 10, math.inf), (1e-3, 10, math.nan),
+])
+def test_grid_times_rejects_invalid_arguments(h, grid_stride, s_max):
+    with pytest.raises(ContractError):
+        grid_times(h, grid_stride, s_max)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ContractError):
         IntegratorConfig(h=0.0)
