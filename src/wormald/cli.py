@@ -12,7 +12,8 @@ Subcommands map one-to-one onto library operations:
 Each command only computes: it returns its files as text, keyed by name,
 with its seeds and its own manifest fields.  :func:`run_cli` then writes
 those files and ``manifest.json`` (config echo, seeds, package versions,
-output list) into ``--out``, so a command that fails writes nothing.
+output list) into ``--out``, all of them or, if one cannot be written,
+none; a command that fails writes nothing.
 Output is byte-stable: floats are printed with 17 significant digits,
 lines end in ``\\n``, and the manifest carries no timestamps, so identical
 flags give byte-identical files.
@@ -25,6 +26,7 @@ written, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -310,6 +312,35 @@ _DISPATCH = {
 }
 
 
+def _write_all(out: str, files: dict) -> None:
+    """Write every one of ``files`` into ``out``, or leave ``out`` as it was.
+
+    A target that exists but is not a regular file is refused before the
+    first write.  Each file is then written to a temporary sibling, and the
+    temporaries replace their targets only once every write has succeeded;
+    after a failed write they are removed.
+    """
+    paths = {name: os.path.join(out, name) for name in files}
+    for path in paths.values():
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ContractError(f"cannot write {path}: it exists and is not a regular file")
+    temps = {}
+    try:
+        for name, text in files.items():
+            path = paths[name]
+            temp = os.path.join(out, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "x", newline="") as fh:
+                temps[path] = temp
+                fh.write(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise ContractError(f"cannot write {path}: {exc}") from exc
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, run one subcommand, return the process exit code."""
     if argv is None:
@@ -337,13 +368,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             **extra,
         }
         files["manifest.json"] = _json_text(manifest)
-        for name, text in files.items():
-            path = os.path.join(args.out, name)
-            try:
-                with open(path, "w", newline="") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ContractError(f"cannot write {path}: {exc}") from exc
+        _write_all(args.out, files)
         return 0
     except SystemExit as exc:  # argparse: --help, --version or a bad flag
         return int(exc.code) if exc.code is not None else 0

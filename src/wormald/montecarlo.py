@@ -10,12 +10,15 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 
 ``simulate``, the pilot run (:func:`_pilot_chain`, listed by
 ``pilot_states``) and ``max_increment`` all advance the chain through one
-kernel, :func:`_chain_states`.  It generates each run's draws
-interval by interval and applies each interval as one counts-of-counts
-update, so a run costs O(n + interval) memory instead of O(horizon), and
-an interval of d draws costs O(min(n + d, d log d)) time instead of O(n).
-Bounded Philox draws are prefix-stable however the stream is split into
-calls, so the chunking leaves every seed's trajectory bitwise unchanged.
+kernel, :func:`_chain_states`.  It draws a run's steps group by group.  A
+run of consecutive short grid intervals is drawn in one call and applied
+in one sorted pass that gives the bucket counts after each of its stops;
+an interval too long to share a pass is applied alone as one
+counts-of-counts update.  A run costs O(n + interval) memory instead of
+O(horizon), and no grid point costs more than one sweep over the ``n``
+types.  Bounded Philox draws are prefix-stable however the stream is split
+into calls, and every update is integer arithmetic, so the grouping leaves
+every seed's trajectory bitwise unchanged.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -45,9 +48,8 @@ _AUX_STREAM_BASE = 2**48
 #: Largest |z| a one-step mean may reach in the drift check.
 Z_THRESHOLD = 5.0
 
-#: Draws generated per refill of a chain's block buffer; longer intervals
-#: are drawn in one call.
-_DRAW_BLOCK = 1 << 16
+#: Most draws applied in one sorted pass (see :func:`_chain_states`).
+_GROUP_DRAWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,68 +104,126 @@ class RunPlan:
 
 
 def _dense_update(n: int, draws: int) -> bool:
-    """Whether ``draws`` steps are cheaper to apply by bincounts over all ``n`` types.
+    """Whether a lone interval of ``draws`` steps is cheaper to apply over all ``n`` types.
 
     Measured per interval with numpy 2.4 on x86-64: the ``np.unique`` delta
     update costs about 25 us plus 40 ns per draw, the two bincounts over all
-    types about 7 us plus 5 ns per type.
+    types about 7 us plus 5 ns per type.  A sorted pass (:func:`_sorted_pass`)
+    costs about 50-65 ns per draw including the draw itself, against about
+    40 us per interval plus 40 ns per draw for a lone one, so grouping pays
+    only for intervals shorter than about 2,000 draws.
     """
     return n < 4096 + 8 * draws
 
 
-def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
+def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.ndarray,
+                 l: int) -> None:
+    """Apply one interval's ``draws`` to ``counts`` and ``counts_of_counts`` in place.
+
+    The draws are reduced to distinct types and multiplicities with
+    ``np.unique`` and applied as one counts-of-counts update: the touched
+    types leave their old buckets and enter their new ones, in O(d log d)
+    work for d draws.  An interval long next to ``n`` (see
+    :func:`_dense_update`) is applied with one bincount over all types
+    instead; both give the same integers.
+    """
+    n = counts.size
+    if _dense_update(n, draws.size):
+        counts += np.bincount(draws, minlength=n)
+        counts_of_counts[:] = np.bincount(np.minimum(counts, l + 1), minlength=l + 2)
+    else:
+        types, mult = np.unique(draws, return_counts=True)
+        old = counts[types]
+        new = old + mult
+        counts_of_counts -= np.bincount(np.minimum(old, l + 1), minlength=l + 2)
+        counts_of_counts += np.bincount(np.minimum(new, l + 1), minlength=l + 2)
+        counts[types] = new
+
+
+def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
+                 counts_of_counts: np.ndarray, l: int) -> np.ndarray:
+    """Bucket counts after each of several consecutive intervals, from one sort.
+
+    ``draws`` are the group's draws in stream order (at least one) and
+    ``ends[r]`` how many of them are taken by the end of interval ``r``.
+    Each draw is packed as ``(type << b) | interval`` and the keys sorted,
+    which puts every type's draws together in interval order.  A draw's
+    prior count is then its type's count before the group plus its rank
+    among that type's earlier draws; within one interval the ranks of a
+    type's draws may come in any order, as the interval's moves depend only
+    on their set.  A draw moves one unit from bucket ``min(old, l + 1)`` to
+    ``min(old + 1, l + 1)``, which is no move in the overflow bucket, so one
+    bincount of the source buckets keyed by interval gives every interval's
+    change, and a cumulative sum over intervals gives every stop's row.
+    ``counts`` is updated in place from each type's last draw.
+    """
+    k = ends.size
+    b = (k - 1).bit_length()
+    # int32 keys sort about twice as fast as int64 ones
+    key_type = np.int32 if counts.size << b < 2**31 else np.int64
+    interval = np.repeat(np.arange(k, dtype=key_type), np.diff(ends, prepend=0))
+    keys = np.sort((draws.astype(key_type, copy=False) << b) | interval)
+    types = keys >> b
+    d = keys.size
+    first = np.empty(d, dtype=bool)
+    first[0] = True
+    np.not_equal(types[1:], types[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    rank = np.arange(d) - np.repeat(starts, np.diff(starts, append=d))
+    old = counts[types] + rank
+    source = np.multiply(keys & ((1 << b) - 1), l + 2, dtype=np.int64)
+    source += np.minimum(old, l + 1)
+    moves = np.bincount(source, minlength=k * (l + 2)).reshape(k, l + 2)
+    moves[:, l + 1] = 0  # a draw in the overflow bucket moves nothing
+    change = -moves
+    change[:, 1:] += moves[:, :-1]
+    last = np.append(starts[1:], d) - 1
+    counts[types[last]] = old[last] + 1
+    return counts_of_counts + np.cumsum(change, axis=0)
+
+
+def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
-    ``stops`` is a non-empty, non-decreasing sequence of step counts.
-    After each one the generator yields ``(t, counts, counts_of_counts)``:
-    the per-type copies and the bucket sizes (overflow at index ``l + 1``)
-    after ``t`` uniform draws from ``gen``.  Both arrays are updated in
-    place by the next interval, so callers copy what they keep.
+    ``stops`` is a non-empty, non-decreasing sequence of step counts, taken
+    in groups.  A group is the longest run of consecutive stops whose draws
+    number at most ``group`` in all and at most ``group / 8`` per stop on
+    average, or else a lone stop.  After the group ``stops[i:j]`` the
+    generator yields ``(i, j, rows, counts)``: ``rows[r]`` holds the bucket
+    sizes (overflow at index ``l + 1``) after ``stops[i + r]`` uniform
+    draws from ``gen``, and ``counts`` the per-type copies after
+    ``stops[j - 1]``.  Both may be overwritten by the next group, so
+    callers copy what they keep.  With ``group=0`` every distinct stop is
+    its own group, so ``counts`` is exact at each.
 
-    Each interval's draws are taken from a block buffer of at most
-    ``_DRAW_BLOCK`` values (or drawn in one call if the interval is longer).
-    A short interval of d draws is reduced to distinct types and
-    multiplicities with ``np.unique`` and applied as one counts-of-counts
-    update: the touched types leave their old buckets and enter their new
-    ones, in O(d log d) rather than O(n) work.  An interval long next to
-    ``n`` (see :func:`_dense_update`) is applied with one bincount over all
-    types instead; both give the same integers.  Memory is O(n + interval)
+    Each group draws its steps in one call.  A group of several stops is
+    applied by :func:`_sorted_pass` and a lone stop by
+    :func:`_lone_update`; the average bound keeps intervals longer than
+    about 2,000 draws out of sorted passes, where the lone update is
+    cheaper (see :func:`_dense_update`).  Memory is O(n + group + interval)
     rather than O(horizon).  Bounded Philox draws are prefix-stable however
     a stream is split into calls, so the chain sees exactly the first
     ``stops[-1]`` values of the stream, as if they had been drawn at once.
     """
-    total = int(stops[-1])
+    stops = np.asarray(stops, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
     counts_of_counts = np.zeros(l + 2, dtype=np.int64)
     counts_of_counts[0] = n
-    buf = np.empty(0, dtype=np.int64)
-    pos = t_prev = 0
-    for t in stops:
-        t = int(t)
-        need = t - t_prev
-        if need > 0:
-            left = buf.size - pos
-            if left < need:
-                # Refill to a whole block or the whole interval, never past
-                # the last stop: t_prev + left values are drawn already.
-                size = min(max(need, _DRAW_BLOCK), total - t_prev) - left
-                fresh = gen.integers(0, n, size=size, dtype=np.int64)
-                buf = np.concatenate((buf[pos:], fresh)) if left else fresh
-                pos = 0
-            chunk = buf[pos : pos + need]
-            pos += need
-            if _dense_update(n, need):
-                counts += np.bincount(chunk, minlength=n)
-                counts_of_counts[:] = np.bincount(np.minimum(counts, l + 1), minlength=l + 2)
-            else:
-                types, mult = np.unique(chunk, return_counts=True)
-                old = counts[types]
-                new = old + mult
-                counts_of_counts -= np.bincount(np.minimum(old, l + 1), minlength=l + 2)
-                counts_of_counts += np.bincount(np.minimum(new, l + 1), minlength=l + 2)
-                counts[types] = new
-            t_prev = t
-        yield t, counts, counts_of_counts
+    i = t_prev = 0
+    while i < stops.size:
+        j = max(i + 1, int(np.searchsorted(stops, t_prev + group, side="right")))
+        if stops[j - 1] - t_prev > (j - i) * (group >> 3):
+            j = i + 1  # intervals this long are cheaper one at a time
+        draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
+        if j - i > 1 and draws.size:
+            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l)
+            counts_of_counts[:] = rows[-1]
+        else:  # a lone stop, or repeated stops with no draw between them
+            _lone_update(draws, counts, counts_of_counts, l)
+            rows = np.broadcast_to(counts_of_counts, (j - i, l + 2))
+        yield i, j, rows, counts
+        t_prev = int(stops[j - 1])
+        i = j
 
 
 def _grid_step_counts(plan: RunPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -179,19 +239,19 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     """Execute run ``run_index`` of the plan and sample it on the shared grid.
 
     The emitted grid times are bitwise-identical to the ODE engine's; each
-    carries the scaled bucket counts after the nearest whole step.  Draws
-    are generated interval by interval from the run's stream (see
-    :func:`_chain_states`), so memory is O(n + interval) and the trajectory
-    does not depend on how the stream is split.  States are scaled counts
-    in [0, 1] at times in [0, s_max], strictly inside the coupon domain
-    box, so ``sigma_exit`` is always ``None``.
+    carries the scaled bucket counts after the nearest whole step.  Short
+    grid intervals are drawn and applied a run at a time, long ones one at
+    a time (see :func:`_chain_states`), so memory is O(n + interval) and
+    the trajectory does not depend on how the stream is split.  States are
+    scaled counts in [0, 1] at times in [0, s_max], strictly inside the
+    coupon domain box, so ``sigma_exit`` is always ``None``.
     """
     n, l = plan.n, plan.truncation
     grid, t_grid = _grid_step_counts(plan)
     states = np.empty((grid.size, l + 2))
-    chain = _chain_states(make_generator(plan.run_seed(run_index)), n, l, t_grid)
-    for k, (_t, _counts, counts_of_counts) in enumerate(chain):
-        states[k] = counts_of_counts / n
+    gen = make_generator(plan.run_seed(run_index))
+    for i, j, rows, _counts in _chain_states(gen, n, l, t_grid, _GROUP_DRAWS):
+        states[i:j] = rows / n
     return Trajectory(grid, states, None)
 
 
@@ -209,9 +269,9 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
     gen = make_generator(plan.run_seed(run_index))
-    for _t, _counts, counts_of_counts in _chain_states(gen, n, l, stops):
+    for _i, _j, rows, _counts in _chain_states(gen, n, l, stops, _GROUP_DRAWS):
         pass
-    return int(np.arange(l + 2) @ counts_of_counts > 0)
+    return int(np.arange(l + 2) @ rows[-1] > 0)
 
 
 @dataclass(frozen=True)
@@ -304,10 +364,10 @@ def _pilot_chain(plan: RunPlan, count: int):
         raise ContractError(f"count must be positive, got {count}")
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     times = np.unique(np.linspace(0, m, min(count, m + 1)).round().astype(np.int64))
-    chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times)
-    for t, counts, counts_of_counts in chain:
-        yield CouponState(n=n, t=t, per_type_counts=counts.copy(),
-                          counts_of_counts=counts_of_counts.copy())
+    chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times, 0)
+    for i, _j, rows, counts in chain:
+        yield CouponState(n=n, t=int(times[i]), per_type_counts=counts.copy(),
+                          counts_of_counts=rows[0].copy())
 
 
 def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:

@@ -2,13 +2,16 @@
 
 ``coupon_step`` applied to every draw of a run's stream, drawn in one call,
 is the brute-force oracle for the chain.  ``simulate``, ``pilot_states`` and
-``max_increment`` advance the chain interval by interval with draws taken
-from a block buffer, applying each interval either as a sparse
-``np.unique`` delta or as a dense bincount over all types.  These tests
-also vary the block size and force either update, to exercise every way
-the stream can be split and both ways an interval can be applied.
+``max_increment`` advance the chain group by group: a run of short grid
+intervals is drawn at once and applied in one sorted pass, and a lone
+interval either as a sparse ``np.unique`` delta or as a dense bincount over
+all types.  These tests vary the group size, which splits and merges
+intervals in every way, and force either lone update.  Beyond the replay's
+reach, grouped runs at large ``n`` are checked against lone-stop runs, and
+the memory of ``simulate`` against a bound linear in ``n``.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -65,12 +68,12 @@ _UPDATES = {
 
 
 @settings(max_examples=80, deadline=None)
-@given(plan=plans(), block=st.integers(1, 70), update=st.sampled_from(sorted(_UPDATES)),
+@given(plan=plans(), group=st.integers(0, 70), update=st.sampled_from(sorted(_UPDATES)),
        data=st.data())
-def test_kernel_matches_step_by_step_replay(plan, block, update, data):
+def test_kernel_matches_step_by_step_replay(plan, group, update, data):
     run = data.draw(st.integers(0, plan.run_count - 1))
     count = data.draw(st.integers(1, 12))
-    with mock.patch.object(montecarlo, "_DRAW_BLOCK", block), \
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", group), \
             mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
         traj = simulate(plan, run)
         snapshots = pilot_states(plan, count)
@@ -115,6 +118,42 @@ def test_simulate_spanning_several_blocks_matches_one_shot_counts():
 
 
 def test_kernel_yields_once_per_stop_including_repeated_stops():
-    chain = _chain_states(spawn(1, 0), 5, 2, [0, 0, 4, 4, 9])
-    seen = [(t, int(coc.sum()), int(counts.sum())) for t, counts, coc in chain]
-    assert seen == [(0, 5, 0), (0, 5, 0), (4, 5, 4), (4, 5, 4), (9, 5, 9)]
+    stops = [0, 0, 4, 4, 9]
+    for group in (0, 4, 16, montecarlo._GROUP_DRAWS):
+        spans, row_sums = [], []
+        for i, j, rows, counts in _chain_states(spawn(1, 0), 5, 2, stops, group):
+            spans.append((i, j))
+            row_sums += [int(row.sum()) for row in rows]
+            assert int(counts.sum()) == stops[j - 1]
+        assert [i for i, _ in spans] == [0] + [j for _, j in spans[:-1]]
+        assert spans[-1][1] == len(stops)
+        assert row_sums == [5] * len(stops)
+        assert int(counts.sum()) == 9
+
+
+@pytest.mark.parametrize("n", [30_000, 100_000])
+def test_grouped_passes_match_lone_stops_at_large_n(n):
+    # Groups here span 16 to 54 intervals and types repeat inside them, far
+    # beyond what the coupon_step replay can reach.
+    for seed in (1, 2, 3):
+        plan = RunPlan(n=n, master_seed=seed, s_max=4.0)
+        _, t_grid = montecarlo._grid_step_counts(plan)
+        groups = list(_chain_states(spawn(seed, 0), n, plan.truncation, t_grid,
+                                    montecarlo._GROUP_DRAWS))
+        assert len(groups) < t_grid.size // 10
+        grouped = simulate(plan, 0)
+        with mock.patch.object(montecarlo, "_GROUP_DRAWS", 0):
+            lone = simulate(plan, 0)
+        assert grouped.z.tobytes() == lone.z.tobytes()
+
+
+@pytest.mark.parametrize("n, limit_mb", [(100_000, 4), (1_000_000, 12)])
+def test_simulate_memory_is_linear_in_n(n, limit_mb):
+    plan = RunPlan(n=n, master_seed=1, s_max=4.0)
+    tracemalloc.start()
+    try:
+        simulate(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, exit codes, byte stability."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from wormald import cli
 from wormald.cli import _build_parser, _normalize_list_flags, run_cli
 
 
@@ -343,3 +345,27 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "sub" / "ode.csv").exists()
+
+
+def test_a_refused_target_leaves_out_as_it_was(tmp_path, capsys):
+    (tmp_path / "manifest.json").mkdir()
+    assert run_in(tmp_path, ["gumbel", "--n", "20", "--trials", "100"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path / 'manifest.json'}:")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert list((tmp_path / "manifest.json").iterdir()) == []
+
+
+def test_a_failed_write_removes_every_temporary(tmp_path, capsys, monkeypatch):
+    def open_failing_on_manifest(path, *args, **kwargs):
+        if "manifest" in os.path.basename(path):
+            raise OSError("disk full")
+        return open(path, *args, **kwargs)
+
+    (tmp_path / "gumbel.csv").write_text("old\n")
+    monkeypatch.setattr(cli, "open", open_failing_on_manifest, raising=False)
+    assert run_in(tmp_path, ["gumbel", "--n", "20", "--trials", "100"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'manifest.json'}: disk full\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["gumbel.csv"]
+    assert (tmp_path / "gumbel.csv").read_text() == "old\n"
