@@ -21,7 +21,6 @@ from .errors import (
     EstimationError,
     FitError,
     NumericalError,
-    PrecisionLossError,
     WormaldError,
 )
 from .process import (
@@ -88,7 +87,6 @@ __all__ = [
     "IntegratorConfig",
     "NumericalError",
     "OrderEstimate",
-    "PrecisionLossError",
     "ProcessSpec",
     "RunPlan",
     "ScalingReport",

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coupon import coupon_reference, cover_time, exact_cover_tail
-from .errors import ContractError, FitError, PrecisionLossError
+from .errors import ContractError, FitError
 from .montecarlo import RunPlan, simulate
 from .process import Trajectory
 from .rng import derive_seed
@@ -141,9 +141,7 @@ class GumbelRow:
     ``ref_paper`` is the triple-exponential curve 1 - exp(-exp(-exp(c)));
     ``ref_classical`` the double-exponential 1 - exp(-exp(-c)).  Both are
     reference curves only.  ``exact`` is the inclusion-exclusion value of
-    the same tail probability, or ``None`` when the oracle cancelled
-    catastrophically at this threshold; ``exact_error`` then holds the
-    :class:`PrecisionLossError` message.
+    the same tail probability.
     """
 
     c: float
@@ -152,8 +150,7 @@ class GumbelRow:
     stderr: float
     ref_paper: float
     ref_classical: float
-    exact: Optional[float]
-    exact_error: Optional[str]
+    exact: float
 
 
 @dataclass(frozen=True)
@@ -177,10 +174,7 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
 
     Runs ``trials`` independent cover times (one derived stream each), then
     evaluates the tail at threshold K = ceil(n ln n + c n) for every c.
-    The exact column is P(T >= K) = exact_cover_tail(n, K - 1) for every
-    row where the oracle keeps its precision; a row where it raises
-    :class:`PrecisionLossError` (thresholds far below n ln n) keeps its
-    empirical value, with ``exact`` left ``None`` and the reason recorded.
+    The exact column is P(T >= K) = exact_cover_tail(n, K - 1).
     """
     if trials < 100:
         raise ContractError(f"trials must be >= 100, got {trials}")
@@ -199,11 +193,6 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
         threshold = max(math.ceil(n * math.log(n) + c * n), 0)
         empirical = float(np.mean(times >= threshold))
         stderr = math.sqrt(empirical * (1.0 - empirical) / trials)
-        exact, exact_error = None, None
-        try:
-            exact = exact_cover_tail(n, max(threshold - 1, 0))
-        except PrecisionLossError as exc:
-            exact_error = str(exc)
         rows.append(GumbelRow(
             c=c,
             threshold=threshold,
@@ -211,7 +200,6 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
             stderr=stderr,
             ref_paper=1.0 - math.exp(-math.exp(-_exp_or_inf(c))),
             ref_classical=1.0 - math.exp(-_exp_or_inf(-c)),
-            exact=exact,
-            exact_error=exact_error,
+            exact=exact_cover_tail(n, max(threshold - 1, 0)),
         ))
     return GumbelReport(n=n, trials=trials, rows=tuple(rows))

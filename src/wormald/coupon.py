@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceededError, ContractError, PrecisionLossError
+from .errors import CapExceededError, ContractError
 from .ode import IntegratorConfig, integrate
 from .process import DomainBox, ProcessSpec, Trajectory
 from .rng import make_generator
@@ -37,8 +38,11 @@ COVER_TIME_CAP = 10**9
 #: exp(-745.13)).
 _ZERO_TAIL_LOG = -746.0
 
-#: Relative size below which inclusion-exclusion terms are dropped.
-_TAIL_TERM_CUTOFF = 1e-30
+#: Log of a bound on P(cover time <= k) below which the tail rounds to 1.0.
+_ONE_TAIL_LOG = -40.0
+
+#: Bound on the unsummed terms, relative to the sum, where summation stops.
+_TAIL_STOP = Decimal("1e-40")
 
 
 def coupon_drift(l: int):
@@ -220,17 +224,19 @@ def cover_time(n: int, seed: int) -> int:
 
 
 def exact_cover_tail(n: int, k: int) -> float:
-    """Exact P(cover time > k) by inclusion-exclusion.
+    """P(cover time > k) by inclusion-exclusion, rounded once to a double.
 
-    Sums (-1)^(j+1) C(n,j) (1 - j/n)^k over j with terms evaluated in the
-    log domain and added by signed compensated (Neumaier) summation.  The
-    term magnitudes are log-concave in j, so summation stops once they are
-    decreasing and below 1e-30 of the largest term.  A tail whose union
-    bound n (1 - 1/n)^k is below half the smallest subnormal is 0.0 and
-    returned as such, without summing.  If the result is
-    smaller than the accumulated rounding-error bound, the alternating sum
-    has cancelled catastrophically and :class:`PrecisionLossError` is
-    raised rather than returning noise.
+    A tail whose union bound n (1 - 1/n)^k is below 2**-1075 rounds to 0.0.
+    The empty-bin indicators are negatively associated, so
+    P(T <= k) <= (1 - (1 - 1/n)^k)^n, and where that is below e^-40 < 2**-54
+    the tail rounds to 1.0 (so does every k < n once n >= 87).  Elsewhere
+    mu = n (1 - 1/n)^k is at most 40 and each term C(n,j) (1 - j/n)^k is at
+    most mu^j / j!, so the terms sum in absolute value to at most e^40 and
+    the alternating sum, taken in one 50-digit decimal context with exact
+    binomials and exact integer bases, keeps more than 30 digits before
+    ``float`` rounds it.  The terms are log-concave in j; once they fall by
+    a ratio q, the rest is at most term * q / (1 - q), and summation stops
+    when that is below 1e-40 of the partial sum.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
@@ -240,55 +246,26 @@ def exact_cover_tail(n: int, k: int) -> float:
         return 1.0
     if n == 1:
         return 0.0
-    # Union bound: P(T > k) <= n (1 - 1/n)^k.  Below exp(-746) < 2**-1075
-    # the tail rounds to 0.0, which the alternating sum could not resolve.
-    if math.log(n) + k * math.log1p(-1 / n) < _ZERO_TAIL_LOG:
+    log_miss = k * math.log1p(-1 / n)  # log (1 - 1/n)^k
+    if math.log(n) + log_miss < _ZERO_TAIL_LOG:
         return 0.0
+    if n * math.log1p(-math.exp(log_miss)) < _ONE_TAIL_LOG:
+        return 1.0
 
-    log_binom_n = math.lgamma(n + 1)
-    signs: list[float] = []
-    log_terms: list[float] = []
-    log_max = -math.inf
-    log_scale = 1.0  # largest intermediate magnitude behind any log-term
-    prev = math.inf
+    # Operators and unary minus on Decimal round in the thread's 28-digit
+    # context, so every step goes through ctx.
+    ctx = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    scale = ctx.power(Decimal(n), k)
+    total = prev = Decimal(0)
+    binom = 1
     for j in range(1, n):  # the j = n term vanishes for k >= 1
-        log_fall = math.lgamma(j + 1) + math.lgamma(n - j + 1)
-        log_pow = k * math.log1p(-j / n)
-        log_t = log_binom_n - log_fall + log_pow
-        signs.append(1.0 if j % 2 == 1 else -1.0)
-        log_terms.append(log_t)
-        log_max = max(log_max, log_t)
-        log_scale = max(log_scale, log_binom_n + log_fall - log_pow)
-        if log_t < prev and log_t < log_max + math.log(_TAIL_TERM_CUTOFF):
-            break
-        prev = log_t
-
-    # Neumaier summation of sign * exp(log_t - log_max); rescaling by the
-    # largest term keeps intermediates in range even when terms overflow
-    # float64 on their own.
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    for sign, log_t in zip(signs, log_terms):
-        x = sign * math.exp(log_t - log_max)
-        abs_total += abs(x)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    total += comp
-
-    # Each log-term carries absolute rounding error of order eps times the
-    # magnitudes summed into it (lgamma values, k*log1p), which exp turns
-    # into the same relative error on the term; the bound must grow with
-    # that scale or noise from huge cancelling terms passes as signal.
-    err_bound = 16.0 * np.finfo(float).eps * abs_total * log_scale
-    if abs(total) <= err_bound:
-        raise PrecisionLossError(
-            f"inclusion-exclusion cancelled catastrophically at n={n}, k={k} "
-            f"(|sum|={abs(total):.3e} <= error bound {err_bound:.3e} after rescaling)"
-        )
-    result = math.copysign(math.exp(log_max + math.log(abs(total))), total)
-    return min(max(result, 0.0), 1.0)
+        binom = binom * (n - j + 1) // j
+        term = ctx.divide(ctx.multiply(Decimal(binom), ctx.power(Decimal(n - j), k)), scale)
+        total = ctx.add(total, term) if j % 2 else ctx.subtract(total, term)
+        if term < prev:
+            q = ctx.divide(term, prev)
+            rest = ctx.multiply(term, q)
+            if rest < ctx.multiply(ctx.multiply(_TAIL_STOP, total.copy_abs()), ctx.subtract(1, q)):
+                break
+        prev = term
+    return float(total)

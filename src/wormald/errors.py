@@ -3,7 +3,7 @@
 Two families matter to callers: :class:`ContractError` means the caller
 violated an API contract (bad dimensions, out-of-range arguments), while
 :class:`NumericalError` and its subclasses mean a computation failed for
-numerical reasons (divergence, precision loss, degenerate data).  The CLI
+numerical reasons (divergence, an exceeded cap, degenerate data).  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
 """
 
@@ -34,10 +34,6 @@ class DivergenceError(NumericalError):
 
 class EstimationError(NumericalError):
     """A sampling-based estimate could not be formed (e.g. all pairs degenerate)."""
-
-
-class PrecisionLossError(NumericalError):
-    """Catastrophic cancellation: the result is smaller than its rounding-error bound."""
 
 
 class CapExceededError(NumericalError):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .coupon import CouponState
 from .errors import ContractError
-from .ode import IntegratorConfig, grid_times
+from .ode import check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
 from .rng import derive_seed, make_generator, spawn
 
@@ -60,8 +60,8 @@ class RunPlan:
     is given, and max(1, ceil(n ln n)), the natural horizon for the coupon
     process, otherwise; ``s_max`` left out is that horizon over ``n``.
     ``h`` and ``grid_stride`` define the shared sampling grid (see
-    :func:`wormald.ode.grid_times`) and are checked as an
-    :class:`~wormald.ode.IntegratorConfig`.
+    :func:`wormald.ode.grid_times`) and are checked with ``s_max`` by
+    :func:`wormald.ode.check_grid`.
     """
 
     n: int
@@ -81,9 +81,7 @@ class RunPlan:
             raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
         if self.truncation < 1:
             raise ContractError(f"truncation must be >= 1, got {self.truncation}")
-        IntegratorConfig(self.h, self.grid_stride)
-        if self.s_max is not None and not 0 < self.s_max < math.inf:
-            raise ContractError(f"s_max must be positive and finite, got {self.s_max}")
+        check_grid(self.h, self.grid_stride, self.resolved_s_max())
 
     def resolved_horizon(self) -> int:
         if self.s_max is not None:

@@ -44,6 +44,16 @@ class IntegratorConfig:
             raise ContractError(f"grid_stride must be >= 1, got {self.grid_stride}")
 
 
+def check_grid(h: float, grid_stride: int, s_max: float) -> None:
+    """Raise :class:`ContractError` unless the arguments define a grid of at most
+    2**53 micro-steps, where step indices and so grid times stay exact."""
+    IntegratorConfig(h, grid_stride)  # raises ContractError for a bad h or stride
+    if not 0 < s_max < math.inf:
+        raise ContractError(f"s_max must be positive and finite, got {s_max}")
+    if s_max / h > 2**53:
+        raise ContractError(f"s_max / h must be at most 2**53, got {s_max / h:.3g}")
+
+
 def grid_times(h: float, grid_stride: int, s_max: float) -> np.ndarray:
     """Emitted grid: multiples of h*grid_stride in [0, s_max], plus s_max.
 
@@ -52,9 +62,7 @@ def grid_times(h: float, grid_stride: int, s_max: float) -> np.ndarray:
     and simulation grids agree bitwise.  If s_max is not itself a grid
     multiple it is appended as the final entry.
     """
-    IntegratorConfig(h, grid_stride)  # raises ContractError for a bad h or stride
-    if not 0 < s_max < math.inf:
-        raise ContractError(f"s_max must be positive and finite, got {s_max}")
+    check_grid(h, grid_stride, s_max)
     macro = grid_stride * h
     count = int(math.floor(s_max / macro + _REL_FUZZ))
     grid = (np.arange(count + 1, dtype=np.int64) * grid_stride) * h

@@ -105,8 +105,9 @@ def test_bounded_philox_draws_are_prefix_stable_across_splits(sizes):
 
 
 def test_simulate_spanning_several_blocks_matches_one_shot_counts():
-    # 4 * 30000 steps span two draw blocks; the reference counts every prefix
-    # with one bincount over draws made in a single call.
+    # 4 * 30000 steps span several groups, each drawn in its own call; the
+    # reference counts every prefix with one bincount over draws made in a
+    # single call.
     plan = RunPlan(n=30_000, master_seed=3, s_max=4.0, grid_stride=50)
     traj = simulate(plan, 0)
     draws = spawn(3, 0).integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)

@@ -98,16 +98,14 @@ def test_gumbel_csv_schema_and_negative_cs(tmp_path):
     assert lines[1].startswith("-1,")
 
 
-def test_gumbel_exact_column_empty_on_precision_loss(tmp_path):
+def test_gumbel_fills_exact_one_on_the_left_tail(tmp_path):
     assert run_in(tmp_path, ["gumbel", "--n", "1000", "--trials", "100",
                              "--cs", "-4,0", "--seed", "1"]) == 0
-    lost, kept = (tmp_path / "gumbel.csv").read_text().splitlines()[1:]
-    assert lost.startswith("-4,") and lost.endswith(",")
-    assert kept.startswith("0,") and not kept.endswith(",")
+    left, middle = (tmp_path / "gumbel.csv").read_text().splitlines()[1:]
+    assert left.startswith("-4,") and left.endswith(",1")
+    assert middle.startswith("0,") and not middle.endswith(",")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    [entry] = manifest["exact_unavailable"]
-    assert entry["c"] == -4.0
-    assert "cancelled catastrophically" in entry["reason"]
+    assert "exact_unavailable" not in manifest
 
 
 def test_gumbel_saturates_reference_curves_at_large_abs_c(tmp_path):
@@ -127,8 +125,6 @@ def test_gumbel_fills_exact_zero_at_a_huge_threshold(tmp_path):
     assert (tmp_path / "gumbel.csv").read_text().splitlines()[1:] == [
         "1.0000000000000001e+300,0,0,0,0,0",
     ]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["exact_unavailable"] == []
 
 
 def test_check_writes_verdict(tmp_path):
@@ -290,6 +286,16 @@ def test_config_file_values_read_as_flag_text(tmp_path, capsys, command, values,
 def test_non_finite_values_exit_2(tmp_path, capsys, args):
     assert run_in(tmp_path, args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"], ["simulate", "--n", "10"], ["check", "--n", "10"],
+])
+def test_horizon_past_2_53_micro_steps_exits_2(tmp_path, capsys, args):
+    # Refused before the grid is built, which would ask for ~1e302 points.
+    assert run_in(tmp_path, args + ["--s-max", "1e300"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "2**53" in line
 
 
 def test_readme_command_lines_parse():

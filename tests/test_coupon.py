@@ -13,7 +13,6 @@ from wormald import (
     CapExceededError,
     ContractError,
     CouponState,
-    PrecisionLossError,
     closed_form,
     closed_form_system,
     coupon_step,
@@ -250,6 +249,21 @@ def test_cover_time_distribution_matches_exact_oracle(n):
     assert np.max(np.abs(ecdf - exact)) <= 1.95 / math.sqrt(trials)
 
 
+def test_cover_time_distribution_at_n1000_matches_exact_oracle():
+    """Kolmogorov-Smirnov distance of 5,000 cover times at n = 1000.
+
+    The exact law is evaluated at the thresholds ceil(n ln n + c n) - 1 for
+    c from -4 to 8 in steps of 0.05; a sup over a subset of points never
+    exceeds the true distance, so 1.95/sqrt(N) (alpha = 1e-3) still holds.
+    """
+    n, trials = 1000, 5000
+    times = np.sort([cover_time(n, derive_seed(n, i)) for i in range(trials)])
+    ks = [math.ceil(n * math.log(n) + c * n) - 1 for c in np.linspace(-4.0, 8.0, 241)]
+    ecdf = np.searchsorted(times, ks, side="right") / trials
+    exact = np.array([1.0 - exact_cover_tail(n, k) for k in ks])
+    assert np.max(np.abs(ecdf - exact)) <= 1.95 / math.sqrt(trials)
+
+
 def fsum_cover_tail(n, k, terms=80):
     """P(cover > k) with each inclusion-exclusion term to 50 digits, fsum-added.
 
@@ -291,9 +305,9 @@ def test_exact_tail_trivial_cases():
 
 
 def _fraction_cover_tail(n, k):
-    """P(cover > k) as an exact rational, by inclusion-exclusion."""
-    return sum((-1) ** (j + 1) * math.comb(n, j) * Fraction(n - j, n) ** k
-               for j in range(1, n))
+    """P(cover > k) as an exact rational, by inclusion-exclusion (k >= 1)."""
+    return Fraction(sum((-1) ** (j + 1) * math.comb(n, j) * (n - j) ** k for j in range(1, n)),
+                    n**k)
 
 
 def test_exact_tail_is_zero_where_it_rounds_to_zero():
@@ -344,8 +358,69 @@ def test_exact_tail_moderate_n_in_range():
     assert 0.0 < p < 1.0
 
 
-def test_exact_tail_detects_catastrophic_cancellation():
-    # k barely above n: the true tail is 1 - (tiny), and the alternating
-    # series cancels far past double precision.
-    with pytest.raises(PrecisionLossError):
-        exact_cover_tail(500, 50)
+def test_exact_tail_is_one_below_n_draws():
+    # Fewer draws than types never cover; the alternating series would
+    # cancel far past double precision here, the 1.0 shortcut does not.
+    assert exact_cover_tail(500, 50) == 1.0
+
+
+def _one_shortcut_k(n):
+    """Largest k at which exact_cover_tail takes its shortcut to 1.0."""
+    k = 0
+    while n * math.log1p(-math.exp((k + 1) * math.log1p(-1 / n))) < -40.0:
+        k += 1
+    return k
+
+
+def _zero_shortcut_k(n):
+    """Smallest k at which exact_cover_tail takes its shortcut to 0.0."""
+    return math.ceil((-746 - math.log(n)) / math.log1p(-1 / n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 40])
+def test_exact_tail_is_correctly_rounded_against_fractions(n):
+    """Bit-for-bit equality with the exact rational tail, rounded once.
+
+    Covers every k from 1 to n ln n + 12 n and the k on each side of both
+    shortcuts.
+    """
+    ks = set(range(1, math.ceil(n * math.log(n) + 12 * n) + 1))
+    for edge in (_one_shortcut_k(n), _zero_shortcut_k(n)):
+        ks.update(k for k in (edge - 1, edge, edge + 1) if k >= 1)
+    for k in sorted(ks):
+        assert exact_cover_tail(n, k) == float(_fraction_cover_tail(n, k)), (n, k)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_exact_tail_is_correctly_rounded_where_the_sum_cancels(n):
+    # Just past the 1.0 shortcut the terms sum in absolute value to about
+    # e^40; at n = 300 a single step rounded to 28 digits moves the result.
+    edge = _one_shortcut_k(n)
+    ks = [edge, edge + 1] + [math.ceil(n * math.log(n) + i / 4 * n) - 1 for i in range(-16, 25)]
+    for k in ks:
+        assert exact_cover_tail(n, k) == float(_fraction_cover_tail(n, k)), (n, k)
+
+
+def _mpmath_cover_tail(n, k):
+    """P(cover > k) summed in 100-digit mpmath, then rounded once to a double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        scale = mpmath.mpf(n) ** k
+        total, prev = mpmath.mpf(0), None
+        for j in range(1, n):
+            term = mpmath.binomial(n, j) * mpmath.mpf(n - j) ** k / scale
+            total += term if j % 2 else -term
+            if prev is not None and term < prev and term < abs(total) * mpmath.mpf(10) ** -90:
+                break
+            prev = term
+        man, exp = total.man_exp
+    return float(Fraction(man) * 2**exp if exp >= 0 else Fraction(man, 2**-exp))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
+def test_exact_tail_is_correctly_rounded_against_mpmath(n):
+    # 100 digits keep more than 70 after the worst cancellation here (c = -4,
+    # where the terms sum in absolute value to about e^55).
+    for c in (i / 4 for i in range(-16, 25)):
+        k = math.ceil(n * math.log(n) + c * n) - 1
+        assert exact_cover_tail(n, k) == _mpmath_cover_tail(n, k), (n, c)

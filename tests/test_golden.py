@@ -6,11 +6,13 @@ the ODE engine or the analysis layer that moves any output byte shows up
 here.  The digests were recorded with the chain advanced by one full-horizon
 draw array and a per-grid-point bincount, before the streaming kernel
 replaced it, with numpy 2.4 (numpy's ``Generator`` makes no cross-version
-stream guarantee).  The ``*_blocks`` cases run past one draw block.
+stream guarantee).  The ``*_blocks`` cases run at n = 2e4 and 3e4, where
+the horizon spans many groups of grid intervals, each drawn in one call.
 
-The ``gumbel`` digest was recorded with cover times sampled as sums of n
-geometric waits; its c = -4 row is on the oracle's precision-loss path, so
-its ``exact`` cell is empty.
+The ``gumbel`` digests were recorded with cover times sampled as sums of n
+geometric waits and the tail oracle summed in 50-digit decimal arithmetic;
+its c = -4 row takes the oracle's shortcut to 1, so its ``exact`` cell
+reads ``1``.
 
 The ``check`` digest pins ``check.json`` (the three hypothesis verdicts); it
 was recorded with the Lipschitz estimator still looping over point pairs one
@@ -81,8 +83,8 @@ GOLDEN = {
     "gumbel": (
         ["gumbel", "--n", "1000", "--trials", "200", "--cs", "-4,-1,0,1,2", "--seed", "5"],
         {
-            "gumbel.csv": "bcbaa5296763b1072640e23f36f44c62fc26782778afbb914eec44fd46ce6e7a",
-            "manifest.json": "c80805af7a1b12276155584c1ba82c371d8607193a656269cbd29577ca0b2302",
+            "gumbel.csv": "f1c53dcfb2f3c64b1e00a53dea9ad7fcf032e952f7bd857625cb40912a0a90dd",
+            "manifest.json": "7baca23e01ab11e4ce57feb1c37dfff06db70d7982c9e604bfb895ee2e595ad7",
         },
     ),
     "scaling": (

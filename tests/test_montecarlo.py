@@ -54,6 +54,11 @@ def test_plan_validation():
             RunPlan(n=10, s_max=bad)
         with pytest.raises(ContractError):
             RunPlan(n=10, h=bad)
+    # past 2**53 micro-steps grid times are no longer distinct
+    with pytest.raises(ContractError, match=r"2\*\*53"):
+        RunPlan(n=10, s_max=1e300)
+    with pytest.raises(ContractError, match=r"2\*\*53"):
+        RunPlan(n=10, s_max=1.0, h=2.0**-54)
 
 
 def test_run_seeds_are_distinct_and_range_checked():

@@ -19,6 +19,7 @@ from wormald import (
     integrate,
     make_coupon_spec,
 )
+from wormald.ode import check_grid
 
 E_INV = 0.36787944117144233  # e^-1 to full double precision
 
@@ -58,6 +59,16 @@ def test_grid_times_rejects_nonpositive_horizon():
 def test_grid_times_rejects_invalid_arguments(h, grid_stride, s_max):
     with pytest.raises(ContractError):
         grid_times(h, grid_stride, s_max)
+
+
+def test_grid_times_refuses_more_than_2_53_micro_steps():
+    # Refused before anything is allocated; the largest allowed horizon is
+    # only checked, never built.
+    with pytest.raises(ContractError, match=r"2\*\*53"):
+        grid_times(1e-3, 10, 1e300)
+    with pytest.raises(ContractError, match=r"2\*\*53"):
+        check_grid(1.0, 1, 2.0**53 + 2.0)
+    check_grid(1.0, 1, 2.0**53)
 
 
 def test_integrator_config_validation():
