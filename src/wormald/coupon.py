@@ -73,13 +73,19 @@ def make_coupon_spec(l: int = 10, s_max: float = 4.0) -> ProcessSpec:
     coordinate changes by at most 1 (increment bound 1) and counts never
     exceed n (magnitude bound 1).  The domain is the open box
     s in (-0.1, s_max + 0.1), each z_l in (-0.1, 1.1), on which the drift
-    is 1-Lipschitz in the L1 metric.
+    is 1-Lipschitz in the L1 metric.  The drift is linear, and the spec
+    declares its matrix ``A`` (``drift(s, z) == A @ z``): -1 on the diagonal
+    of rows 0..l, +1 on the subdiagonal, and a zero last column.
     """
     if l < 1:
         raise ContractError(f"truncation level must be >= 1, got {l}")
     if not 0 < s_max < math.inf:
         raise ContractError(f"s_max must be positive and finite, got {s_max}")
     a = l + 2
+    levels = np.arange(l + 1)
+    linear = np.zeros((a, a))
+    linear[levels, levels] = -1.0
+    linear[levels + 1, levels] = 1.0
     domain = DomainBox(
         s_low=-0.1,
         s_high=s_max + 0.1,
@@ -93,6 +99,7 @@ def make_coupon_spec(l: int = 10, s_max: float = 4.0) -> ProcessSpec:
         magnitude_bound=1.0,
         domain=domain,
         lipschitz_hint=1.0,
+        linear=linear,
     )
 
 

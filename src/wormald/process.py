@@ -9,7 +9,10 @@ engines both speak this language.
 
 Every engine calls a spec's drift through :func:`evaluate_drift`, which
 states the point and batch contract and checks it; only the RK4 inner loop
-of :func:`wormald.ode.integrate` calls the drift directly.
+of :func:`wormald.ode.integrate` calls the drift directly.  A spec whose
+drift is linear, ``drift(s, z) == A @ z``, may declare the matrix ``A`` as
+``linear``; :func:`wormald.ode.integrate` then steps by the matrix instead
+of calling the drift.
 
 All values here are immutable after construction and every operation is pure
 given its inputs (randomness enters only through an explicit seed), so they
@@ -87,6 +90,13 @@ class ProcessSpec:
         Open box on which the drift is Lipschitz.
     lipschitz_hint : float, optional
         Known Lipschitz constant (L1 metric on joint (s, z) points), if any.
+    linear : ndarray of shape (coord_count, coord_count), optional
+        A finite matrix ``A`` declaring that ``drift(s, z) == A @ z`` for
+        every point.  :func:`wormald.ode.integrate` then applies one RK4
+        step as the matrix ``R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 +
+        (hA)^4/24``, which is exactly the map an RK4 step makes on a linear
+        system, so the integrator keeps its order and its error; it checks
+        ``A @ z0`` against the drift at the start.  Stored read-only.
     """
 
     coord_count: int
@@ -95,6 +105,7 @@ class ProcessSpec:
     magnitude_bound: float
     domain: DomainBox
     lipschitz_hint: Optional[float] = None
+    linear: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.coord_count < 1:
@@ -109,6 +120,13 @@ class ProcessSpec:
             )
         if self.lipschitz_hint is not None and self.lipschitz_hint < 0:
             raise ContractError("lipschitz_hint must be non-negative")
+        if self.linear is not None:
+            object.__setattr__(self, "linear", _frozen_array(self.linear))
+            a = self.coord_count
+            if self.linear.shape != (a, a):
+                raise ContractError(f"linear has shape {self.linear.shape}, expected ({a}, {a})")
+            if not np.all(np.isfinite(self.linear)):
+                raise ContractError("linear has non-finite entries")
 
 
 @dataclass(frozen=True)

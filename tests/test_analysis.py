@@ -14,9 +14,17 @@ from wormald import (
     scaling_study,
     sup_deviation,
 )
+from wormald.analysis import ref_classical, ref_paper
 
 REF_PAPER_C0 = 1.0 - math.exp(-math.exp(-1.0))      # about 0.3078
 REF_CLASSICAL_C0 = 1.0 - math.exp(-1.0)             # about 0.6321
+
+
+def test_ref_paper_is_ref_classical_at_e_to_the_c():
+    # The paper's curve is the classical one with c replaced by e^c, bit for bit.
+    for k in range(-100, 101):
+        c = k * 0.05
+        assert ref_paper(c) == ref_classical(math.exp(c))
 
 
 def make_traj(s, z, sigma=None):

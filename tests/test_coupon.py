@@ -186,6 +186,19 @@ def test_expected_change_worked_example():
     assert deltas[2] == 0.5
 
 
+@pytest.mark.parametrize("n, t", [(7, 40), (50, 200), (1000, 3000)])
+def test_linear_mean_is_the_occupancy_law(n, t):
+    """The one-step mean change is exactly A y / n, so E Y(t) = n (I + A/n)^t e_0,
+    and after t uniform draws a type holds Bin(t, 1/n) copies: E Y_i(t) is
+    n P(Bin(t, 1/n) = i), and the overflow coordinate n P(Bin(t, 1/n) > l)."""
+    l = 10
+    linear = make_coupon_spec(l, 4.0).linear
+    mean = n * np.linalg.matrix_power(np.eye(l + 2) + linear / n, t)[:, 0]
+    exact = [n * Fraction(math.comb(t, i) * (n - 1) ** (t - i), n**t) for i in range(l + 1)]
+    exact.append(n - sum(exact))
+    assert np.max(np.abs(mean - np.array([float(x) for x in exact]))) <= 1e-12 * n
+
+
 def test_conservation_along_a_long_run():
     n, l, steps = 50, 3, 10_000
     rng = np.random.default_rng(11)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormald import (
     ContractError,
@@ -236,3 +238,80 @@ def test_coupon_reference_is_the_e0_integration():
     assert ref.s.tobytes() == direct.s.tobytes()
     assert ref.z.tobytes() == direct.z.tobytes()
     assert ref.sigma_exit is None and direct.sigma_exit is None
+
+
+def linear_pair(linear, box):
+    """The same linear system twice: declared (matrix steps) and as a plain drift (RK4 loop)."""
+    a = linear.shape[0]
+    fast = ProcessSpec(a, lambda s, z: linear @ z, 1.0, 1.0, box, linear=linear)
+    slow = ProcessSpec(a, lambda s, z: linear @ z, 1.0, 1.0, box)
+    return fast, slow
+
+
+@st.composite
+def linear_runs(draw):
+    a = draw(st.integers(1, 6))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    linear = np.array(draw(st.lists(entries, min_size=a * a, max_size=a * a))).reshape(a, a)
+    z0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=a, max_size=a)))
+    h = draw(st.floats(1e-3, 0.05))
+    stride = draw(st.integers(1, 20))
+    # At most s_max = 2, so the state grows by at most e^(12 * 2).
+    intervals = draw(st.integers(1, max(1, int(2.0 / (h * stride)))))
+    s_max = intervals * stride * h
+    if draw(st.booleans()):  # off the grid: the last step is shortened
+        s_max -= draw(st.floats(0.05, 0.95)) * stride * h
+    return linear, z0, s_max, IntegratorConfig(h=h, grid_stride=stride)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=linear_runs())
+def test_linear_matrix_steps_match_the_rk4_loop(run):
+    linear, z0, s_max, config = run
+    a = linear.shape[0]
+    box = DomainBox(-1.0, s_max + 1.0, np.full(a, -1e15), np.full(a, 1e15))
+    fast, slow = (integrate(spec, z0, s_max, config) for spec in linear_pair(linear, box))
+    assert fast.s.tobytes() == slow.s.tobytes()
+    assert fast.sigma_exit is None and slow.sigma_exit is None
+    # Relative to the largest state so far (a transient may exceed later
+    # states), with an absolute floor where the state is subnormal.
+    scale = np.maximum.accumulate(np.max(np.abs(slow.z), axis=1))
+    gap = np.max(np.abs(fast.z - slow.z), axis=1)
+    assert np.all(gap <= 1e-12 * scale + np.finfo(float).tiny)
+
+
+def test_linear_matrix_steps_exit_the_domain_where_the_loop_does():
+    # dz/ds = z from 0.5 leaves the box (-1, 1) at s = ln 2 = 0.693.
+    linear = np.array([[1.0]])
+    box = DomainBox(-0.1, 2.0, np.array([-1.0]), np.array([1.0]))
+    fast, slow = (integrate(spec, np.array([0.5]), 1.5, IntegratorConfig(h=1e-3, grid_stride=7))
+                  for spec in linear_pair(linear, box))
+    assert fast.sigma_exit == slow.sigma_exit
+    assert abs(fast.sigma_exit - math.log(2.0)) <= 7e-3
+    assert fast.s.tobytes() == slow.s.tobytes()
+    assert np.max(np.abs(fast.z - slow.z)) <= 1e-14
+
+
+def test_integrate_rejects_a_linear_matrix_that_is_not_the_drift():
+    spec = make_coupon_spec(3, 4.0)
+    wrong = spec.linear.copy()
+    wrong[1, 0] = 0.5
+    bad = ProcessSpec(spec.coord_count, spec.drift, 1.0, 1.0, spec.domain, linear=wrong)
+    with pytest.raises(ContractError, match="linear"):
+        integrate(bad, coupon_z0(3), 1.0)
+
+
+def test_linear_coupon_spec_never_steps_through_its_drift():
+    # The RK4 loop would make ~16,000 drift calls here; the matrix path one.
+    spec = make_coupon_spec(10, 4.0)
+    calls = []
+
+    def counted(s, z):
+        calls.append(s)
+        return spec.drift(s, z)
+
+    counted_spec = ProcessSpec(spec.coord_count, counted, 1.0, 1.0, spec.domain,
+                               linear=spec.linear)
+    traj = integrate(counted_spec, coupon_z0(10), 4.0)
+    assert traj.s[-1] == 4.0
+    assert len(calls) <= 2

@@ -292,6 +292,34 @@ def test_coupon_drift_batch_equals_single_points(l, batch, seed):
     assert checked.tobytes() == points.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(1, 12), batch=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_coupon_linear_matrix_is_the_drift(l, batch, seed):
+    linear = make_coupon_spec(l, 4.0).linear
+    drift = coupon_drift(l)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 4.0, size=batch)
+    z = rng.uniform(-0.1, 1.1, size=(l + 2, batch))
+    assert (linear @ z).tobytes() == drift(s, z).tobytes()
+    for j in range(batch):
+        assert (linear @ z[:, j]).tobytes() == drift(s[j], z[:, j]).tobytes()
+    # Zeros and equal neighbours: equal values, though -z_0 at z_0 = 0 is
+    # -0.0 in the drift and +0.0 in the product.
+    rounded = np.round(z, 1)
+    assert np.array_equal(linear @ rounded, drift(s, rounded))
+
+
+def test_process_spec_linear_contract():
+    a = 3
+    spec = ProcessSpec(a, lambda s, z: -z, 1.0, 1.0, unit_box(a), linear=(-np.eye(a)).tolist())
+    assert spec.linear.shape == (a, a) and spec.linear.dtype == float
+    assert not spec.linear.flags.writeable
+    for bad in (np.eye(a + 1), np.eye(a)[:, :2], np.ones(a), np.full((a, a), np.nan),
+                np.diag([1.0, np.inf, 1.0])):
+        with pytest.raises(ContractError, match="linear"):
+            ProcessSpec(a, lambda s, z: -z, 1.0, 1.0, unit_box(a), linear=bad)
+
+
 def test_evaluate_drift_batch_contract():
     spec = zero_spec(3)
     z = np.full((3, 5), 0.2)
