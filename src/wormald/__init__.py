@@ -31,7 +31,7 @@ from .process import (
     evaluate_drift,
     in_domain,
 )
-from .ode import IntegratorConfig, OrderEstimate, convergence_order, grid_times, integrate
+from .ode import OrderEstimate, convergence_order, grid_times, integrate
 from .coupon import (
     CouponState,
     closed_form,
@@ -84,7 +84,6 @@ __all__ = [
     "GumbelRow",
     "HypothesisCheck",
     "HypothesisReport",
-    "IntegratorConfig",
     "NumericalError",
     "OrderEstimate",
     "ProcessSpec",

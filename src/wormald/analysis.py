@@ -21,6 +21,7 @@ import numpy as np
 from .coupon import coupon_reference, cover_time, exact_cover_tail
 from .errors import ContractError, FitError
 from .montecarlo import RunPlan, simulate
+from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H
 from .process import Trajectory
 from .rng import derive_seed
 
@@ -62,7 +63,7 @@ def sup_deviation(sim_traj: Trajectory, ode_traj: Trajectory,
 
 
 def compare_run(n: int, l: int = 10, s_max: float = 4.0, seed: int = 0,
-                h: float = 1e-3, grid_stride: int = 10,
+                h: float = DEFAULT_H, grid_stride: int = DEFAULT_GRID_STRIDE,
                 ) -> tuple[Trajectory, Trajectory, DeviationReport]:
     """One simulation, one integration, one deviation report, shared grid."""
     plan = RunPlan(n=n, master_seed=seed, truncation=l, h=h,
@@ -95,8 +96,8 @@ class ScalingReport:
 
 
 def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
-                  l: int = 10, s_max: float = 4.0, h: float = 1e-3,
-                  grid_stride: int = 10) -> ScalingReport:
+                  l: int = 10, s_max: float = 4.0, h: float = DEFAULT_H,
+                  grid_stride: int = DEFAULT_GRID_STRIDE) -> ScalingReport:
     """Measure how the mean sup-deviation decays as n grows.
 
     For each n the plan's runs are compared against a single ODE reference

@@ -13,7 +13,8 @@ Each command only computes: it returns its files as text, keyed by name,
 with its seeds and its own manifest fields.  :func:`run_cli` then writes
 those files and ``manifest.json`` (config echo, seeds, package versions,
 output list) into ``--out``, all of them or, if one cannot be written,
-none; a command that fails writes nothing.
+none; a command that fails writes nothing.  ``--out`` is created only
+then, so an uncreatable ``--out`` is reported after the computation.
 Output is byte-stable: floats are printed with 17 significant digits,
 lines end in ``\\n``, and the manifest carries no timestamps, so identical
 flags give byte-identical files.
@@ -40,7 +41,6 @@ from .analysis import compare_run, gumbel_experiment, scaling_study
 from .coupon import coupon_reference, make_coupon_spec
 from .errors import ContractError, NumericalError
 from .montecarlo import RunPlan, check_hypotheses, simulate
-from .ode import IntegratorConfig
 from .process import Trajectory
 from .rng import derive_seed
 
@@ -102,11 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s-max", dest="s_max", type=float, default=s_max,
                            help="scaled-time horizon")
         if "h" in names:
-            p.add_argument("--h", type=float, default=IntegratorConfig.h,
+            p.add_argument("--h", type=float, default=RunPlan.h,
                            help="RK4 step size")
         if "grid_stride" in names:
             p.add_argument("--grid-stride", dest="grid_stride", type=int,
-                           default=IntegratorConfig.grid_stride, help="emit every k-th step")
+                           default=RunPlan.grid_stride, help="emit every k-th step")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
         p.add_argument("--out", type=str, default=os.environ.get(OUT_DIR_ENV, "."),
@@ -312,11 +312,15 @@ _DISPATCH = {
 def _write_all(out: str, files: dict) -> None:
     """Write every one of ``files`` into ``out``, or leave ``out`` as it was.
 
-    A target that exists but is not a regular file is refused before the
-    first write.  Each file is then written to a temporary sibling, and the
-    temporaries replace their targets only once every write has succeeded;
-    after a failed write they are removed.
+    ``out`` is created first.  A target that exists but is not a regular
+    file is refused before the first write.  Each file is then written to a
+    temporary sibling, and the temporaries replace their targets only once
+    every write has succeeded; after a failed write they are removed.
     """
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ContractError(f"cannot create output directory {out}: {exc}") from exc
     paths = {name: os.path.join(out, name) for name in files}
     for path in paths.values():
         if os.path.lexists(path) and not os.path.isfile(path):
@@ -347,10 +351,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
         if "n" in config and config["n"] is None:
             raise ContractError(f"--n is required for '{args.command}'")
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ContractError(f"cannot create output directory {args.out}: {exc}") from exc
         files, seeds, extra = _DISPATCH[args.command](config)
         manifest = {
             "command": args.command,

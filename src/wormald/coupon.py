@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceededError, ContractError
-from .ode import IntegratorConfig, integrate
+from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, integrate
 from .process import DomainBox, ProcessSpec, Trajectory
 from .rng import KeyedStream, make_generator
 
@@ -118,8 +118,8 @@ def make_coupon_spec(l: int = 10, s_max: float = 4.0) -> ProcessSpec:
     )
 
 
-def coupon_reference(l: int = 10, s_max: float = 4.0, h: float = 1e-3,
-                     grid_stride: int = 10) -> Trajectory:
+def coupon_reference(l: int = 10, s_max: float = 4.0, h: float = DEFAULT_H,
+                     grid_stride: int = DEFAULT_GRID_STRIDE) -> Trajectory:
     """The coupon ODE solution from z_0(0) = 1, integrated to ``s_max``.
 
     This is the reference every simulated coupon run is compared with; its
@@ -129,7 +129,7 @@ def coupon_reference(l: int = 10, s_max: float = 4.0, h: float = 1e-3,
     spec = make_coupon_spec(l, s_max)
     z0 = np.zeros(spec.coord_count)
     z0[0] = 1.0
-    return integrate(spec, z0, s_max, IntegratorConfig(h=h, grid_stride=grid_stride))
+    return integrate(spec, z0, s_max, h, grid_stride)
 
 
 def closed_form(s: float, i: int) -> float:

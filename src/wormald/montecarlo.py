@@ -37,7 +37,7 @@ import numpy as np
 
 from .coupon import CouponState
 from .errors import ContractError
-from .ode import check_grid, grid_times
+from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
 from .rng import derive_seed, make_generator, spawn
 
@@ -68,8 +68,8 @@ class RunPlan:
     run_count: int = 1
     master_seed: int = 0
     truncation: int = 10
-    h: float = 1e-3
-    grid_stride: int = 10
+    h: float = DEFAULT_H
+    grid_stride: int = DEFAULT_GRID_STRIDE
     s_max: Optional[float] = None
 
     def __post_init__(self):

@@ -33,7 +33,6 @@ from wormald import (
     sup_deviation,
 )
 from wormald.cli import run_cli
-from wormald.ode import IntegratorConfig
 
 MASTER_SEED = 2026
 
@@ -57,7 +56,7 @@ def test_01_ode_matches_closed_form():
     budget, tol = 1.0, 1e-8
     start = time.perf_counter()
     spec = make_coupon_spec(10, 10.0)
-    traj = integrate(spec, coupon_z0(), 10.0, IntegratorConfig(h=1e-3, grid_stride=10))
+    traj = integrate(spec, coupon_z0(), 10.0, h=1e-3, grid_stride=10)
     exact = np.array([closed_form_system(float(s), 10) for s in traj.s])
     err = float(np.max(np.abs(traj.z[:, :11] - exact[:, :11])))
     elapsed = time.perf_counter() - start

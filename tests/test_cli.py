@@ -185,8 +185,15 @@ def test_unwritable_manifest_exits_2(tmp_path, capsys):
 
 def test_failing_command_writes_no_file(tmp_path):
     out = tmp_path / "out"
-    assert run_cli(["scaling", "--ns", "50,50", "--runs", "2", "--out", str(out)]) == 3
-    assert list(out.iterdir()) == []
+    assert run_cli(["scaling", "--ns", "1000,1000", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_invalid_command_creates_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["gumbel", "--n", "5", "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_configurations_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the fixed-step RK4 engine and its grid construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from wormald import (
     ContractError,
     DivergenceError,
     DomainBox,
-    IntegratorConfig,
     ProcessSpec,
     closed_form,
     closed_form_system,
@@ -21,7 +21,8 @@ from wormald import (
     integrate,
     make_coupon_spec,
 )
-from wormald.ode import check_grid
+from wormald.ode import _grid_steps, check_grid
+from wormald.process import in_domain
 
 E_INV = 0.36787944117144233  # e^-1 to full double precision
 
@@ -73,14 +74,18 @@ def test_grid_times_refuses_more_than_2_53_micro_steps():
     check_grid(1.0, 1, 2.0**53)
 
 
-def test_integrator_config_validation():
-    with pytest.raises(ContractError):
-        IntegratorConfig(h=0.0)
-    with pytest.raises(ContractError):
-        IntegratorConfig(grid_stride=0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ContractError):
-            IntegratorConfig(h=bad)
+@pytest.mark.parametrize("h, grid_stride, message", [
+    (0.0, 10, "step size must be positive and finite, got 0.0"),
+    (math.inf, 10, "step size must be positive and finite, got inf"),
+    (math.nan, 10, "step size must be positive and finite, got nan"),
+    (1e-3, 0, "grid_stride must be >= 1, got 0"),
+], ids=["h-zero", "h-inf", "h-nan", "stride-zero"])
+def test_check_grid_validates_h_and_grid_stride(h, grid_stride, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        check_grid(h, grid_stride, 1.0)
+    spec = make_coupon_spec(3, 4.0)
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        integrate(spec, coupon_z0(3), 1.0, h, grid_stride)
 
 
 def test_zero_drift_constant_solution():
@@ -172,7 +177,7 @@ def test_divergence_reports_offending_time():
         domain=DomainBox(-0.1, 2.0, np.array([-1.0]), np.array([1e308])),
     )
     with pytest.raises(DivergenceError) as err:
-        integrate(spec, np.array([2.0]), 1.0, IntegratorConfig(h=1e-3, grid_stride=1))
+        integrate(spec, np.array([2.0]), 1.0, h=1e-3, grid_stride=1)
     assert 0.4 <= err.value.s <= 0.6
 
 
@@ -227,14 +232,14 @@ def test_convergence_order_degenerate_on_zero_drift():
 
 def test_ode_grid_is_the_shared_grid():
     spec = make_coupon_spec(3, 4.0)
-    traj = integrate(spec, coupon_z0(3), 2.5, IntegratorConfig(h=1e-3, grid_stride=10))
+    traj = integrate(spec, coupon_z0(3), 2.5, h=1e-3, grid_stride=10)
     assert np.array_equal(traj.s, grid_times(1e-3, 10, 2.5))
 
 
 def test_coupon_reference_is_the_e0_integration():
     ref = coupon_reference(4, 2.0)
     direct = integrate(make_coupon_spec(4, 2.0), coupon_z0(4), 2.0,
-                       IntegratorConfig(h=1e-3, grid_stride=10))
+                       h=1e-3, grid_stride=10)
     assert ref.s.tobytes() == direct.s.tobytes()
     assert ref.z.tobytes() == direct.z.tobytes()
     assert ref.sigma_exit is None and direct.sigma_exit is None
@@ -261,16 +266,16 @@ def linear_runs(draw):
     s_max = intervals * stride * h
     if draw(st.booleans()):  # off the grid: the last step is shortened
         s_max -= draw(st.floats(0.05, 0.95)) * stride * h
-    return linear, z0, s_max, IntegratorConfig(h=h, grid_stride=stride)
+    return linear, z0, s_max, h, stride
 
 
 @settings(max_examples=60, deadline=None)
 @given(run=linear_runs())
 def test_linear_matrix_steps_match_the_rk4_loop(run):
-    linear, z0, s_max, config = run
+    linear, z0, s_max, h, stride = run
     a = linear.shape[0]
     box = DomainBox(-1.0, s_max + 1.0, np.full(a, -1e15), np.full(a, 1e15))
-    fast, slow = (integrate(spec, z0, s_max, config) for spec in linear_pair(linear, box))
+    fast, slow = (integrate(spec, z0, s_max, h, stride) for spec in linear_pair(linear, box))
     assert fast.s.tobytes() == slow.s.tobytes()
     assert fast.sigma_exit is None and slow.sigma_exit is None
     # Relative to the largest state so far (a transient may exceed later
@@ -284,7 +289,7 @@ def test_linear_matrix_steps_exit_the_domain_where_the_loop_does():
     # dz/ds = z from 0.5 leaves the box (-1, 1) at s = ln 2 = 0.693.
     linear = np.array([[1.0]])
     box = DomainBox(-0.1, 2.0, np.array([-1.0]), np.array([1.0]))
-    fast, slow = (integrate(spec, np.array([0.5]), 1.5, IntegratorConfig(h=1e-3, grid_stride=7))
+    fast, slow = (integrate(spec, np.array([0.5]), 1.5, h=1e-3, grid_stride=7)
                   for spec in linear_pair(linear, box))
     assert fast.sigma_exit == slow.sigma_exit
     assert abs(fast.sigma_exit - math.log(2.0)) <= 7e-3
@@ -315,3 +320,106 @@ def test_linear_coupon_spec_never_steps_through_its_drift():
     traj = integrate(counted_spec, coupon_z0(10), 4.0)
     assert traj.s[-1] == 4.0
     assert len(calls) <= 2
+
+
+def walk_reference(spec, z0, s_max, h, grid_stride):
+    """The integrator as it once was, walking its grid one micro-step at a time.
+
+    Kept as the slow reference for drift specs: the grid is rebuilt by its
+    own floor-plus-fuzz rule, and each emitted point's step count is found
+    by stepping until the next micro-time passes the point.
+    """
+    def rk4_step(s, z, step):
+        k1 = spec.drift(s, z)
+        k2 = spec.drift(s + 0.5 * step, z + (0.5 * step) * k1)
+        k3 = spec.drift(s + 0.5 * step, z + (0.5 * step) * k2)
+        k4 = spec.drift(s + step, z + step * k3)
+        return z + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    count = int(math.floor(s_max / (grid_stride * h) + 1e-9))
+    grid = (np.arange(count + 1, dtype=np.int64) * grid_stride) * h
+    grid = grid[grid <= s_max]
+    if grid[-1] < s_max:
+        grid = np.append(grid, s_max)
+    full_steps = int(math.floor(s_max / h + 1e-9))
+    while full_steps * h > s_max:
+        full_steps -= 1
+
+    z = np.array(z0, dtype=float)
+    out_s, out_z, sigma_exit = [grid[0]], [z.copy()], None
+    j = 0
+    for target in grid[1:]:
+        last = j
+        while last < full_steps and (last + 1) * h <= target * (1.0 + 1e-9):
+            last += 1
+        for i in range(j, last):
+            z = rk4_step(i * h, z, h)
+        tail = target - last * h
+        if tail > 0:
+            z = rk4_step(last * h, z, tail)
+        j = last
+        out_s.append(target)
+        out_z.append(z.copy())
+        if not in_domain(spec, float(target), z):
+            sigma_exit = float(target)
+            break
+    return np.array(out_s), np.array(out_z), sigma_exit
+
+
+def oscillator_spec(s_high):
+    """A damped, forced nonlinear oscillator; its box is left on some runs."""
+    return ProcessSpec(
+        coord_count=2,
+        drift=lambda s, z: np.array([z[1] * (1.0 + 0.1 * s), -z[0] - 0.3 * z[1] ** 3]),
+        increment_bound=1.0,
+        magnitude_bound=1.0,
+        domain=DomainBox(-0.1, s_high, np.full(2, -1.6), np.full(2, 1.6)),
+    )
+
+
+@st.composite
+def drift_runs(draw):
+    h = 10.0 ** draw(st.floats(-3.5, math.log10(0.33)))
+    stride = draw(st.integers(1, 40))
+    # At most 2,000 micro-steps, so the reference walk stays quick.
+    intervals = draw(st.integers(1, max(1, min(int(3.0 / (h * stride)), 2000 // stride))))
+    s_max = intervals * stride * h
+    if draw(st.booleans()):  # off the grid: the last step is shortened
+        s_max -= draw(st.floats(0.0, 0.999)) * stride * h
+    z0 = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)))
+    return z0, s_max, h, stride
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=drift_runs())
+def test_integrate_matches_the_micro_step_walk(run):
+    z0, s_max, h, stride = run
+    spec = oscillator_spec(s_max + 1.0)
+    s, z, sigma_exit = walk_reference(spec, z0, s_max, h, stride)
+    traj = integrate(spec, z0, s_max, h, stride)
+    assert traj.s.tobytes() == s.tobytes()
+    assert traj.z.tobytes() == z.tobytes()
+    assert traj.sigma_exit == sigma_exit
+
+
+def test_grid_steps_stay_on_multiples_past_a_billion_micro_steps():
+    grid, steps = _grid_steps(1e-9, 10**9, 4.0)
+    assert steps == [0, 10**9, 2 * 10**9, 3 * 10**9, 4 * 10**9]
+    assert grid.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    # The walk's test admits micro-steps past each of these points, and
+    # its full-step count stopped one short of 4e9: 4.0 / 1e-9 rounds to
+    # 3999999999.9999995.
+    assert 4.0 / 1e-9 < 4e9 and 4e9 * 1e-9 == 4.0
+    assert all((k + 1) * 1e-9 <= s * (1.0 + 1e-9) for k, s in zip(steps[1:], grid[1:]))
+    # Off the grid, s_max = 1.0 still follows exactly 1e9 full steps.
+    grid, steps = _grid_steps(1e-9, 3 * 10**8, 1.0)
+    assert steps == [0, 3 * 10**8, 6 * 10**8, 9 * 10**8, 10**9]
+    assert grid[-1] == 1.0 == 10**9 * 1e-9
+
+
+def test_linear_path_at_a_small_step_matches_the_closed_form():
+    # 4e7 micro-steps: one matrix power per stride, not one product per step.
+    ref = coupon_reference(10, 4.0, h=1e-7, grid_stride=10**5)
+    assert ref.s.tobytes() == grid_times(1e-7, 10**5, 4.0).tobytes()
+    exact = np.array([closed_form_system(float(s), 10) for s in ref.s])
+    assert np.max(np.abs(ref.z - exact)) <= 1e-8
