@@ -14,7 +14,6 @@ the limiting ODE solution is the Poisson profile z_i(s) = s^i e^(-s)/i!.
 """
 
 from .errors import (
-    CapExceededError,
     ContractError,
     DivergenceError,
     DriftEvaluationError,
@@ -70,7 +69,6 @@ from .rng import derive_seed, make_generator, mix64, spawn
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceededError",
     "ContractError",
     "CouponState",
     "DeviationReport",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupon import coupon_reference, cover_time, exact_cover_tail
+from .coupon import DEFAULT_L, DEFAULT_S_MAX, coupon_reference, cover_time, exact_cover_tail
 from .errors import ContractError, FitError
 from .montecarlo import RunPlan, simulate
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H
@@ -62,7 +62,7 @@ def sup_deviation(sim_traj: Trajectory, ode_traj: Trajectory,
     )
 
 
-def compare_run(n: int, l: int = 10, s_max: float = 4.0, seed: int = 0,
+def compare_run(n: int, l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX, seed: int = 0,
                 h: float = DEFAULT_H, grid_stride: int = DEFAULT_GRID_STRIDE,
                 ) -> tuple[Trajectory, Trajectory, DeviationReport]:
     """One simulation, one integration, one deviation report, shared grid."""
@@ -96,7 +96,7 @@ class ScalingReport:
 
 
 def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
-                  l: int = 10, s_max: float = 4.0, h: float = DEFAULT_H,
+                  l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX, h: float = DEFAULT_H,
                   grid_stride: int = DEFAULT_GRID_STRIDE) -> ScalingReport:
     """Measure how the mean sup-deviation decays as n grows.
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_run, gumbel_experiment, scaling_study
-from .coupon import coupon_reference, make_coupon_spec
+from .coupon import DEFAULT_S_MAX, coupon_reference, make_coupon_spec
 from .errors import ContractError, NumericalError
 from .montecarlo import RunPlan, check_hypotheses, simulate
 from .process import Trajectory
@@ -113,18 +113,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default ${OUT_DIR_ENV} or '.')")
 
     p = sub.add_parser("solve", help="integrate the coupon ODE system")
-    add_common(p, "l", "s_max", "h", "grid_stride", s_max=4.0)
+    add_common(p, "l", "s_max", "h", "grid_stride", s_max=DEFAULT_S_MAX)
 
     p = sub.add_parser("simulate", help="run the coupon process")
     add_common(p, "n", "runs", "seed", "l", "s_max", "h", "grid_stride", runs=1)
 
     p = sub.add_parser("compare", help="one simulation against the ODE")
-    add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride", s_max=4.0)
+    add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride", s_max=DEFAULT_S_MAX)
 
     p = sub.add_parser("scaling", help="sup-deviation decay across n")
     p.add_argument("--ns", type=_list_of(int, "integers"), default=(1000, 10000, 100000),
                    help="comma-separated n values")
-    add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride", runs=20, s_max=4.0)
+    add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride", runs=20, s_max=DEFAULT_S_MAX)
 
     p = sub.add_parser("gumbel", help="cover-time tail probabilities")
     p.add_argument("--cs", type=_list_of(float, "reals"), default=(-1.0, 0.0, 1.0, 2.0),

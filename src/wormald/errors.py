@@ -3,7 +3,7 @@
 Two families matter to callers: :class:`ContractError` means the caller
 violated an API contract (bad dimensions, out-of-range arguments), while
 :class:`NumericalError` and its subclasses mean a computation failed for
-numerical reasons (divergence, an exceeded cap, degenerate data).  The CLI
+numerical reasons (a non-finite drift or state, degenerate data).  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
 """
 
@@ -34,10 +34,6 @@ class DivergenceError(NumericalError):
 
 class EstimationError(NumericalError):
     """A sampling-based estimate could not be formed (e.g. all pairs degenerate)."""
-
-
-class CapExceededError(NumericalError):
-    """A hard iteration cap was exceeded (guards against generator pathology)."""
 
 
 class FitError(NumericalError):

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupon import CouponState
+from .coupon import DEFAULT_L, CouponState
 from .errors import ContractError
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
@@ -67,7 +67,7 @@ class RunPlan:
     n: int
     run_count: int = 1
     master_seed: int = 0
-    truncation: int = 10
+    truncation: int = DEFAULT_L
     h: float = DEFAULT_H
     grid_stride: int = DEFAULT_GRID_STRIDE
     s_max: Optional[float] = None
@@ -361,7 +361,9 @@ def _pilot_chain(plan: RunPlan, count: int):
     if count < 1:
         raise ContractError(f"count must be positive, got {count}")
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
-    times = np.unique(np.linspace(0, m, min(count, m + 1)).round().astype(np.int64))
+    times = np.linspace(0, m, min(count, m + 1)).round().astype(np.int64)
+    # Already sorted, so dropping repeats needs no np.unique (which imports numpy.ma).
+    times = times[np.diff(times, prepend=-1) > 0]
     chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times, 0)
     for i, _j, rows, counts in chain:
         yield CouponState(n=n, t=int(times[i]), per_type_counts=counts.copy(),

@@ -3,9 +3,9 @@
 A discrete process with ``a`` tracked coordinates is summarized by a
 :class:`ProcessSpec`: its drift (the conditional expected one-step change as
 a function of scaled time ``s = t/n`` and scaled state ``z = Y/n``), the
-uniform bound on one-step increments, the bound on coordinate magnitudes,
-and the open box on which the drift is Lipschitz.  The ODE and Monte Carlo
-engines both speak this language.
+uniform bound on one-step increments, and the open box on which the drift
+is Lipschitz, which also fixes ``a`` and bounds every scaled coordinate.
+The ODE and Monte Carlo engines both speak this language.
 
 Every engine calls a spec's drift through :func:`evaluate_drift`, which
 states the point and batch contract and checks it; only the RK4 inner loop
@@ -47,7 +47,8 @@ class DomainBox:
     """Open axis-aligned box (s_low, s_high) x prod_l (z_low[l], z_high[l]).
 
     Concretizes the bounded connected open set on which the drift must be
-    Lipschitz.  Membership is strict on every face: the box is open.
+    Lipschitz.  Membership is strict on every face: the box is open.  It has
+    at least one coordinate.
     """
 
     s_low: float
@@ -60,6 +61,8 @@ class DomainBox:
         object.__setattr__(self, "z_high", _frozen_array(self.z_high))
         if self.z_low.ndim != 1 or self.z_low.shape != self.z_high.shape:
             raise ContractError("z_low and z_high must be 1-d arrays of equal length")
+        if self.z_low.size == 0:
+            raise ContractError("the box needs at least one coordinate")
         if not self.s_low < self.s_high:
             raise ContractError(f"need s_low < s_high, got [{self.s_low}, {self.s_high}]")
         if not np.all(self.z_low < self.z_high):
@@ -76,18 +79,16 @@ class ProcessSpec:
 
     Parameters
     ----------
-    coord_count : int
-        Number of tracked coordinates.
     drift : callable ``(s, z) -> ndarray``
         Deterministic, pure drift, taking one point or a batch of points
         and returning finite values; :func:`evaluate_drift` states the
         contract and checks it.
     increment_bound : float
         Uniform bound on per-step coordinate changes of the discrete process.
-    magnitude_bound : float
-        Bound C with |Y^(l)| < C n for every coordinate.
     domain : DomainBox
-        Open box on which the drift is Lipschitz.
+        Open box on which the drift is Lipschitz.  It fixes the number of
+        tracked coordinates, ``coord_count``, and bounds every scaled
+        coordinate, as the method's boundedness hypothesis asks.
     lipschitz_hint : float, optional
         Known Lipschitz constant (L1 metric on joint (s, z) points), if any.
     linear : ndarray of shape (coord_count, coord_count), optional
@@ -99,25 +100,15 @@ class ProcessSpec:
         ``A @ z0`` against the drift at the start.  Stored read-only.
     """
 
-    coord_count: int
     drift: DriftFunction
     increment_bound: float
-    magnitude_bound: float
     domain: DomainBox
     lipschitz_hint: Optional[float] = None
     linear: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.coord_count < 1:
-            raise ContractError(f"coord_count must be positive, got {self.coord_count}")
         if not self.increment_bound > 0:
             raise ContractError("increment_bound must be positive")
-        if not self.magnitude_bound > 0:
-            raise ContractError("magnitude_bound must be positive")
-        if self.domain.coord_count != self.coord_count:
-            raise ContractError(
-                f"domain has {self.domain.coord_count} coordinates, spec has {self.coord_count}"
-            )
         if self.lipschitz_hint is not None and self.lipschitz_hint < 0:
             raise ContractError("lipschitz_hint must be non-negative")
         if self.linear is not None:
@@ -127,6 +118,10 @@ class ProcessSpec:
                 raise ContractError(f"linear has shape {self.linear.shape}, expected ({a}, {a})")
             if not np.all(np.isfinite(self.linear)):
                 raise ContractError("linear has non-finite entries")
+
+    @property
+    def coord_count(self) -> int:
+        return self.domain.coord_count
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,8 @@ def test_05_drift_check_accepts_true_and_rejects_flipped():
                             lipschitz_samples=1000)
     true_drift = coupon_drift(10)
     flipped_spec = ProcessSpec(
-        coord_count=spec.coord_count,
         drift=lambda s, z: -true_drift(s, z),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=spec.domain,
         lipschitz_hint=1.0,
     )

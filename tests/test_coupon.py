@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import wormald.coupon
 from wormald import (
-    CapExceededError,
     ContractError,
     CouponState,
     closed_form,
@@ -30,9 +29,8 @@ from wormald.coupon import cover_time_reference
 
 def test_spec_shape_and_bounds():
     spec = make_coupon_spec(10, 4.0)
-    assert spec.coord_count == 12
+    assert spec.coord_count == spec.domain.coord_count == 12
     assert spec.increment_bound == 1.0
-    assert spec.magnitude_bound == 1.0
     assert spec.lipschitz_hint == 1.0
     assert spec.domain.s_low == -0.1
     assert spec.domain.s_high == 4.1
@@ -298,12 +296,6 @@ def test_exact_tail_at_large_n_matches_fsum_reference(n):
         k = math.ceil(n * math.log(n) + c * n) - 1
         expected = fsum_cover_tail(n, k)
         assert abs(exact_cover_tail(n, k) - expected) <= 1e-10 * expected
-
-
-def test_cover_time_cap(monkeypatch):
-    monkeypatch.setattr(wormald.coupon, "COVER_TIME_CAP", 3)
-    with pytest.raises(CapExceededError):
-        wormald.coupon.cover_time(10, seed=0)
 
 
 def test_cover_time_rejects_bad_n():

@@ -182,7 +182,7 @@ def test_pilot_states_span_the_run():
 def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
     plan = RunPlan(n=n, master_seed=2, s_max=s_max)
     m = plan.resolved_horizon()
-    for count in (m, m + 1, m + 2, 3 * m + 7, 10_000):
+    for count in (*range(1, m + 3), 3 * m + 7, 10_000):
         unclamped = np.unique(np.linspace(0, m, count).round().astype(np.int64))
         assert [s.t for s in pilot_states(plan, count)] == unclamped.tolist()
     assert [s.t for s in pilot_states(plan, 10_000)] == list(range(m + 1))
@@ -249,10 +249,8 @@ def test_check_hypotheses_rejects_too_small_increment_bound():
     plan = RunPlan(n=200, run_count=2, master_seed=3)
     base = make_coupon_spec(10, plan.resolved_s_max())
     tight = ProcessSpec(
-        coord_count=base.coord_count,
         drift=base.drift,
         increment_bound=0.5,
-        magnitude_bound=1.0,
         domain=base.domain,
         lipschitz_hint=1.0,
     )
@@ -267,10 +265,8 @@ def test_check_hypotheses_rejects_sign_flipped_drift():
     base = make_coupon_spec(10, plan.resolved_s_max())
     true_drift = coupon_drift(10)
     flipped = ProcessSpec(
-        coord_count=base.coord_count,
         drift=lambda s, z: -true_drift(s, z),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=base.domain,
         lipschitz_hint=1.0,
     )
@@ -355,10 +351,8 @@ def test_check_hypotheses_rejects_doubled_drift():
     base = make_coupon_spec(10, plan.resolved_s_max())
     true_drift = coupon_drift(10)
     doubled = ProcessSpec(
-        coord_count=base.coord_count,
         drift=lambda s, z: 2 * true_drift(s, z),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=base.domain,
         lipschitz_hint=2.0,
     )

@@ -90,10 +90,8 @@ def test_check_grid_validates_h_and_grid_stride(h, grid_stride, message):
 
 def test_zero_drift_constant_solution():
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: np.zeros(1),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, 6.0, np.array([-0.1]), np.array([1.1])),
     )
     traj = integrate(spec, np.array([0.25]), 5.0)
@@ -140,10 +138,8 @@ def test_domain_exit_sets_sigma_and_truncates():
     # Constant upward drift pushes the single coordinate through the box
     # ceiling at s = 0.15; exit is detected at grid resolution.
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: np.ones(1),
         increment_bound=1.0,
-        magnitude_bound=2.0,
         domain=DomainBox(-0.1, 2.0, np.array([-0.1]), np.array([1.1])),
     )
     traj = integrate(spec, np.array([0.95]), 1.0)
@@ -170,10 +166,8 @@ def test_bad_initial_state_rejected():
 def test_divergence_reports_offending_time():
     # dz/ds = z^2 from z0 = 2 blows up at s = 0.5.
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: z * z,
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, 2.0, np.array([-1.0]), np.array([1e308])),
     )
     with pytest.raises(DivergenceError) as err:
@@ -192,10 +186,8 @@ def test_convergence_order_coupon():
 
 def test_convergence_order_linear_drift():
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: -z,
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, 6.0, np.array([-0.1]), np.array([1.1])),
     )
     est = convergence_order(spec, np.array([1.0 - 1e-12]), 5.0, 1e-2,
@@ -207,10 +199,8 @@ def test_convergence_order_linear_drift():
 def test_integrate_rejects_wrong_length_drift(length):
     # RK4 would broadcast a length-1 drift over every coordinate silently.
     spec = ProcessSpec(
-        coord_count=3,
         drift=lambda s, z: np.zeros(length),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, 6.0, np.full(3, -0.1), np.full(3, 1.1)),
     )
     with pytest.raises(ContractError):
@@ -219,10 +209,8 @@ def test_integrate_rejects_wrong_length_drift(length):
 
 def test_convergence_order_degenerate_on_zero_drift():
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: np.zeros(1),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, 6.0, np.array([-0.1]), np.array([1.1])),
     )
     est = convergence_order(spec, np.array([0.25]), 2.0, 1e-2, lambda s, l: 0.25)
@@ -247,9 +235,8 @@ def test_coupon_reference_is_the_e0_integration():
 
 def linear_pair(linear, box):
     """The same linear system twice: declared (matrix steps) and as a plain drift (RK4 loop)."""
-    a = linear.shape[0]
-    fast = ProcessSpec(a, lambda s, z: linear @ z, 1.0, 1.0, box, linear=linear)
-    slow = ProcessSpec(a, lambda s, z: linear @ z, 1.0, 1.0, box)
+    fast = ProcessSpec(lambda s, z: linear @ z, 1.0, box, linear=linear)
+    slow = ProcessSpec(lambda s, z: linear @ z, 1.0, box)
     return fast, slow
 
 
@@ -301,7 +288,7 @@ def test_integrate_rejects_a_linear_matrix_that_is_not_the_drift():
     spec = make_coupon_spec(3, 4.0)
     wrong = spec.linear.copy()
     wrong[1, 0] = 0.5
-    bad = ProcessSpec(spec.coord_count, spec.drift, 1.0, 1.0, spec.domain, linear=wrong)
+    bad = ProcessSpec(spec.drift, 1.0, spec.domain, linear=wrong)
     with pytest.raises(ContractError, match="linear"):
         integrate(bad, coupon_z0(3), 1.0)
 
@@ -315,8 +302,7 @@ def test_linear_coupon_spec_never_steps_through_its_drift():
         calls.append(s)
         return spec.drift(s, z)
 
-    counted_spec = ProcessSpec(spec.coord_count, counted, 1.0, 1.0, spec.domain,
-                               linear=spec.linear)
+    counted_spec = ProcessSpec(counted, 1.0, spec.domain, linear=spec.linear)
     traj = integrate(counted_spec, coupon_z0(10), 4.0)
     assert traj.s[-1] == 4.0
     assert len(calls) <= 2
@@ -369,10 +355,8 @@ def walk_reference(spec, z0, s_max, h, grid_stride):
 def oscillator_spec(s_high):
     """A damped, forced nonlinear oscillator; its box is left on some runs."""
     return ProcessSpec(
-        coord_count=2,
         drift=lambda s, z: np.array([z[1] * (1.0 + 0.1 * s), -z[0] - 0.3 * z[1] ** 3]),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(-0.1, s_high, np.full(2, -1.6), np.full(2, 1.6)),
     )
 

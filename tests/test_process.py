@@ -31,10 +31,8 @@ def unit_box(a, s_high=10.1):
 
 def zero_spec(a=3):
     return ProcessSpec(
-        coord_count=a,
         drift=lambda s, z: np.zeros(a),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(a),
     )
 
@@ -75,10 +73,8 @@ def test_dimension_mismatch_rejected():
 def test_wrong_drift_output_length_rejected():
     a = 3
     spec = ProcessSpec(
-        coord_count=a,
         drift=lambda s, z: np.zeros(a + 1),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(a),
     )
     with pytest.raises(ContractError):
@@ -87,10 +83,8 @@ def test_wrong_drift_output_length_rejected():
 
 def test_nonfinite_drift_inside_domain_raises():
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: np.array([np.nan]),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(1),
     )
     with pytest.raises(DriftEvaluationError):
@@ -119,10 +113,8 @@ def test_in_domain_monotone_under_box_shrinkage():
     a = 3
     big = zero_spec(a)
     small = ProcessSpec(
-        coord_count=a,
         drift=big.drift,
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=DomainBox(0.0, 5.0, np.zeros(a), np.full(a, 0.9)),
     )
     rng = np.random.default_rng(7)
@@ -140,19 +132,17 @@ def test_domain_box_validation():
         DomainBox(0.0, 1.0, np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(ContractError):
         DomainBox(0.0, 1.0, np.zeros(2), np.ones(3))
+    with pytest.raises(ContractError, match="at least one coordinate"):
+        DomainBox(0.0, 1.0, np.zeros(0), np.ones(0))
 
 
 def test_process_spec_validation():
     box = unit_box(2)
     drift = lambda s, z: np.zeros(2)
     with pytest.raises(ContractError):
-        ProcessSpec(0, drift, 1.0, 1.0, box)
+        ProcessSpec(drift, 0.0, box)
     with pytest.raises(ContractError):
-        ProcessSpec(2, drift, 0.0, 1.0, box)
-    with pytest.raises(ContractError):
-        ProcessSpec(2, drift, 1.0, 1.0, unit_box(3))
-    with pytest.raises(ContractError):
-        ProcessSpec(2, drift, 1.0, 1.0, box, lipschitz_hint=-0.5)
+        ProcessSpec(drift, 1.0, box, lipschitz_hint=-0.5)
 
 
 def test_trajectory_validation():
@@ -187,10 +177,8 @@ def test_lipschitz_coupon_never_exceeds_one():
 
 def test_lipschitz_linear_drift_close_to_three():
     spec = ProcessSpec(
-        coord_count=1,
         drift=lambda s, z: np.array([3.0 * z[0]]),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(1, s_high=1.0),
     )
     est = estimate_lipschitz(spec, 10_000, seed=3)
@@ -292,32 +280,48 @@ def test_coupon_drift_batch_equals_single_points(l, batch, seed):
     assert checked.tobytes() == points.tobytes()
 
 
+def _coupon_drift_slices(l):
+    """Reference coupon drift, written coordinate by coordinate."""
+    def drift(s, z):
+        out = np.empty(z.shape)
+        out[0] = -z[0]
+        out[1 : l + 1] = z[0:l] - z[1 : l + 1]
+        out[l + 1] = z[l]
+        return out
+    return drift
+
+
 @settings(max_examples=40, deadline=None)
 @given(l=st.integers(1, 12), batch=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
 def test_coupon_linear_matrix_is_the_drift(l, batch, seed):
-    linear = make_coupon_spec(l, 4.0).linear
     drift = coupon_drift(l)
+    assert np.array_equal(drift(0.0, np.eye(l + 2)), make_coupon_spec(l).linear)
+    reference = _coupon_drift_slices(l)
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.0, 4.0, size=batch)
-    z = rng.uniform(-0.1, 1.1, size=(l + 2, batch))
-    assert (linear @ z).tobytes() == drift(s, z).tobytes()
-    for j in range(batch):
-        assert (linear @ z[:, j]).tobytes() == drift(s[j], z[:, j]).tobytes()
-    # Zeros and equal neighbours: equal values, though -z_0 at z_0 = 0 is
-    # -0.0 in the drift and +0.0 in the product.
-    rounded = np.round(z, 1)
-    assert np.array_equal(linear @ rounded, drift(s, rounded))
+    # Rounding to one decimal gives equal neighbours and zeros of both signs.
+    for z in (rng.uniform(-0.1, 1.1, size=(l + 2, batch)),
+              np.round(rng.uniform(-0.1, 1.1, size=(l + 2, batch)), 1)):
+        pairs = [(drift(s, z), reference(s, z))]
+        pairs += [(drift(s[j], z[:, j]), reference(s[j], z[:, j])) for j in range(batch)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            # Equal values; only an exact zero may differ in sign: -z_0 at
+            # z_0 = 0 is -0.0 in the slices and +0.0 in the product.
+            assert np.array_equal(got, want)
+            nonzero = want != 0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_process_spec_linear_contract():
     a = 3
-    spec = ProcessSpec(a, lambda s, z: -z, 1.0, 1.0, unit_box(a), linear=(-np.eye(a)).tolist())
+    spec = ProcessSpec(lambda s, z: -z, 1.0, unit_box(a), linear=(-np.eye(a)).tolist())
     assert spec.linear.shape == (a, a) and spec.linear.dtype == float
     assert not spec.linear.flags.writeable
     for bad in (np.eye(a + 1), np.eye(a)[:, :2], np.ones(a), np.full((a, a), np.nan),
                 np.diag([1.0, np.inf, 1.0])):
         with pytest.raises(ContractError, match="linear"):
-            ProcessSpec(a, lambda s, z: -z, 1.0, 1.0, unit_box(a), linear=bad)
+            ProcessSpec(lambda s, z: -z, 1.0, unit_box(a), linear=bad)
 
 
 def test_evaluate_drift_batch_contract():
@@ -333,10 +337,8 @@ def test_evaluate_drift_batch_contract():
 
 def test_lipschitz_constant_vector_drift_is_zero():
     spec = ProcessSpec(
-        coord_count=2,
         drift=lambda s, z: np.array([1.5, -2.0]),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(2),
     )
     assert estimate_lipschitz(spec, 500, seed=4) == 0.0
@@ -344,10 +346,8 @@ def test_lipschitz_constant_vector_drift_is_zero():
 
 def test_lipschitz_wrong_batch_shape_rejected():
     spec = ProcessSpec(
-        coord_count=2,
         drift=lambda s, z: np.zeros(3),
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(2),
     )
     with pytest.raises(ContractError):
@@ -362,10 +362,8 @@ def test_lipschitz_nonfinite_drift_raises(drift):
     # A NaN ratio compares false against any bound: an estimator that let
     # these pairs drop out would report 0.0 or ~3.0 and pass any hint.
     spec = ProcessSpec(
-        coord_count=1,
         drift=drift,
         increment_bound=1.0,
-        magnitude_bound=1.0,
         domain=unit_box(1, s_high=1.0),
     )
     with pytest.raises(DriftEvaluationError):
