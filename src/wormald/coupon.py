@@ -51,17 +51,6 @@ _ONE_TAIL_LOG = -40.0
 #: Bound on the unsummed terms, relative to the sum, where summation stops.
 _TAIL_STOP = Decimal("1e-40")
 
-#: numpy's ``geometric`` draws p >= this by search, smaller p by inversion
-#: (the double nearest 1/3, as numpy's C literal rounds).
-_SEARCH_MIN_P = 0.333333333333333333333333
-
-#: Partial sums cached per search wait (W).  A wait passes all of them with
-#: probability q^W <= (2/3)^W.
-_SEARCH_COLUMNS = 6
-
-#: Below this many waits beyond the cached sums, continue them one by one.
-_SCALAR_WAITS = 16
-
 #: Per-thread stream that :func:`cover_time` re-keys for each seed.
 _STREAM = KeyedStream()
 
@@ -238,129 +227,47 @@ def cover_time(n: int, seed: int) -> int:
 
     Once ``k`` types are held, the wait for a new one is geometric with
     success probability p_k = (n - k)/n, independent of the past, so the
-    cover time is the sum of n independent waits, T = sum_{k<n} Geom(p_k).
-    The waits are drawn from a Philox stream keyed by ``seed``, so the result
-    is reproducible and costs O(n) time and memory whatever T turns out to
-    be.
-
-    T is the value :func:`cover_time_reference` gets from numpy 2.4's
-    ``Generator.geometric``, computed in array passes instead of one wait at
-    a time.  It reads the stream only through ``random`` and
-    ``standard_exponential``, so it does not depend on how other numpy
-    versions draw geometric waits.  numpy 2.4 draws a wait with p >= 1/3 by
-    search: one uniform U, and the wait is 1 plus the number of partial sums
-    S_x = p (1 + q + ... + q^x), q = 1 - p, that U exceeds.  A wait with
-    p < 1/3 is inverted from one standard exponential E as
-    ceil(-E / log1p(-p)).  p falls with k, so the search waits come first,
-    and the stream is read in numpy's order by one ``random`` call and one
-    ``standard_exponential`` call.  The partial sums are cached per n
-    (:func:`_wait_tables`) with numpy's own recurrence, so each comparison
-    is the one numpy's loop makes; the rare U beyond the cached sums
-    continue that recurrence (:func:`_search_beyond`).  Only where numpy's
-    loop would never end does T differ: see :func:`_search_wait`.
+    cover time is the sum of n independent waits.  The first wait is 1; for
+    k = 1..n-1 the wait is ceil(E_k / r_k), with E_k a standard exponential
+    and r_k = -log(1 - p_k) (:func:`_wait_rates`).  That is exactly
+    geometric: P(ceil(E/r) > w) = P(E > r w) = e^(-r w) = (1 - p)^w for
+    every integer w >= 0.  The E_k are one ``standard_exponential`` call on
+    a Philox stream keyed by ``seed``, so the result is reproducible and
+    costs O(n) time and memory whatever T turns out to be.  The waits are
+    integers summed as doubles, which is exact while T < 2**53, far beyond
+    any n whose n - 1 draws fit in memory.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    sums, log_q = _wait_tables(n)
-    m = sums.shape[1]
-    gen = _STREAM.keyed(seed)
-    u = gen.random(m)
-    passed = u > sums
-    total = m + int(np.count_nonzero(passed))
-    beyond = passed[-1].nonzero()[0]
-    if beyond.size:
-        total += _search_beyond(n, beyond, u[beyond])
-    if n > m:
-        waits = np.ceil(-gen.standard_exponential(n - m) / log_q)
-        total += int(waits.astype(np.int64).sum())
-    return total
+    waits = _STREAM.keyed(seed).standard_exponential(n - 1)
+    np.divide(waits, _wait_rates(n), out=waits)
+    np.ceil(waits, out=waits)
+    return 1 + int(waits.sum())
 
 
 def cover_time_reference(n: int, seed: int) -> int:
-    """:func:`cover_time` by numpy's ``Generator.geometric``, one wait at a time.
+    """:func:`cover_time` one wait at a time, the slow path it is tested against.
 
-    The slow path that :func:`cover_time` reproduces exactly.
+    One ``standard_exponential`` draw and one ``math.ceil`` per wait, from a
+    new generator for ``seed``.
     """
-    return int(make_generator(seed).geometric((n - np.arange(n)) / n).sum())
+    gen = make_generator(seed)
+    return 1 + sum(math.ceil(gen.standard_exponential() / -math.log1p(-(n - k) / n))
+                   for k in range(1, n))
 
 
 @lru_cache(maxsize=2)
-def _wait_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only per-n constants of :func:`cover_time`.
+def _wait_rates(n: int) -> np.ndarray:
+    """Read-only per-n rates r_k = -log1p(-p_k), k = 1..n-1, of :func:`cover_time`.
 
-    ``sums`` has shape (W, m), one column per search wait, with numpy's
-    partial sums S_0..S_{W-1}; ``log_q`` holds log1p(-p) for the n - m
-    inverted waits.
+    ``math.log1p`` is libm's, as :func:`cover_time_reference` uses; np.log1p
+    is a SIMD routine that differs from it in the last bit for some p.
     """
-    p = (n - np.arange(n)) / n
-    m = int(np.count_nonzero(p >= _SEARCH_MIN_P))
-    sums = _partial_sums(p[:m])[0]
-    # numpy's C code calls libm's log1p, as math.log1p does; np.log1p is a
-    # SIMD routine that differs from it in the last bit for some p.
-    log_q = np.fromiter(map(math.log1p, -p[m:]), dtype=np.float64, count=n - m)
-    sums.flags.writeable = False
-    log_q.flags.writeable = False
-    return sums, log_q
-
-
-def _partial_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's search recurrence run for W terms: (S, last term, q).
-
-    S_0 = term = p; then term *= q and S_x = S_{x-1} + term, each rounded
-    as numpy's scalar loop rounds it.
-    """
-    q = 1.0 - p
-    term = p.copy()
-    sums = np.empty((_SEARCH_COLUMNS, p.size))
-    sums[0] = term
-    for x in range(1, _SEARCH_COLUMNS):
-        term *= q
-        np.add(sums[x - 1], term, out=sums[x])
-    return sums, term, q
-
-
-def _search_beyond(n: int, k: np.ndarray, u: np.ndarray) -> int:
-    """Steps numpy's search takes past S_{W-1} for the waits ``k``, whose U exceed it.
-
-    Many such waits go on in array passes from S_{W-1}, as numpy's loop
-    does: term *= q, S += term, one more step while U > S (and the term is
-    not 0, as in :func:`_search_wait`).  The last few
-    run numpy's loop again from the start (:func:`_search_wait`), less the
-    sums they have already passed.
-    """
-    passed = _SEARCH_COLUMNS
-    extra = 0
-    if u.size > _SCALAR_WAITS:
-        sums, term, q = _partial_sums((n - k) / n)
-        s = sums[-1]
-        while u.size > _SCALAR_WAITS:
-            term = term * q
-            s = s + term
-            keep = (u > s) & (term > 0)
-            passed += 1
-            k, u, s, term, q = k[keep], u[keep], s[keep], term[keep], q[keep]
-            extra += u.size
-    # (n - k) / n of Python ints rounds the exact quotient once, as numpy does.
-    return extra + sum(_search_wait((n - ki) / n, ui) - 1 - passed
-                       for ki, ui in zip(k.tolist(), u.tolist()))
-
-
-def _search_wait(p: float, u: float) -> int:
-    """One wait of numpy's ``random_geometric_search`` for the uniform ``u``.
-
-    numpy's loop never ends when its partial sums stop growing below ``u``:
-    at p = 2/3 they stop at 1 - 3 * 2**-53, and u = 1 - 2**-53 lies above.
-    This loop also stops once the term has underflowed to 0, which changes
-    no wait that numpy returns.
-    """
-    wait = 1
-    total = term = p
-    q = 1.0 - p
-    while u > total and term > 0:
-        term *= q
-        total += term
-        wait += 1
-    return wait
+    minus_p = np.arange(1 - n, 0) / n
+    rates = np.fromiter(map(math.log1p, minus_p), dtype=np.float64, count=n - 1)
+    np.negative(rates, out=rates)
+    rates.flags.writeable = False
+    return rates
 
 
 def exact_cover_tail(n: int, k: int) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from wormald import (
     evaluate_drift,
     exact_cover_tail,
     make_coupon_spec,
-    make_generator,
 )
 from wormald.coupon import cover_time_reference
 
@@ -303,96 +303,42 @@ def test_cover_time_rejects_bad_n():
         cover_time(0, seed=1)
 
 
-NUMPY_24 = pytest.mark.skipif(
-    not np.__version__.startswith("2.4."),
-    reason="cover_time reproduces numpy 2.4's Generator.geometric, and numpy "
-           f"{np.__version__} may draw geometric waits differently (NEP 19)")
-
-
-@NUMPY_24
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 20_000), seed=st.integers(0, 2**64 - 1))
 def test_cover_time_is_numpy_geometric_sum(n, seed):
     assert cover_time(n, seed) == cover_time_reference(n, seed)
 
 
-@NUMPY_24
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 30, 300, 3000, 30_000])
 def test_cover_time_is_numpy_geometric_sum_at_the_boundaries(n):
-    # n = 1, 2 have no inverted waits; at n = 3j the wait with p = 1/3 is the
-    # last one drawn by search.
+    # n = 1 draws nothing and n = 2 one wait; each n builds its own rates.
     for i in range(2000 if n <= 300 else 20):
         seed = derive_seed(n, i)
         assert cover_time(n, seed) == cover_time_reference(n, seed)
 
 
-def test_cover_time_reference_is_the_geometric_sum():
-    for n, seed in ((1, 0), (5, 3), (700, 11)):
-        expected = make_generator(seed).geometric((n - np.arange(n)) / n).sum()
-        assert cover_time_reference(n, seed) == expected
-
-
 def test_inverted_waits_divide_by_libm_log1p():
-    # numpy's inversion divides by npy_log1p(-p), which is libm's log1p, as
-    # math.log1p is.  np.log1p can differ from it in the last bit (it does on
-    # AVX-512 builds); a wait changes only when the quotient is within an ulp
-    # of an integer, too rarely for the sampling tests to see it.
+    # The reference divides by math.log1p, libm's.  np.log1p can differ from
+    # it in the last bit (it does on AVX-512 builds); a wait changes only
+    # when the quotient is within an ulp of an integer, too rarely for the
+    # sampling tests to see it.
     n = 100_000
-    sums, log_q = wormald.coupon._wait_tables(n)
-    assert sums.shape[1] + log_q.size == n
-    assert not sums.flags.writeable and not log_q.flags.writeable
-    p = (n - np.arange(sums.shape[1], n)) / n
-    assert log_q.tolist() == [math.log1p(-x) for x in p.tolist()]
+    rates = wormald.coupon._wait_rates(n)
+    assert rates.shape == (n - 1,) and not rates.flags.writeable
+    assert rates.tolist() == [-math.log1p(-(n - k) / n) for k in range(1, n)]
 
 
-def numpy_geometric_search(p, u, max_steps=10_000):
-    """numpy's random_geometric_search for one uniform u, transcribed."""
-    x, total, prod, q = 1, p, p, 1.0 - p
-    while u > total:
-        assert x < max_steps, "numpy's loop would not end"
-        prod *= q
-        total += prod
-        x += 1
-    return x
-
-
-def numpy_partial_sum(p, x):
-    """S_x of numpy's search loop."""
-    total = prod = p
-    for _ in range(x):
-        prod *= 1.0 - p
-        total += prod
-    return total
-
-
-@pytest.mark.parametrize("copies", [1, 40])
-def test_search_past_the_cached_sums_matches_numpy_loop(copies):
-    # At n = 60 the waits k = 40, 30, 15, 6 have p = 1/3, 1/2, 3/4, 9/10.
-    # Uniforms at and near the largest double below 1 pass every cached sum;
-    # 40 copies of each take the array passes before the one-by-one loop.
-    n, width = 60, wormald.coupon._SEARCH_COLUMNS
-    waits, uniforms, expected = [], [], 0
-    for k in (40, 30, 15, 6):
-        p = (n - k) / n
-        for u in (1.0 - 2.0**-53, 1.0 - 2.0**-40, 1.0 - 1e-9):
-            if u > numpy_partial_sum(p, width - 1):
-                waits.append(k)
-                uniforms.append(u)
-                expected += numpy_geometric_search(p, u) - 1 - width
-    assert len(waits) >= 9
-    got = wormald.coupon._search_beyond(n, np.array(waits * copies), np.array(uniforms * copies))
-    assert got == copies * expected
-
-
-def test_search_stops_where_numpy_loop_would_not():
-    # At p = 2/3 numpy's partial sums stop growing at 1 - 3 * 2**-53, so its
-    # loop never ends for u = 1 - 2**-53; the term underflows after 678 steps.
-    top = 1.0 - 2.0**-53
-    with pytest.raises(AssertionError, match="would not end"):
-        numpy_geometric_search(2 / 3, top)
-    assert wormald.coupon._search_wait(2 / 3, top) == 679
-    got = wormald.coupon._search_beyond(3, np.full(40, 1), np.full(40, top))
-    assert got == 40 * (679 - 1 - wormald.coupon._SEARCH_COLUMNS)
+def test_cover_time_keeps_eight_bytes_per_type():
+    n = 100_000
+    assert wormald.coupon._wait_rates(n).nbytes == 8 * (n - 1)
+    cover_time(n, seed=1)  # warm: the rates are cached, the stream built
+    tracemalloc.start()
+    try:
+        cover_time(n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n - 1) + 4096
 
 
 def test_exact_tail_trivial_cases():
