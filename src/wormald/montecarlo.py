@@ -16,9 +16,13 @@ in one sorted pass that gives the bucket counts after each of its stops;
 an interval too long to share a pass is applied alone as one
 counts-of-counts update.  A run costs O(n + interval) memory instead of
 O(horizon), and no grid point costs more than one sweep over the ``n``
-types.  Bounded Philox draws are prefix-stable however the stream is split
-into calls, and every update is integer arithmetic, so the grouping leaves
-every seed's trajectory bitwise unchanged.
+types.  The buckets only see ``min(copies, l + 1)``, so ``simulate`` and
+``max_increment`` keep each type's count saturated there, in one byte per
+type up to l = 254; only the pilot, whose snapshots carry exact per-type
+counts, keeps them in int64.  Bounded Philox draws are prefix-stable
+however the stream is split into calls, and every update is integer
+arithmetic, so neither the grouping nor the saturation changes any seed's
+trajectory by a bit.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -104,18 +108,21 @@ class RunPlan:
 def _dense_update(n: int, draws: int) -> bool:
     """Whether a lone interval of ``draws`` steps is cheaper to apply over all ``n`` types.
 
-    Measured per interval with numpy 2.4 on x86-64: the ``np.unique`` delta
-    update costs about 25 us plus 40 ns per draw, the two bincounts over all
-    types about 7 us plus 5 ns per type.  A sorted pass (:func:`_sorted_pass`)
-    costs about 50-65 ns per draw including the draw itself, against about
-    40 us per interval plus 40 ns per draw for a lone one, so grouping pays
-    only for intervals shorter than about 2,000 draws.
+    Measured per interval with numpy 2.4 on x86-64 and one-byte counts: the
+    ``np.unique`` delta update costs about 20 us plus 30 ns per draw, the
+    dense update (one bincount over all types, summed, capped and stored
+    back) about 10 us plus 4-5 ns per type, so the two meet near
+    ``n = 4096 + 8 * draws`` as they did with int64 counts.  A sorted pass
+    (:func:`_sorted_pass`) costs about 35-70 ns per draw including the draw
+    itself, against about 20 us per interval plus 35-40 ns per draw for a
+    lone one, so grouping pays only for intervals shorter than about 2,000
+    draws.
     """
     return n < 4096 + 8 * draws
 
 
 def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.ndarray,
-                 l: int) -> None:
+                 l: int, saturate: bool) -> None:
     """Apply one interval's ``draws`` to ``counts`` and ``counts_of_counts`` in place.
 
     The draws are reduced to distinct types and multiplicities with
@@ -123,23 +130,33 @@ def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.nda
     types leave their old buckets and enter their new ones, in O(d log d)
     work for d draws.  An interval long next to ``n`` (see
     :func:`_dense_update`) is applied with one bincount over all types
-    instead; both give the same integers.
+    instead, whose int64 array is the only n-entry temporary; both give the
+    same integers.  New counts are summed in int64 and, with ``saturate``,
+    stored as ``min(count, l + 1)`` (see :func:`_chain_states`).
     """
     n = counts.size
     if _dense_update(n, draws.size):
-        counts += np.bincount(draws, minlength=n)
-        counts_of_counts[:] = np.bincount(np.minimum(counts, l + 1), minlength=l + 2)
+        new = np.bincount(draws, minlength=n)
+        if saturate:
+            new += counts
+            np.minimum(new, l + 1, out=new)
+            counts[:] = new
+        else:
+            counts += new
+            np.minimum(counts, l + 1, out=new)
+        counts_of_counts[:] = np.bincount(new, minlength=l + 2)
     else:
         types, mult = np.unique(draws, return_counts=True)
         old = counts[types]
-        new = old + mult
+        new = mult + old  # int64: a narrow old + 1 could wrap
+        bucket = np.minimum(new, l + 1)
         counts_of_counts -= np.bincount(np.minimum(old, l + 1), minlength=l + 2)
-        counts_of_counts += np.bincount(np.minimum(new, l + 1), minlength=l + 2)
-        counts[types] = new
+        counts_of_counts += np.bincount(bucket, minlength=l + 2)
+        counts[types] = bucket if saturate else new
 
 
 def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-                 counts_of_counts: np.ndarray, l: int) -> np.ndarray:
+                 counts_of_counts: np.ndarray, l: int, saturate: bool) -> np.ndarray:
     """Bucket counts after each of several consecutive intervals, from one sort.
 
     ``draws`` are the group's draws in stream order (at least one) and
@@ -153,7 +170,8 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     ``min(old + 1, l + 1)``, which is no move in the overflow bucket, so one
     bincount of the source buckets keyed by interval gives every interval's
     change, and a cumulative sum over intervals gives every stop's row.
-    ``counts`` is updated in place from each type's last draw.
+    ``counts`` is updated in place from each type's last draw, saturated at
+    ``l + 1`` with ``saturate`` (see :func:`_chain_states`).
     """
     k = ends.size
     b = (k - 1).bit_length()
@@ -168,7 +186,7 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     np.not_equal(types[1:], types[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     rank = np.arange(d) - np.repeat(starts, np.diff(starts, append=d))
-    old = counts[types] + rank
+    old = counts[types] + rank  # int64 (rank's dtype) whatever the counts' dtype
     source = np.multiply(keys & ((1 << b) - 1), l + 2, dtype=np.int64)
     source += np.minimum(old, l + 1)
     moves = np.bincount(source, minlength=k * (l + 2)).reshape(k, l + 2)
@@ -176,11 +194,13 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     change = -moves
     change[:, 1:] += moves[:, :-1]
     last = np.append(starts[1:], d) - 1
-    counts[types[last]] = old[last] + 1
+    new = old[last] + 1
+    counts[types[last]] = np.minimum(new, l + 1) if saturate else new
     return counts_of_counts + np.cumsum(change, axis=0)
 
 
-def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
+def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int,
+                  saturate: bool = False):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
     ``stops`` is a non-empty, non-decreasing sequence of step counts, taken
@@ -194,6 +214,13 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     callers copy what they keep.  With ``group=0`` every distinct stop is
     its own group, so ``counts`` is exact at each.
 
+    The buckets only see ``min(copies, l + 1)``.  With ``saturate`` each
+    type's count is stored as exactly that, in the smallest unsigned dtype
+    that holds ``l + 1`` (one byte per type up to l = 254), and ``rows``
+    are the same integers; without it ``counts`` are exact int64 copies,
+    as the pilot's snapshots need.  Increments are summed in int64 before
+    they are capped, so a narrow count never wraps.
+
     Each group draws its steps in one call.  A group of several stops is
     applied by :func:`_sorted_pass` and a lone stop by
     :func:`_lone_update`; the average bound keeps intervals longer than
@@ -204,7 +231,7 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     ``stops[-1]`` values of the stream, as if they had been drawn at once.
     """
     stops = np.asarray(stops, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.min_scalar_type(l + 1) if saturate else np.int64)
     counts_of_counts = np.zeros(l + 2, dtype=np.int64)
     counts_of_counts[0] = n
     i = t_prev = 0
@@ -214,10 +241,11 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
             j = i + 1  # intervals this long are cheaper one at a time
         draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
         if j - i > 1 and draws.size:
-            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l)
+            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l,
+                                saturate)
             counts_of_counts[:] = rows[-1]
         else:  # a lone stop, or repeated stops with no draw between them
-            _lone_update(draws, counts, counts_of_counts, l)
+            _lone_update(draws, counts, counts_of_counts, l, saturate)
             rows = np.broadcast_to(counts_of_counts, (j - i, l + 2))
         yield i, j, rows, counts
         t_prev = int(stops[j - 1])
@@ -240,7 +268,9 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     carries the scaled bucket counts after the nearest whole step.  Short
     grid intervals are drawn and applied a run at a time, long ones one at
     a time (see :func:`_chain_states`), so memory is O(n + interval) and
-    the trajectory does not depend on how the stream is split.  States are
+    the trajectory does not depend on how the stream is split.  Per-type
+    counts are saturated at ``l + 1``, one byte per type up to l = 254,
+    which leaves every bucket as it was with exact counts.  States are
     scaled counts in [0, 1] at times in [0, s_max], strictly inside the
     coupon domain box, so ``sigma_exit`` is always ``None``.
     """
@@ -248,7 +278,8 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     grid, t_grid = _grid_step_counts(plan)
     states = np.empty((grid.size, l + 2))
     gen = make_generator(plan.run_seed(run_index))
-    for i, j, rows, _counts in _chain_states(gen, n, l, t_grid, _GROUP_DRAWS):
+    chain = _chain_states(gen, n, l, t_grid, _GROUP_DRAWS, saturate=True)
+    for i, j, rows, _counts in chain:
         states[i:j] = rows / n
     return Trajectory(grid, states, None)
 
@@ -257,17 +288,19 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     """Largest one-step coordinate change over a replayed run.
 
     Replays the run's whole horizon in intervals of ``n`` steps, with draws
-    generated per interval (memory O(n), not O(horizon)).  A step moves one
-    unit between adjacent buckets exactly when the drawn type held at most
-    ``l`` copies.  Every such move raises the bucket-index sum
-    ``sum_i i * counts_of_counts[i]`` by one and no step lowers it, so the
-    answer is 1 if the sum ends positive and 0 otherwise.  For the coupon
-    process it is 1 for any run with at least one step.
+    generated per interval and per-type counts saturated at ``l + 1``
+    (memory O(n), not O(horizon)).  A step moves one unit between adjacent
+    buckets exactly when the drawn type held at most ``l`` copies.  Every
+    such move raises the bucket-index sum ``sum_i i * counts_of_counts[i]``
+    by one and no step lowers it, so the answer is 1 if the sum ends
+    positive and 0 otherwise.  For the coupon process it is 1 for any run
+    with at least one step.
     """
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
     gen = make_generator(plan.run_seed(run_index))
-    for _i, _j, rows, _counts in _chain_states(gen, n, l, stops, _GROUP_DRAWS):
+    chain = _chain_states(gen, n, l, stops, _GROUP_DRAWS, saturate=True)
+    for _i, _j, rows, _counts in chain:
         pass
     return int(np.arange(l + 2) @ rows[-1] > 0)
 
@@ -352,7 +385,8 @@ def _pilot_chain(plan: RunPlan, count: int):
 
     The pilot draws from its own reserved stream so it never shares
     randomness with the plan's numbered runs.  Draws are generated per
-    interval between snapshots (see :func:`_chain_states`), and each yielded
+    interval between snapshots (see :func:`_chain_states`), the per-type
+    counts are exact int64 (the kernel without saturation), and each yielded
     state is a fresh copy, so a caller that drops each state before taking
     the next holds O(n) memory however many it examines.  A horizon of m
     steps has m + 1 distinct states, so ``count`` is clamped to m + 1 before

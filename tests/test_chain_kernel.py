@@ -7,8 +7,9 @@ intervals is drawn at once and applied in one sorted pass, and a lone
 interval either as a sparse ``np.unique`` delta or as a dense bincount over
 all types.  These tests vary the group size, which splits and merges
 intervals in every way, and force either lone update.  Beyond the replay's
-reach, grouped runs at large ``n`` are checked against lone-stop runs, and
-the memory of ``simulate`` against a bound linear in ``n``.
+reach, grouped runs at large ``n`` are checked against lone-stop runs, the
+kernel's saturated one-byte counts against its exact int64 ones, and the
+memory of ``simulate`` and ``max_increment`` against bounds linear in ``n``.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wormald import (
@@ -146,6 +147,66 @@ def test_grouped_passes_match_lone_stops_at_large_n(n):
         with mock.patch.object(montecarlo, "_GROUP_DRAWS", 0):
             lone = simulate(plan, 0)
         assert grouped.z.tobytes() == lone.z.tobytes()
+
+
+def _walk(n, l, stops, group, saturate):
+    """Every group's rows, and a copy of the counts after it, from stream (7, 0)."""
+    rows, counts = [], []
+    for _i, _j, r, c in _chain_states(spawn(7, 0), n, l, stops, group, saturate):
+        rows.append(np.array(r))
+        counts.append(c.copy())
+    return np.concatenate(rows), counts
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 12) | st.integers(4000, 5000) | st.integers(1, 5000),
+       l=st.sampled_from([1, 2, 10, 253, 254, 255, 256]),
+       group=st.sampled_from([0, 4, 16, montecarlo._GROUP_DRAWS]),
+       update=st.sampled_from(sorted(_UPDATES)),
+       gaps=st.lists(st.integers(0, 600), min_size=1, max_size=30))
+@example(n=1, l=254, group=0, update="sparse", gaps=[255, 1, 300])
+@example(n=1, l=254, group=0, update="dense", gaps=[255, 1, 300])
+@example(n=2, l=254, group=montecarlo._GROUP_DRAWS, update="chosen", gaps=[200] * 10)
+@example(n=3, l=255, group=16, update="chosen", gaps=[300, 2, 2, 2, 2, 2, 700, 2, 2])
+@example(n=5000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
+def test_saturated_counts_match_exact_kernel(n, l, group, update, gaps):
+    # The chosen update applies lone intervals densely at n <= 4096 and
+    # sparsely above 4096 + 8d; forcing either covers both at every n.  At
+    # small n types take hundreds of draws, past every count's byte
+    # (l = 254: saturated at 255, the largest uint8) and past 2**8 (l = 255
+    # and 256, two bytes).
+    stops = np.cumsum(gaps)
+    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
+        saturated_rows, saturated = _walk(n, l, stops, group, True)
+        exact_rows, exact = _walk(n, l, stops, group, False)
+    assert saturated_rows.tobytes() == exact_rows.tobytes()
+    for capped, full in zip(saturated, exact):
+        assert capped.dtype == np.min_scalar_type(l + 1)
+        assert full.dtype == np.int64
+        assert np.array_equal(capped, np.minimum(full, l + 1))
+    draws = spawn(7, 0).integers(0, n, size=stops[-1], dtype=np.int64)
+    for stop, row in zip(stops, saturated_rows):
+        per_type = np.bincount(draws[:stop], minlength=n)
+        assert np.array_equal(row, np.bincount(np.minimum(per_type, l + 1),
+                                               minlength=l + 2))
+
+
+def _traced_peak_mb(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_saturated_counts_take_one_byte_per_type():
+    # Eight-byte counts alone would take 8 MB at this n.  max_increment's
+    # intervals hold n draws each, so its peak is the int64 draws, the dense
+    # update's one int64 bincount over the types and the one-byte counts.
+    n = 1_000_000
+    assert _traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
+    assert _traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 20
 
 
 @pytest.mark.parametrize("n, limit_mb", [(100_000, 4), (1_000_000, 12)])
