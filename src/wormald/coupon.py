@@ -167,6 +167,11 @@ class CouponState:
     level.  ``cover_time`` is set the first time no type is missing.  A
     state belongs to one execution context at a time; :func:`coupon_step`
     updates it in place.
+
+    Pilot snapshots (:func:`wormald.montecarlo.pilot_states`) hold counts
+    saturated at ``l + 1``, in one byte up to l = 254.  :func:`coupon_step`
+    steps states with exact counts, such as :meth:`fresh` ones: at l = 254
+    a saturated uint8 count of 255 cannot take ``+ 1``.
     """
 
     n: int

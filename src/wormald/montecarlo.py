@@ -16,13 +16,12 @@ in one sorted pass that gives the bucket counts after each of its stops;
 an interval too long to share a pass is applied alone as one
 counts-of-counts update.  A run costs O(n + interval) memory instead of
 O(horizon), and no grid point costs more than one sweep over the ``n``
-types.  The buckets only see ``min(copies, l + 1)``, so ``simulate`` and
-``max_increment`` keep each type's count saturated there, in one byte per
-type up to l = 254; only the pilot, whose snapshots carry exact per-type
-counts, keeps them in int64.  Bounded Philox draws are prefix-stable
-however the stream is split into calls, and every update is integer
-arithmetic, so neither the grouping nor the saturation changes any seed's
-trajectory by a bit.
+types.  The buckets only see ``min(copies, l + 1)``, so the kernel keeps
+each type's count saturated there, in one byte per type up to l = 254,
+and the pilot's snapshots carry those saturated counts.  Bounded Philox
+draws are prefix-stable however the stream is split into calls, and every
+update is integer arithmetic, so neither the grouping nor the saturation
+changes any seed's trajectory by a bit.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -122,7 +121,7 @@ def _dense_update(n: int, draws: int) -> bool:
 
 
 def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.ndarray,
-                 l: int, saturate: bool) -> None:
+                 l: int) -> None:
     """Apply one interval's ``draws`` to ``counts`` and ``counts_of_counts`` in place.
 
     The draws are reduced to distinct types and multiplicities with
@@ -131,32 +130,28 @@ def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.nda
     work for d draws.  An interval long next to ``n`` (see
     :func:`_dense_update`) is applied with one bincount over all types
     instead, whose int64 array is the only n-entry temporary; both give the
-    same integers.  New counts are summed in int64 and, with ``saturate``,
-    stored as ``min(count, l + 1)`` (see :func:`_chain_states`).
+    same integers.  New counts are summed in int64 and stored as
+    ``min(count, l + 1)`` (see :func:`_chain_states`).
     """
     n = counts.size
     if _dense_update(n, draws.size):
         new = np.bincount(draws, minlength=n)
-        if saturate:
-            new += counts
-            np.minimum(new, l + 1, out=new)
-            counts[:] = new
-        else:
-            counts += new
-            np.minimum(counts, l + 1, out=new)
+        new += counts
+        np.minimum(new, l + 1, out=new)
+        counts[:] = new
         counts_of_counts[:] = np.bincount(new, minlength=l + 2)
     else:
         types, mult = np.unique(draws, return_counts=True)
         old = counts[types]
         new = mult + old  # int64: a narrow old + 1 could wrap
         bucket = np.minimum(new, l + 1)
-        counts_of_counts -= np.bincount(np.minimum(old, l + 1), minlength=l + 2)
+        counts_of_counts -= np.bincount(old, minlength=l + 2)  # already capped
         counts_of_counts += np.bincount(bucket, minlength=l + 2)
-        counts[types] = bucket if saturate else new
+        counts[types] = bucket
 
 
 def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-                 counts_of_counts: np.ndarray, l: int, saturate: bool) -> np.ndarray:
+                 counts_of_counts: np.ndarray, l: int) -> np.ndarray:
     """Bucket counts after each of several consecutive intervals, from one sort.
 
     ``draws`` are the group's draws in stream order (at least one) and
@@ -171,7 +166,7 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     bincount of the source buckets keyed by interval gives every interval's
     change, and a cumulative sum over intervals gives every stop's row.
     ``counts`` is updated in place from each type's last draw, saturated at
-    ``l + 1`` with ``saturate`` (see :func:`_chain_states`).
+    ``l + 1`` (see :func:`_chain_states`).
     """
     k = ends.size
     b = (k - 1).bit_length()
@@ -195,12 +190,11 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     change[:, 1:] += moves[:, :-1]
     last = np.append(starts[1:], d) - 1
     new = old[last] + 1
-    counts[types[last]] = np.minimum(new, l + 1) if saturate else new
+    counts[types[last]] = np.minimum(new, l + 1)
     return counts_of_counts + np.cumsum(change, axis=0)
 
 
-def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int,
-                  saturate: bool = False):
+def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
     ``stops`` is a non-empty, non-decreasing sequence of step counts, taken
@@ -212,14 +206,13 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int,
     draws from ``gen``, and ``counts`` the per-type copies after
     ``stops[j - 1]``.  Both may be overwritten by the next group, so
     callers copy what they keep.  With ``group=0`` every distinct stop is
-    its own group, so ``counts`` is exact at each.
+    its own group, so ``counts`` is current at each.
 
-    The buckets only see ``min(copies, l + 1)``.  With ``saturate`` each
-    type's count is stored as exactly that, in the smallest unsigned dtype
-    that holds ``l + 1`` (one byte per type up to l = 254), and ``rows``
-    are the same integers; without it ``counts`` are exact int64 copies,
-    as the pilot's snapshots need.  Increments are summed in int64 before
-    they are capped, so a narrow count never wraps.
+    The buckets only see ``min(copies, l + 1)``, so each type's count is
+    stored as exactly that, in the smallest unsigned dtype that holds
+    ``l + 1`` (one byte per type up to l = 254); ``rows`` are the integers
+    exact counts would give.  Increments are summed in int64 before they
+    are capped, so a narrow count never wraps.
 
     Each group draws its steps in one call.  A group of several stops is
     applied by :func:`_sorted_pass` and a lone stop by
@@ -231,7 +224,7 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int,
     ``stops[-1]`` values of the stream, as if they had been drawn at once.
     """
     stops = np.asarray(stops, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.min_scalar_type(l + 1) if saturate else np.int64)
+    counts = np.zeros(n, dtype=np.min_scalar_type(l + 1))
     counts_of_counts = np.zeros(l + 2, dtype=np.int64)
     counts_of_counts[0] = n
     i = t_prev = 0
@@ -241,11 +234,10 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int,
             j = i + 1  # intervals this long are cheaper one at a time
         draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
         if j - i > 1 and draws.size:
-            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l,
-                                saturate)
+            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l)
             counts_of_counts[:] = rows[-1]
         else:  # a lone stop, or repeated stops with no draw between them
-            _lone_update(draws, counts, counts_of_counts, l, saturate)
+            _lone_update(draws, counts, counts_of_counts, l)
             rows = np.broadcast_to(counts_of_counts, (j - i, l + 2))
         yield i, j, rows, counts
         t_prev = int(stops[j - 1])
@@ -278,7 +270,7 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     grid, t_grid = _grid_step_counts(plan)
     states = np.empty((grid.size, l + 2))
     gen = make_generator(plan.run_seed(run_index))
-    chain = _chain_states(gen, n, l, t_grid, _GROUP_DRAWS, saturate=True)
+    chain = _chain_states(gen, n, l, t_grid, _GROUP_DRAWS)
     for i, j, rows, _counts in chain:
         states[i:j] = rows / n
     return Trajectory(grid, states, None)
@@ -299,7 +291,7 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
     gen = make_generator(plan.run_seed(run_index))
-    chain = _chain_states(gen, n, l, stops, _GROUP_DRAWS, saturate=True)
+    chain = _chain_states(gen, n, l, stops, _GROUP_DRAWS)
     for _i, _j, rows, _counts in chain:
         pass
     return int(np.arange(l + 2) @ rows[-1] > 0)
@@ -386,11 +378,12 @@ def _pilot_chain(plan: RunPlan, count: int):
     The pilot draws from its own reserved stream so it never shares
     randomness with the plan's numbered runs.  Draws are generated per
     interval between snapshots (see :func:`_chain_states`), the per-type
-    counts are exact int64 (the kernel without saturation), and each yielded
-    state is a fresh copy, so a caller that drops each state before taking
-    the next holds O(n) memory however many it examines.  A horizon of m
-    steps has m + 1 distinct states, so ``count`` is clamped to m + 1 before
-    the times are spaced: above that, the rounded times are exactly 0..m.
+    counts are the kernel's, saturated at ``l + 1`` in one byte per type up
+    to l = 254, and each yielded state is a fresh copy, so a caller that
+    drops each state before taking the next holds O(n) memory however many
+    it examines.  A horizon of m steps has m + 1 distinct states, so
+    ``count`` is clamped to m + 1 before the times are spaced: above that,
+    the rounded times are exactly 0..m.
     """
     if count < 1:
         raise ContractError(f"count must be positive, got {count}")
@@ -408,7 +401,8 @@ def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:
     """Snapshot ``count`` states, evenly spaced in steps, from a pilot run.
 
     The list of the states :func:`_pilot_chain` yields; every snapshot holds
-    an O(n) copy of the per-type counts, so the list costs O(n * count).
+    an O(n) copy of the per-type counts, saturated at ``l + 1`` (one byte
+    per type up to l = 254), so the list costs O(n * count).
     :func:`check_hypotheses` walks the same states one at a time instead.
     """
     return list(_pilot_chain(plan, count))

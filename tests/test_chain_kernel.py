@@ -8,11 +8,11 @@ interval either as a sparse ``np.unique`` delta or as a dense bincount over
 all types.  These tests vary the group size, which splits and merges
 intervals in every way, and force either lone update.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
-kernel's saturated one-byte counts against its exact int64 ones, and the
-memory of ``simulate`` and ``max_increment`` against bounds linear in ``n``.
+kernel's saturated counts against one bincount of draws made in one call,
+and the memory of ``simulate``, ``max_increment`` and the pilot walk against
+bounds linear in ``n``.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,7 +30,7 @@ from wormald import (
     spawn,
 )
 from wormald import montecarlo
-from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states
+from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
 
 
 def _replay(plan, stream_index):
@@ -91,9 +91,11 @@ def test_kernel_matches_step_by_step_replay(plan, group, update, data):
     m = plan.resolved_horizon()
     times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
     assert [s.t for s in snapshots] == times.tolist()
+    l = plan.truncation
     for state in snapshots:
         assert state.n == plan.n
-        assert np.array_equal(state.per_type_counts, per_type[state.t])
+        assert state.per_type_counts.dtype == np.min_scalar_type(l + 1)
+        assert np.array_equal(state.per_type_counts, np.minimum(per_type[state.t], l + 1))
         assert np.array_equal(state.counts_of_counts, buckets[state.t])
 
 
@@ -149,15 +151,6 @@ def test_grouped_passes_match_lone_stops_at_large_n(n):
         assert grouped.z.tobytes() == lone.z.tobytes()
 
 
-def _walk(n, l, stops, group, saturate):
-    """Every group's rows, and a copy of the counts after it, from stream (7, 0)."""
-    rows, counts = [], []
-    for _i, _j, r, c in _chain_states(spawn(7, 0), n, l, stops, group, saturate):
-        rows.append(np.array(r))
-        counts.append(c.copy())
-    return np.concatenate(rows), counts
-
-
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 12) | st.integers(4000, 5000) | st.integers(1, 5000),
        l=st.sampled_from([1, 2, 10, 253, 254, 255, 256]),
@@ -169,53 +162,48 @@ def _walk(n, l, stops, group, saturate):
 @example(n=2, l=254, group=montecarlo._GROUP_DRAWS, update="chosen", gaps=[200] * 10)
 @example(n=3, l=255, group=16, update="chosen", gaps=[300, 2, 2, 2, 2, 2, 700, 2, 2])
 @example(n=5000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
-def test_saturated_counts_match_exact_kernel(n, l, group, update, gaps):
+def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
     # The chosen update applies lone intervals densely at n <= 4096 and
     # sparsely above 4096 + 8d; forcing either covers both at every n.  At
     # small n types take hundreds of draws, past every count's byte
     # (l = 254: saturated at 255, the largest uint8) and past 2**8 (l = 255
     # and 256, two bytes).
     stops = np.cumsum(gaps)
-    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
-        saturated_rows, saturated = _walk(n, l, stops, group, True)
-        exact_rows, exact = _walk(n, l, stops, group, False)
-    assert saturated_rows.tobytes() == exact_rows.tobytes()
-    for capped, full in zip(saturated, exact):
-        assert capped.dtype == np.min_scalar_type(l + 1)
-        assert full.dtype == np.int64
-        assert np.array_equal(capped, np.minimum(full, l + 1))
     draws = spawn(7, 0).integers(0, n, size=stops[-1], dtype=np.int64)
-    for stop, row in zip(stops, saturated_rows):
+    rows = []
+    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
+        for _i, j, r, counts in _chain_states(spawn(7, 0), n, l, stops, group):
+            rows.extend(np.array(r))
+            assert counts.dtype == np.min_scalar_type(l + 1)
+            per_type = np.bincount(draws[: stops[j - 1]], minlength=n)
+            assert np.array_equal(counts, np.minimum(per_type, l + 1))
+    assert len(rows) == stops.size
+    for stop, row in zip(stops, rows):
         per_type = np.bincount(draws[:stop], minlength=n)
         assert np.array_equal(row, np.bincount(np.minimum(per_type, l + 1),
                                                minlength=l + 2))
 
 
-def _traced_peak_mb(call, *args):
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
-def test_saturated_counts_take_one_byte_per_type():
+def test_saturated_counts_take_one_byte_per_type(traced_peak_mb):
     # Eight-byte counts alone would take 8 MB at this n.  max_increment's
     # intervals hold n draws each, so its peak is the int64 draws, the dense
     # update's one int64 bincount over the types and the one-byte counts.
     n = 1_000_000
-    assert _traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
-    assert _traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 20
+    assert traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
+    assert traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 20
+
+
+def test_pilot_walk_keeps_one_byte_per_type(traced_peak_mb):
+    # The walk copies each of its 50 snapshots of 1e6 types as it reaches
+    # it; eight-byte counts alone would take 8 MB running and 8 MB per copy.
+    def walk(plan, count):
+        for _state in _pilot_chain(plan, count):
+            pass
+
+    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 8
 
 
 @pytest.mark.parametrize("n, limit_mb", [(100_000, 4), (1_000_000, 12)])
-def test_simulate_memory_is_linear_in_n(n, limit_mb):
+def test_simulate_memory_is_linear_in_n(n, limit_mb, traced_peak_mb):
     plan = RunPlan(n=n, master_seed=1, s_max=4.0)
-    tracemalloc.start()
-    try:
-        simulate(plan, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mb * 1e6
+    assert traced_peak_mb(simulate, plan, 0) < limit_mb

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -328,17 +327,11 @@ def test_inverted_waits_divide_by_libm_log1p():
     assert rates.tolist() == [-math.log1p(-(n - k) / n) for k in range(1, n)]
 
 
-def test_cover_time_keeps_eight_bytes_per_type():
+def test_cover_time_keeps_eight_bytes_per_type(traced_peak_mb):
     n = 100_000
     assert wormald.coupon._wait_rates(n).nbytes == 8 * (n - 1)
     cover_time(n, seed=1)  # warm: the rates are cached, the stream built
-    tracemalloc.start()
-    try:
-        cover_time(n, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * (n - 1) + 4096
+    assert traced_peak_mb(cover_time, n, 2) <= (8 * (n - 1) + 4096) / 1e6
 
 
 def test_exact_tail_trivial_cases():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -167,13 +166,15 @@ def test_empirical_drift_validates_and_reproduces():
 
 def test_pilot_states_span_the_run():
     plan = RunPlan(n=300, master_seed=10)
+    l = plan.truncation
     states = pilot_states(plan, 7)
     assert len(states) == 7
     assert states[0].t == 0
     assert states[-1].t == plan.resolved_horizon()
     for state in states:
         assert int(state.counts_of_counts.sum()) == plan.n
-        assert int(state.per_type_counts.sum()) == state.t
+        assert np.array_equal(np.bincount(state.per_type_counts, minlength=l + 2),
+                              state.counts_of_counts)
     with pytest.raises(ContractError):
         pilot_states(plan, 0)
 
@@ -188,21 +189,12 @@ def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
     assert [s.t for s in pilot_states(plan, 10_000)] == list(range(m + 1))
 
 
-def _traced_peak_mb(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
-def test_check_memory_does_not_grow_with_state_samples():
+def test_check_memory_does_not_grow_with_state_samples(traced_peak_mb):
     # A horizon of 10 steps has 11 states; asking for five million must not
     # space five million times first (40 MB of float64).
     plan = RunPlan(n=5, master_seed=1)
     spec = make_coupon_spec(10, plan.resolved_s_max())
-    peak = _traced_peak_mb(lambda: check_hypotheses(
+    peak = traced_peak_mb(lambda: check_hypotheses(
         spec, plan, 5_000_000, drift_samples=100, lipschitz_samples=100))
     assert peak < 4.0
 
@@ -225,11 +217,11 @@ def test_check_hypotheses_examines_the_pilot_states():
         assert np.array_equal(buckets, state.counts_of_counts)
 
 
-def test_check_hypotheses_holds_one_pilot_state_at_a_time():
-    # 200 snapshots of 1e5 int64 counts would take 160 MB at once.
+def test_check_hypotheses_holds_one_pilot_state_at_a_time(traced_peak_mb):
+    # 200 snapshots of 1e5 one-byte counts would take 20 MB at once.
     plan = RunPlan(n=100_000, master_seed=5)
     spec = make_coupon_spec(10, plan.resolved_s_max())
-    peak = _traced_peak_mb(lambda: check_hypotheses(
+    peak = traced_peak_mb(lambda: check_hypotheses(
         spec, plan, 200, drift_samples=100, lipschitz_samples=100))
     assert peak < 16.0
 
