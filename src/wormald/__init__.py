@@ -50,7 +50,6 @@ from .montecarlo import (
     check_hypotheses,
     empirical_drift,
     max_increment,
-    pilot_states,
     simulate,
 )
 from .analysis import (
@@ -112,7 +111,6 @@ __all__ = [
     "make_generator",
     "max_increment",
     "mix64",
-    "pilot_states",
     "scaling_study",
     "simulate",
     "spawn",

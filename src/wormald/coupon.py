@@ -10,13 +10,14 @@ than ``l`` copies, which closes the system so the coordinates always sum to
     dz_{l+1}/ds = z_l,
 
 whose right-hand side is linear, the product ``A @ z`` with one matrix
-(:func:`coupon_drift`, which :func:`make_coupon_spec` also declares as
-``linear``), and whose solution from z_0(0)=1 is the Poisson profile
-z_i(s) = s^i e^-s / i! (:func:`closed_form`), the overflow coordinate being
-the matching Poisson tail.  :func:`coupon_reference` integrates the system
-from that start on the grid the simulator shares.  :func:`cover_time`
-samples the cover time, and :func:`exact_cover_tail` gives its exact
-distribution by inclusion-exclusion, independent of any simulation.
+built in :func:`coupon_drift` alone (:func:`make_coupon_spec` declares the
+drift ``linear``, and the integrator reads ``A`` off it), and whose
+solution from z_0(0)=1 is the Poisson profile z_i(s) = s^i e^-s / i!
+(:func:`closed_form`), the overflow coordinate being the matching Poisson
+tail.  :func:`coupon_reference` integrates the system from that start on
+the grid the simulator shares.  :func:`cover_time` samples the cover time,
+and :func:`exact_cover_tail` gives its exact distribution by
+inclusion-exclusion, independent of any simulation.
 ``l`` and ``s_max`` default to :data:`DEFAULT_L` and :data:`DEFAULT_S_MAX`
 wherever they are taken.
 """
@@ -55,18 +56,6 @@ _TAIL_STOP = Decimal("1e-40")
 _STREAM = KeyedStream()
 
 
-def _coupon_matrix(l: int) -> np.ndarray:
-    """The coupon drift's matrix ``A``, ``drift(s, z) == A @ z``: -1 on the
-    diagonal of rows 0..l, +1 on the subdiagonal, and a zero last column."""
-    if l < 1:
-        raise ContractError(f"truncation level must be >= 1, got {l}")
-    levels = np.arange(l + 1)
-    linear = np.zeros((l + 2, l + 2))
-    linear[levels, levels] = -1.0
-    linear[levels + 1, levels] = 1.0
-    return linear
-
-
 def coupon_drift(l: int):
     """Drift function of the truncated coupon process with overflow coordinate.
 
@@ -74,13 +63,19 @@ def coupon_drift(l: int):
     only loses (a type with 0 copies can only gain its first copy), interior
     coordinates gain from the left neighbor and lose to the right, and the
     overflow coordinate only gains.  The entries sum to zero identically.
-    The drift is the product with :func:`_coupon_matrix`, for one point
-    ``(l+2,)`` and for a batch ``(l+2, B)`` alike.
+    The drift is the product ``A @ z``, for one point ``(l+2,)`` and for a
+    batch ``(l+2, B)`` alike, with ``A`` -1 on the diagonal of rows 0..l,
+    +1 on the subdiagonal, and a zero last column.
     """
-    linear = _coupon_matrix(l)
+    if l < 1:
+        raise ContractError(f"truncation level must be >= 1, got {l}")
+    levels = np.arange(l + 1)
+    matrix = np.zeros((l + 2, l + 2))
+    matrix[levels, levels] = -1.0
+    matrix[levels + 1, levels] = 1.0
 
     def drift(s, z: np.ndarray) -> np.ndarray:
-        return linear @ z
+        return matrix @ z
 
     return drift
 
@@ -92,8 +87,7 @@ def make_coupon_spec(l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX) -> Proces
     coordinate changes by at most 1 (increment bound 1).  The domain is the
     open box s in (-0.1, s_max + 0.1), each z_l in (-0.1, 1.1), which bounds
     every scaled count, and on which the drift is 1-Lipschitz in the L1
-    metric.  The drift is linear, and the spec declares its matrix
-    (:func:`_coupon_matrix`) as ``linear``.
+    metric.  The drift is linear, and the spec declares it ``linear``.
     """
     drift = coupon_drift(l)
     if not 0 < s_max < math.inf:
@@ -110,7 +104,7 @@ def make_coupon_spec(l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX) -> Proces
         increment_bound=1.0,
         domain=domain,
         lipschitz_hint=1.0,
-        linear=_coupon_matrix(l),
+        linear=True,
     )
 
 
@@ -168,8 +162,8 @@ class CouponState:
     state belongs to one execution context at a time; :func:`coupon_step`
     updates it in place.
 
-    Pilot snapshots (:func:`wormald.montecarlo.pilot_states`) hold counts
-    saturated at ``l + 1``, in one byte up to l = 254.  :func:`coupon_step`
+    The pilot states :func:`wormald.montecarlo.check_hypotheses` examines
+    hold counts saturated at ``l + 1``, in one byte up to l = 254.  :func:`coupon_step`
     steps states with exact counts, such as :meth:`fresh` ones: at l = 254
     a saturated uint8 count of 255 cannot take ``+ 1``.
     """

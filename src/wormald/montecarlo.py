@@ -8,12 +8,12 @@ States are sampled on the same scaled-time grid the ODE engine emits
 comparable without interpolation: grid entry ``s_k`` carries the state after
 ``round(s_k * n)`` steps.
 
-``simulate``, the pilot run (:func:`_pilot_chain`, listed by
-``pilot_states``) and ``max_increment`` all advance the chain through one
-kernel, :func:`_chain_states`.  It draws a run's steps group by group.  A
-run of consecutive short grid intervals is drawn in one call and applied
-in one sorted pass that gives the bucket counts after each of its stops;
-an interval too long to share a pass is applied alone as one
+``simulate``, the pilot run (:func:`_pilot_chain`, whose states
+:func:`check_hypotheses` examines) and ``max_increment`` all advance the
+chain through one kernel, :func:`_chain_states`.  It draws a run's steps
+group by group.  A run of consecutive short grid intervals is drawn in one
+call and applied in one sorted pass that gives the bucket counts after each
+of its stops; an interval too long to share a pass is applied alone as one
 counts-of-counts update.  A run costs O(n + interval) memory instead of
 O(horizon), and no grid point costs more than one sweep over the ``n``
 types.  The buckets only see ``min(copies, l + 1)``, so the kernel keeps
@@ -373,7 +373,7 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
 
 
 def _pilot_chain(plan: RunPlan, count: int):
-    """Yield ``count`` states, evenly spaced in steps, of a pilot run, one at a time.
+    """Yield ``count >= 1`` states, evenly spaced in steps, of a pilot run, one at a time.
 
     The pilot draws from its own reserved stream so it never shares
     randomness with the plan's numbered runs.  Draws are generated per
@@ -385,8 +385,6 @@ def _pilot_chain(plan: RunPlan, count: int):
     ``count`` is clamped to m + 1 before the times are spaced: above that,
     the rounded times are exactly 0..m.
     """
-    if count < 1:
-        raise ContractError(f"count must be positive, got {count}")
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     times = np.linspace(0, m, min(count, m + 1)).round().astype(np.int64)
     # Already sorted, so dropping repeats needs no np.unique (which imports numpy.ma).
@@ -395,17 +393,6 @@ def _pilot_chain(plan: RunPlan, count: int):
     for i, _j, rows, counts in chain:
         yield CouponState(n=n, t=int(times[i]), per_type_counts=counts.copy(),
                           counts_of_counts=rows[0].copy())
-
-
-def pilot_states(plan: RunPlan, count: int) -> list[CouponState]:
-    """Snapshot ``count`` states, evenly spaced in steps, from a pilot run.
-
-    The list of the states :func:`_pilot_chain` yields; every snapshot holds
-    an O(n) copy of the per-type counts, saturated at ``l + 1`` (one byte
-    per type up to l = 254), so the list costs O(n * count).
-    :func:`check_hypotheses` walks the same states one at a time instead.
-    """
-    return list(_pilot_chain(plan, count))
 
 
 @dataclass(frozen=True)
@@ -444,15 +431,17 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     (1) replays every run in the plan and checks the largest one-step change
     against ``spec.increment_bound``; (2) samples one-step means at up to
     ``state_samples`` distinct pilot states (a horizon of m steps has m + 1),
-    the states of :func:`pilot_states` taken one at a time from
-    :func:`_pilot_chain` so that they cost O(n) memory however many, and
-    fails if any z-score against ``spec.drift`` exceeds
-    :data:`Z_THRESHOLD` in magnitude; (3) estimates the
-    drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
-    checks the estimate does not exceed it.  Thresholds are engineering
-    choices and are echoed in the report details.  A non-finite drift at any
+    taken one at a time from :func:`_pilot_chain` so that they cost O(n)
+    memory however many, and fails if any z-score against ``spec.drift``
+    exceeds :data:`Z_THRESHOLD` in magnitude; (3) estimates the drift's
+    Lipschitz constant and, when ``spec.lipschitz_hint`` is set, checks the
+    estimate does not exceed it.  Thresholds are engineering choices and are
+    echoed in the report details.  ``state_samples`` below 1 raises
+    :class:`ContractError` before anything runs; a non-finite drift at any
     examined point raises :class:`DriftEvaluationError`.
     """
+    if state_samples < 1:
+        raise ContractError(f"state_samples must be positive, got {state_samples}")
     worst_inc = 0
     for i in range(plan.run_count):
         worst_inc = max(worst_inc, max_increment(plan, i))

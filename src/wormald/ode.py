@@ -9,14 +9,16 @@ detected at emitted grid points only; the exit time is therefore reported
 at grid resolution.
 
 A spec that declares its drift linear, ``drift(s, z) == A @ z`` through
-``ProcessSpec.linear``, is stepped by a matrix instead of by drift calls.
-On such a system one RK4 step of size h is exactly multiplication by its
-stability function ``R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``,
-so the matrix path is RK4 itself, with its fourth order and its error,
-and the acceptance tests of both (error against the closed form, observed
-order) keep their tolerances; only the rounding differs (by about 1e-15 on
-the coupon system), and that rounding grows with the steps per emitted
-point: 2e-14 against the closed form at h = 1e-3, 2e-8 at h = 1e-9.
+``ProcessSpec.linear=True``, is stepped by a matrix instead of by drift
+calls.  The matrix is read off the drift, one batched call on the identity's
+columns, so ``A`` is written only in the drift.  On such a system one RK4
+step of size h is exactly multiplication by its stability function
+``R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``, so the matrix path
+is RK4 itself, with its fourth order and its error, and the acceptance
+tests of both (error against the closed form, observed order) keep their
+tolerances; only the rounding differs (by about 1e-15 on the coupon
+system), and that rounding grows with the steps per emitted point: 2e-14
+against the closed form at h = 1e-3, 2e-8 at h = 1e-9.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ def _rk4_step(f: Callable[[float, np.ndarray], np.ndarray],
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_matrix(linear: np.ndarray, h: float) -> np.ndarray:
+def _rk4_matrix(matrix: np.ndarray, h: float) -> np.ndarray:
     """``R(hA)``: one RK4 step of ``dz/ds = A z``, applied to the identity's columns."""
-    return _rk4_step(lambda s, z: linear @ z, 0.0, np.eye(linear.shape[0]), h)
+    return _rk4_step(lambda s, z: matrix @ z, 0.0, np.eye(matrix.shape[0]), h)
 
 
 def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
@@ -115,21 +117,23 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
     the open domain; that point is kept as the trajectory's last entry and
     its time recorded as ``sigma_exit``.
 
-    A spec with a ``linear`` matrix ``A`` is not stepped through its drift:
-    the ``m`` full steps up to each emitted point are one product with
-    ``R(hA)^m`` (each power computed once), and a shortened last step is a
-    product with ``R(h'A)``, so the cost does not grow with ``1/h``.  The
-    steps, checks and grid are the same.
+    A spec declared ``linear`` is not stepped through its drift.  Its
+    matrix ``A`` is the drift at ``s = 0`` on the columns of the identity,
+    read in one batched call.  The ``m`` full steps up to each emitted
+    point are one product with ``R(hA)^m`` (each power computed once), and
+    a shortened last step is a product with ``R(h'A)``, so the cost does
+    not grow with ``1/h``.  The steps, checks and grid are the same.
 
     Raises
     ------
     ContractError
         If z0 has the wrong shape or lies outside the domain at s=0,
         s_max exceeds the domain, the drift at (0, z0) has the wrong shape,
-        ``spec.linear @ z0`` is not the drift at (0, z0), or
-        :func:`check_grid` refuses the grid.
+        a spec declared ``linear`` has ``A @ z0`` other than the drift at
+        (0, z0), or :func:`check_grid` refuses the grid.
     DriftEvaluationError
-        If the drift at (0, z0) is non-finite.
+        If the drift at (0, z0), or on the identity's columns for a linear
+        spec, is non-finite.
     DivergenceError
         If the state becomes non-finite, reporting the offending s.
     """
@@ -142,7 +146,7 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
 
     grid, steps = _grid_steps(h, grid_stride, s_max)
 
-    if spec.linear is None:
+    if not spec.linear:
         # Unchecked: four calls per micro-step; the state is checked at every emitted point.
         f = spec.drift
 
@@ -151,11 +155,14 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
                 z = _rk4_step(f, j * h, z, h)
             return _rk4_step(f, last * h, z, tail) if tail > 0 else z
     else:
-        # A wrong matrix would integrate another ODE without notice.
-        gap = np.max(np.abs(spec.linear @ z - f0))
-        if gap > 1e-12 * np.max(np.abs(spec.linear) @ np.abs(z)):
-            raise ContractError(f"linear @ z0 differs from the drift at (0, z0) by {gap:.3g}")
-        step = _rk4_matrix(spec.linear, h)
+        a = spec.coord_count
+        matrix = evaluate_drift(spec, np.zeros(a), np.eye(a))
+        # A drift wrongly declared linear would integrate another ODE without notice.
+        gap = np.max(np.abs(matrix @ z - f0))
+        if gap > 1e-12 * np.max(np.abs(matrix) @ np.abs(z)):
+            raise ContractError(f"drift declared linear differs from A @ z0 at (0, z0) "
+                                f"by {gap:.3g}")
+        step = _rk4_matrix(matrix, h)
         powers = {}
 
         def advance(z, first, last, tail):
@@ -163,7 +170,7 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
             if m not in powers:
                 powers[m] = np.linalg.matrix_power(step, m)
             z = powers[m] @ z
-            return _rk4_matrix(spec.linear, tail) @ z if tail > 0 else z
+            return _rk4_matrix(matrix, tail) @ z if tail > 0 else z
 
     out_z = [z.copy()]
     sigma_exit = None

@@ -10,9 +10,9 @@ The ODE and Monte Carlo engines both speak this language.
 Every engine calls a spec's drift through :func:`evaluate_drift`, which
 states the point and batch contract and checks it; only the RK4 inner loop
 of :func:`wormald.ode.integrate` calls the drift directly.  A spec whose
-drift is linear, ``drift(s, z) == A @ z``, may declare the matrix ``A`` as
-``linear``; :func:`wormald.ode.integrate` then steps by the matrix instead
-of calling the drift.
+drift is linear, ``drift(s, z) == A @ z``, may say so with ``linear=True``;
+:func:`wormald.ode.integrate` then reads ``A`` off the drift and steps by
+the matrix instead of calling the drift.
 
 All values here are immutable after construction and every operation is pure
 given its inputs (randomness enters only through an explicit seed), so they
@@ -91,33 +91,30 @@ class ProcessSpec:
         coordinate, as the method's boundedness hypothesis asks.
     lipschitz_hint : float, optional
         Known Lipschitz constant (L1 metric on joint (s, z) points), if any.
-    linear : ndarray of shape (coord_count, coord_count), optional
-        A finite matrix ``A`` declaring that ``drift(s, z) == A @ z`` for
-        every point.  :func:`wormald.ode.integrate` then applies one RK4
-        step as the matrix ``R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 +
-        (hA)^4/24``, which is exactly the map an RK4 step makes on a linear
-        system, so the integrator keeps its order and its error; it checks
-        ``A @ z0`` against the drift at the start.  Stored read-only.
+    linear : bool, default False
+        ``True`` declares that ``drift(s, z) == A @ z`` for one fixed
+        matrix ``A`` at every point.  :func:`wormald.ode.integrate` then
+        reads ``A`` off the drift, as its values at ``s = 0`` on the
+        identity's columns, and applies one RK4 step as the matrix ``R(hA)
+        = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``, which is exactly the
+        map an RK4 step makes on a linear system, so the integrator keeps
+        its order and its error; it checks ``A @ z0`` against the drift at
+        the start.
     """
 
     drift: DriftFunction
     increment_bound: float
     domain: DomainBox
     lipschitz_hint: Optional[float] = None
-    linear: Optional[np.ndarray] = None
+    linear: bool = False
 
     def __post_init__(self):
         if not self.increment_bound > 0:
             raise ContractError("increment_bound must be positive")
         if self.lipschitz_hint is not None and self.lipschitz_hint < 0:
             raise ContractError("lipschitz_hint must be non-negative")
-        if self.linear is not None:
-            object.__setattr__(self, "linear", _frozen_array(self.linear))
-            a = self.coord_count
-            if self.linear.shape != (a, a):
-                raise ContractError(f"linear has shape {self.linear.shape}, expected ({a}, {a})")
-            if not np.all(np.isfinite(self.linear)):
-                raise ContractError("linear has non-finite entries")
+        if not isinstance(self.linear, bool):
+            raise ContractError(f"linear must be a bool, got {type(self.linear).__name__}")
 
     @property
     def coord_count(self) -> int:

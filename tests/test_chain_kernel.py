@@ -1,11 +1,11 @@
 """The streaming coupon-chain kernel against a draw-by-draw replay.
 
 ``coupon_step`` applied to every draw of a run's stream, drawn in one call,
-is the brute-force oracle for the chain.  ``simulate``, ``pilot_states`` and
-``max_increment`` advance the chain group by group: a run of short grid
-intervals is drawn at once and applied in one sorted pass, and a lone
-interval either as a sparse ``np.unique`` delta or as a dense bincount over
-all types.  These tests vary the group size, which splits and merges
+is the brute-force oracle for the chain.  ``simulate``, the pilot walk
+(``_pilot_chain``) and ``max_increment`` advance the chain group by group:
+a run of short grid intervals is drawn at once and applied in one sorted
+pass, and a lone interval either as a sparse ``np.unique`` delta or as a
+dense bincount over all types.  These tests vary the group size, which splits and merges
 intervals in every way, and force either lone update.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
 kernel's saturated counts against one bincount of draws made in one call,
@@ -25,7 +25,6 @@ from wormald import (
     RunPlan,
     coupon_step,
     max_increment,
-    pilot_states,
     simulate,
     spawn,
 )
@@ -77,7 +76,7 @@ def test_kernel_matches_step_by_step_replay(plan, group, update, data):
     with mock.patch.object(montecarlo, "_GROUP_DRAWS", group), \
             mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
         traj = simulate(plan, run)
-        snapshots = pilot_states(plan, count)
+        snapshots = list(_pilot_chain(plan, count))
         increment = max_increment(plan, run)
 
     _, buckets = _replay(plan, run)
@@ -123,16 +122,19 @@ def test_simulate_spanning_several_blocks_matches_one_shot_counts():
 
 def test_kernel_yields_once_per_stop_including_repeated_stops():
     stops = [0, 0, 4, 4, 9]
+    draws = spawn(1, 0).integers(0, 5, size=stops[-1], dtype=np.int64)
     for group in (0, 4, 16, montecarlo._GROUP_DRAWS):
         spans, row_sums = [], []
         for i, j, rows, counts in _chain_states(spawn(1, 0), 5, 2, stops, group):
             spans.append((i, j))
             row_sums += [int(row.sum()) for row in rows]
-            assert int(counts.sum()) == stops[j - 1]
+            # per-type copies after stops[j - 1] draws, saturated at l + 1 = 3
+            expected = np.minimum(np.bincount(draws[: stops[j - 1]], minlength=5), 3)
+            assert np.array_equal(counts, expected)
         assert [i for i, _ in spans] == [0] + [j for _, j in spans[:-1]]
         assert spans[-1][1] == len(stops)
         assert row_sums == [5] * len(stops)
-        assert int(counts.sum()) == 9
+        assert np.array_equal(counts, np.minimum(np.bincount(draws, minlength=5), 3))
 
 
 @pytest.mark.parametrize("n", [30_000, 100_000])

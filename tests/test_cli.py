@@ -196,6 +196,13 @@ def test_invalid_command_creates_no_out_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_refuses_zero_state_samples_before_it_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["check", "--n", "100", "--state-samples", "0", "--out", str(out)]) == 2
+    assert "state_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_configurations_exit_2(tmp_path, capsys):
     assert run_in(tmp_path, ["simulate", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from wormald import (
     CouponState,
     closed_form,
     closed_form_system,
+    coupon_drift,
     coupon_step,
     cover_time,
     derive_seed,
@@ -193,7 +194,7 @@ def test_linear_mean_is_the_occupancy_law(n, t):
     and after t uniform draws a type holds Bin(t, 1/n) copies: E Y_i(t) is
     n P(Bin(t, 1/n) = i), and the overflow coordinate n P(Bin(t, 1/n) > l)."""
     l = 10
-    linear = make_coupon_spec(l, 4.0).linear
+    linear = coupon_drift(l)(0.0, np.eye(l + 2))
     mean = n * np.linalg.matrix_power(np.eye(l + 2) + linear / n, t)[:, 0]
     exact = [n * Fraction(math.comb(t, i) * (n - 1) ** (t - i), n**t) for i in range(l + 1)]
     exact.append(n - sum(exact))

@@ -35,6 +35,14 @@ The digests of the files that hold ODE values (``solve``'s ``ode.csv``;
 re-recorded when the coupon ODE began to be stepped by its RK4 matrix
 ``R(hA)^m`` instead of by drift calls: the ODE values moved by at most
 ~3e-15 (2.9e-15 on ``coupon_reference(10, 4.0)``), and no other digest moved.
+
+The ``solve_tail`` case has its horizon off the ``h`` grid: 137 full steps
+reach s = 1.37, a partial stride of 2 steps follows the last emitted
+multiple of 0.03, and one 0.005 step lands on s_max, so it is the one case
+that reaches the shortened RK4 step (``R(h'A)`` on the coupon system).  It
+was recorded while the coupon spec still declared its matrix ``A`` beside
+its drift, before ``integrate`` began to read ``A`` off the drift, to pin
+that the change moved no byte.
 """
 
 import hashlib
@@ -50,6 +58,13 @@ GOLDEN = {
         {
             "manifest.json": "95bc94e0351e40ca595799b9c09a13b785d0a95c32d769c17855d338d5e08043",
             "ode.csv": "86ef42b842037a8380cc1847ce6e7b8f34faa3bf22f6aa33c16245e511c5914f",
+        },
+    ),
+    "solve_tail": (
+        ["solve", "--l", "3", "--s-max", "1.375", "--h", "0.01", "--grid-stride", "3"],
+        {
+            "manifest.json": "cc8ec5eae87c9fdef8b3fecda4d42f5334b243cdd416306165ff76d5abff6963",
+            "ode.csv": "3c5c30a6cb4ff1cbfc52e6c25f97cfeb73cd58d90e220b0888bd05d39d3d1885",
         },
     ),
     "simulate_small": (

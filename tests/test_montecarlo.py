@@ -22,10 +22,10 @@ from wormald import (
     integrate,
     make_coupon_spec,
     max_increment,
-    pilot_states,
     simulate,
 )
 from wormald import montecarlo
+from wormald.montecarlo import _pilot_chain
 
 
 def test_plan_defaults_follow_n_log_n():
@@ -167,7 +167,7 @@ def test_empirical_drift_validates_and_reproduces():
 def test_pilot_states_span_the_run():
     plan = RunPlan(n=300, master_seed=10)
     l = plan.truncation
-    states = pilot_states(plan, 7)
+    states = list(_pilot_chain(plan, 7))
     assert len(states) == 7
     assert states[0].t == 0
     assert states[-1].t == plan.resolved_horizon()
@@ -175,8 +175,16 @@ def test_pilot_states_span_the_run():
         assert int(state.counts_of_counts.sum()) == plan.n
         assert np.array_equal(np.bincount(state.per_type_counts, minlength=l + 2),
                               state.counts_of_counts)
-    with pytest.raises(ContractError):
-        pilot_states(plan, 0)
+
+
+@pytest.mark.parametrize("state_samples", [0, -3])
+def test_check_hypotheses_refuses_state_samples_below_one_before_it_runs(state_samples):
+    plan = RunPlan(n=300, master_seed=10)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    with mock.patch.object(montecarlo, "max_increment") as replay, \
+            pytest.raises(ContractError, match="state_samples"):
+        check_hypotheses(spec, plan, state_samples)
+    replay.assert_not_called()
 
 
 @pytest.mark.parametrize("n, s_max", [(1, 1.0), (3, 2.0), (7, 0.5), (50, 3.0)])
@@ -185,8 +193,8 @@ def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
     m = plan.resolved_horizon()
     for count in (*range(1, m + 3), 3 * m + 7, 10_000):
         unclamped = np.unique(np.linspace(0, m, count).round().astype(np.int64))
-        assert [s.t for s in pilot_states(plan, count)] == unclamped.tolist()
-    assert [s.t for s in pilot_states(plan, 10_000)] == list(range(m + 1))
+        assert [s.t for s in _pilot_chain(plan, count)] == unclamped.tolist()
+    assert [s.t for s in _pilot_chain(plan, 10_000)] == list(range(m + 1))
 
 
 def test_check_memory_does_not_grow_with_state_samples(traced_peak_mb):
@@ -210,7 +218,7 @@ def test_check_hypotheses_examines_the_pilot_states():
 
     with mock.patch.object(montecarlo, "empirical_drift", record):
         check_hypotheses(spec, plan, 9, drift_samples=100, lipschitz_samples=100)
-    pilot = pilot_states(plan, 9)
+    pilot = list(_pilot_chain(plan, 9))
     assert [t for t, _, _ in seen] == [state.t for state in pilot]
     for (_, per_type, buckets), state in zip(seen, pilot):
         assert np.array_equal(per_type, state.per_type_counts)

@@ -235,7 +235,7 @@ def test_coupon_reference_is_the_e0_integration():
 
 def linear_pair(linear, box):
     """The same linear system twice: declared (matrix steps) and as a plain drift (RK4 loop)."""
-    fast = ProcessSpec(lambda s, z: linear @ z, 1.0, box, linear=linear)
+    fast = ProcessSpec(lambda s, z: linear @ z, 1.0, box, linear=True)
     slow = ProcessSpec(lambda s, z: linear @ z, 1.0, box)
     return fast, slow
 
@@ -284,17 +284,17 @@ def test_linear_matrix_steps_exit_the_domain_where_the_loop_does():
     assert np.max(np.abs(fast.z - slow.z)) <= 1e-14
 
 
-def test_integrate_rejects_a_linear_matrix_that_is_not_the_drift():
-    spec = make_coupon_spec(3, 4.0)
-    wrong = spec.linear.copy()
-    wrong[1, 0] = 0.5
-    bad = ProcessSpec(spec.drift, 1.0, spec.domain, linear=wrong)
+def test_integrate_rejects_a_nonlinear_drift_declared_linear():
+    # Read off the identity's columns, z**2 gives A = I, and A @ z0 = z0 is not z0**2.
+    box = DomainBox(-0.1, 2.0, np.full(2, -1.0), np.full(2, 1.0))
+    bad = ProcessSpec(lambda s, z: z**2, 1.0, box, linear=True)
     with pytest.raises(ContractError, match="linear"):
-        integrate(bad, coupon_z0(3), 1.0)
+        integrate(bad, np.array([0.5, -0.25]), 1.0)
 
 
 def test_linear_coupon_spec_never_steps_through_its_drift():
-    # The RK4 loop would make ~16,000 drift calls here; the matrix path one.
+    # The RK4 loop would make ~16,000 drift calls here; the matrix path two:
+    # one at z0 and one batched call on the identity's columns that reads A.
     spec = make_coupon_spec(10, 4.0)
     calls = []
 
@@ -302,7 +302,7 @@ def test_linear_coupon_spec_never_steps_through_its_drift():
         calls.append(s)
         return spec.drift(s, z)
 
-    counted_spec = ProcessSpec(counted, 1.0, spec.domain, linear=spec.linear)
+    counted_spec = ProcessSpec(counted, 1.0, spec.domain, linear=True)
     traj = integrate(counted_spec, coupon_z0(10), 4.0)
     assert traj.s[-1] == 4.0
     assert len(calls) <= 2

@@ -295,8 +295,9 @@ def _coupon_drift_slices(l):
 @given(l=st.integers(1, 12), batch=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
 def test_coupon_linear_matrix_is_the_drift(l, batch, seed):
     drift = coupon_drift(l)
-    assert np.array_equal(drift(0.0, np.eye(l + 2)), make_coupon_spec(l).linear)
     reference = _coupon_drift_slices(l)
+    eye = np.eye(l + 2)
+    assert np.array_equal(drift(0.0, eye), reference(0.0, eye))  # the matrix integrate reads
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.0, 4.0, size=batch)
     # Rounding to one decimal gives equal neighbours and zeros of both signs.
@@ -315,11 +316,10 @@ def test_coupon_linear_matrix_is_the_drift(l, batch, seed):
 
 def test_process_spec_linear_contract():
     a = 3
-    spec = ProcessSpec(lambda s, z: -z, 1.0, unit_box(a), linear=(-np.eye(a)).tolist())
-    assert spec.linear.shape == (a, a) and spec.linear.dtype == float
-    assert not spec.linear.flags.writeable
-    for bad in (np.eye(a + 1), np.eye(a)[:, :2], np.ones(a), np.full((a, a), np.nan),
-                np.diag([1.0, np.inf, 1.0])):
+    assert ProcessSpec(lambda s, z: -z, 1.0, unit_box(a)).linear is False
+    assert ProcessSpec(lambda s, z: -z, 1.0, unit_box(a), linear=True).linear is True
+    # A matrix passed as the declaration must not be read as True.
+    for bad in (-np.eye(a), (-np.eye(a)).tolist(), np.eye(1), np.True_, 1, 0, None, "yes"):
         with pytest.raises(ContractError, match="linear"):
             ProcessSpec(lambda s, z: -z, 1.0, unit_box(a), linear=bad)
 
