@@ -436,12 +436,17 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     exceeds :data:`Z_THRESHOLD` in magnitude; (3) estimates the drift's
     Lipschitz constant and, when ``spec.lipschitz_hint`` is set, checks the
     estimate does not exceed it.  Thresholds are engineering choices and are
-    echoed in the report details.  ``state_samples`` below 1 raises
+    echoed in the report details.  ``state_samples`` below 1,
+    ``drift_samples`` below 100 or ``lipschitz_samples`` below 2 raises
     :class:`ContractError` before anything runs; a non-finite drift at any
     examined point raises :class:`DriftEvaluationError`.
     """
     if state_samples < 1:
         raise ContractError(f"state_samples must be positive, got {state_samples}")
+    if drift_samples < 100:
+        raise ContractError(f"drift_samples must be >= 100, got {drift_samples}")
+    if lipschitz_samples < 2:
+        raise ContractError(f"lipschitz_samples must be >= 2, got {lipschitz_samples}")
     worst_inc = 0
     for i in range(plan.run_count):
         worst_inc = max(worst_inc, max_increment(plan, i))

@@ -8,8 +8,12 @@ is Lipschitz, which also fixes ``a`` and bounds every scaled coordinate.
 The ODE and Monte Carlo engines both speak this language.
 
 Every engine calls a spec's drift through :func:`evaluate_drift`, which
-states the point and batch contract and checks it; only the RK4 inner loop
-of :func:`wormald.ode.integrate` calls the drift directly.  A spec whose
+states the point and batch contract, checks it, and hands the drift a
+C-contiguous float64 array; only the RK4 inner loop of
+:func:`wormald.ode.integrate` calls the drift directly.
+:func:`estimate_lipschitz` evaluates its point pairs in blocks of a fixed
+number of drawn values, so its memory does not grow with the coordinate
+count or the number of pairs.  A spec whose
 drift is linear, ``drift(s, z) == A @ z``, may say so with ``linear=True``;
 :func:`wormald.ode.integrate` then reads ``A`` off the drift and steps by
 the matrix instead of calling the drift.
@@ -29,8 +33,9 @@ import numpy as np
 from .errors import ContractError, DriftEvaluationError, EstimationError
 from .rng import make_generator
 
-#: Point pairs :func:`estimate_lipschitz` draws and evaluates at a time.
-_PAIR_BLOCK = 4096
+#: Values :func:`estimate_lipschitz` draws and evaluates at a time: a block
+#: holds ``max(1, _BLOCK_VALUES // (2 * (1 + a)))`` point pairs.
+_BLOCK_VALUES = 1 << 14
 
 #: ``drift(s, z)`` for one point or a batch; see :func:`evaluate_drift`.
 DriftFunction = Callable[[Union[float, np.ndarray], np.ndarray], np.ndarray]
@@ -164,8 +169,10 @@ def evaluate_drift(spec: ProcessSpec, s: Union[float, np.ndarray],
     coordinates first as in ``scipy.integrate.solve_ivp(vectorized=True)``,
     with ``s`` of shape ``(B,)``; the drift returns one column per point.  A
     drift that does not depend on the point may answer a batch with shape
-    ``(a,)``, which is broadcast to every column.  The result is a float
-    array of ``z``'s shape, read-only where it was broadcast.
+    ``(a,)``, which is broadcast to every column.  The drift always receives
+    ``z`` as a C-contiguous float64 array, copied only if it was not one.
+    The result is a float array of ``z``'s shape, read-only where it was
+    broadcast.
 
     Raises
     ------
@@ -183,7 +190,7 @@ def evaluate_drift(spec: ProcessSpec, s: Union[float, np.ndarray],
     elif z.ndim != 2 or z.shape[0] != a or np.shape(s) != z.shape[1:]:
         raise ContractError(f"state of shape {z.shape} with s of shape {np.shape(s)}: expected "
                             f"({a},) with a scalar s, or ({a}, B) with s of shape (B,)")
-    out = np.asarray(spec.drift(s, z), dtype=float)
+    out = np.asarray(spec.drift(s, np.ascontiguousarray(z)), dtype=float)
     if z.ndim == 2 and out.shape == (a,):
         out = np.broadcast_to(out[:, None], z.shape)
     if out.shape != z.shape:
@@ -219,12 +226,14 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     one.
 
     Pairs at zero distance are skipped; if every pair degenerates an
-    :class:`EstimationError` is raised.  Pairs are taken in blocks of
-    :data:`_PAIR_BLOCK`: each block's draw continues the same stream, and
-    the drift is called once for the block's first points and once for its
-    second points, as ``(a, B)`` batches, so memory is O(block * a) whatever
-    ``sample_count`` is.  A non-finite drift value at any sampled point
-    raises :class:`DriftEvaluationError`.
+    :class:`EstimationError` is raised.  Pairs are taken in blocks of about
+    :data:`_BLOCK_VALUES` drawn values, ``max(1, _BLOCK_VALUES // (2 *
+    (1 + a)))`` pairs each: each block's draw continues the same stream,
+    and the drift is called once for the block's first points and once for
+    its second points, as ``(a, B)`` batches, so memory is
+    O(:data:`_BLOCK_VALUES`) whatever ``sample_count`` and ``a`` are.  A
+    non-finite drift value at any sampled point raises
+    :class:`DriftEvaluationError`.
     """
     if sample_count < 2:
         raise ContractError(f"sample_count must be >= 2, got {sample_count}")
@@ -233,18 +242,23 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     dim = 1 + spec.coord_count
     low = np.concatenate(([box.s_low], box.z_low))
     high = np.concatenate(([box.s_high], box.z_high))
+    span = high - low
+    block = max(1, _BLOCK_VALUES // (2 * dim))
     best = None
-    for start in range(0, sample_count, _PAIR_BLOCK):
+    for start in range(0, sample_count, block):
         # Uniform Philox doubles are prefix-stable across calls, so the
         # blocks read the stream exactly as one (sample_count, 2, dim) draw.
-        raw = gen.uniform(size=(min(_PAIR_BLOCK, sample_count - start), 2, dim))
-        points = low + raw * (high - low)
+        # Mapped in place, the points equal low + raw * span bit for bit.
+        points = gen.uniform(size=(min(block, sample_count - start), 2, dim))
+        points *= span
+        points += low
         u, v = points[:, 0], points[:, 1]
         dist = np.sum(np.abs(u - v), axis=-1)
         valid = dist != 0.0
-        if not valid.any():
-            continue
-        u, v, dist = u[valid], v[valid], dist[valid]
+        if not valid.all():
+            if not valid.any():
+                continue
+            u, v, dist = u[valid], v[valid], dist[valid]
         fu = evaluate_drift(spec, u[:, 0], u[:, 1:].T)
         fv = evaluate_drift(spec, v[:, 0], v[:, 1:].T)
         ratio = float(np.max(np.max(np.abs(fu - fv), axis=0) / dist))

@@ -203,6 +203,13 @@ def test_check_refuses_zero_state_samples_before_it_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_refuses_too_few_drift_samples_before_it_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["check", "--n", "100", "--drift-samples", "50", "--out", str(out)]) == 2
+    assert "drift_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_configurations_exit_2(tmp_path, capsys):
     assert run_in(tmp_path, ["simulate", "--n", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -187,6 +187,21 @@ def test_check_hypotheses_refuses_state_samples_below_one_before_it_runs(state_s
     replay.assert_not_called()
 
 
+@pytest.mark.parametrize("samples, name", [
+    ({"drift_samples": 99}, "drift_samples"),
+    ({"drift_samples": 0}, "drift_samples"),
+    ({"lipschitz_samples": 1}, "lipschitz_samples"),
+    ({"lipschitz_samples": -5}, "lipschitz_samples"),
+])
+def test_check_hypotheses_refuses_too_few_samples_before_it_runs(samples, name):
+    plan = RunPlan(n=300, master_seed=10)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    with mock.patch.object(montecarlo, "max_increment") as replay, \
+            pytest.raises(ContractError, match=name):
+        check_hypotheses(spec, plan, 5, **samples)
+    replay.assert_not_called()
+
+
 @pytest.mark.parametrize("n, s_max", [(1, 1.0), (3, 2.0), (7, 0.5), (50, 3.0)])
 def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
     plan = RunPlan(n=n, master_seed=2, s_max=s_max)

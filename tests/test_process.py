@@ -222,17 +222,44 @@ def _lipschitz_pair_loop(spec, sample_count, seed):
        block=st.integers(1, 4096), seed=st.integers(0, 2**63 - 1))
 def test_lipschitz_batch_equals_pair_loop(l, sample_count, block, seed):
     spec = make_coupon_spec(l, 4.0)
-    with mock.patch.object(process, "_PAIR_BLOCK", block):
+    # A pair is 2 * (1 + a) = 2 * (l + 3) values, so these are blocks of `block` pairs.
+    with mock.patch.object(process, "_BLOCK_VALUES", block * 2 * (l + 3)):
         batched = estimate_lipschitz(spec, sample_count, seed)
     assert batched == _lipschitz_pair_loop(spec, sample_count, seed)
 
 
-@pytest.mark.parametrize("sample_count", [4095, 4096, 4097, 3 * 4096 + 1])
+class _RecordSizes:
+    """Generator stand-in that records the size of every uniform draw."""
+
+    def __init__(self, seed, sizes):
+        self._gen = make_generator(seed)
+        self._sizes = sizes
+
+    def uniform(self, size):
+        self._sizes.append(size)
+        return self._gen.uniform(size=size)
+
+
+@pytest.mark.parametrize("sample_count", [1364, 1365, 1366, 4095, 4096, 4097, 3 * 4096 + 1])
 def test_lipschitz_blocks_equal_pair_loop_across_block_edges(sample_count):
-    assert process._PAIR_BLOCK == 4096
+    # At l = 3 a pair is 2 * 6 values, so a block is 16384 // 12 = 1365 pairs
+    # and 4095 pairs are exactly three blocks.
     spec = make_coupon_spec(3, 4.0)
-    assert estimate_lipschitz(spec, sample_count, seed=11) == \
-        _lipschitz_pair_loop(spec, sample_count, seed=11)
+    sizes = []
+    with mock.patch.object(process, "make_generator",
+                           lambda seed: _RecordSizes(seed, sizes)):
+        est = estimate_lipschitz(spec, sample_count, seed=11)
+    assert [size[0] for size in sizes] == \
+        [min(1365, sample_count - start) for start in range(0, sample_count, 1365)]
+    assert all(size[1:] == (2, 6) for size in sizes)
+    assert est == _lipschitz_pair_loop(spec, sample_count, seed=11)
+
+
+@pytest.mark.parametrize("l", [10, 254])
+def test_lipschitz_memory_does_not_grow_with_coord_count(l, traced_peak_mb):
+    # Blocks of 4096 pairs took 5.9 MB at l = 10 and 101 MB at l = 254.
+    spec = make_coupon_spec(l, 4.0)
+    assert traced_peak_mb(estimate_lipschitz, spec, 20_000, 7) < 2.0
 
 
 class _DegenerateFirst:
@@ -251,7 +278,8 @@ class _DegenerateFirst:
 
 def test_lipschitz_skips_degenerate_blocks_and_raises_only_if_all_are():
     spec = make_coupon_spec(3, 4.0)
-    with mock.patch.object(process, "_PAIR_BLOCK", 4), \
+    # Blocks of 4 pairs of 2 * 6 values each.
+    with mock.patch.object(process, "_BLOCK_VALUES", 4 * 2 * 6), \
             mock.patch.object(process, "make_generator",
                               lambda seed: _DegenerateFirst(seed, 2)):
         est = estimate_lipschitz(spec, 12, seed=5)
@@ -333,6 +361,28 @@ def test_evaluate_drift_batch_contract():
         evaluate_drift(spec, np.zeros(4), z)  # one s per column
     with pytest.raises(ContractError):
         evaluate_drift(spec, 0.0, np.full((2, 5), 0.2))
+
+
+def test_evaluate_drift_hands_the_drift_a_contiguous_float_batch():
+    l, batch = 4, 7
+    drift = coupon_drift(l)
+    seen = []
+
+    def record(s, z):
+        seen.append(z)
+        return drift(s, z)
+
+    spec = ProcessSpec(record, 1.0, unit_box(l + 2))
+    rng = np.random.default_rng(8)
+    rows = rng.uniform(size=(2 * batch, l + 3))
+    strided = rows[::2, 1:].T  # (a, B), neither C- nor F-contiguous
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    contiguous = np.ascontiguousarray(strided)
+    out = evaluate_drift(spec, rows[::2, 0], strided)
+    assert seen[-1].shape == (l + 2, batch)
+    assert seen[-1].dtype == np.float64 and seen[-1].flags.c_contiguous
+    assert out.tobytes() == evaluate_drift(spec, rows[::2, 0], contiguous).tobytes()
+    assert seen[-1] is contiguous  # a contiguous batch is passed as it is
 
 
 def test_lipschitz_constant_vector_drift_is_zero():
