@@ -21,7 +21,9 @@ each type's count saturated there, in one byte per type up to l = 254,
 and the pilot's snapshots carry those saturated counts.  Bounded Philox
 draws are prefix-stable however the stream is split into calls, and every
 update is integer arithmetic, so neither the grouping nor the saturation
-changes any seed's trajectory by a bit.
+changes any seed's trajectory by a bit.  ``max_increment`` walks stops that
+double up to ``n`` and stops at the first one past a move, since a move
+settles its answer; a coupon run's first step always moves.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -279,22 +281,26 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
 def max_increment(plan: RunPlan, run_index: int) -> int:
     """Largest one-step coordinate change over a replayed run.
 
-    Replays the run's whole horizon in intervals of ``n`` steps, with draws
-    generated per interval and per-type counts saturated at ``l + 1``
-    (memory O(n), not O(horizon)).  A step moves one unit between adjacent
-    buckets exactly when the drawn type held at most ``l`` copies.  Every
-    such move raises the bucket-index sum ``sum_i i * counts_of_counts[i]``
-    by one and no step lowers it, so the answer is 1 if the sum ends
-    positive and 0 otherwise.  For the coupon process it is 1 for any run
-    with at least one step.
+    A step moves one unit between adjacent buckets exactly when the drawn
+    type held at most ``l`` copies.  Every such move raises the bucket-index
+    sum ``sum_i i * counts_of_counts[i]`` by one and no step lowers it, so
+    the answer is 1 once the sum is positive, and no later step can change
+    it.  The replay therefore stops at the first stop where the sum is
+    positive: the stops double from step 1 up to ``n``, then follow every
+    ``n`` steps to the horizon m, each drawn and applied on its own (see
+    :func:`_chain_states`).  Only a run with no move in all m steps returns
+    0, after replaying them all in memory O(n).  The coupon chain's first
+    step always moves (l >= 1), so a coupon run stops after one draw.
     """
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
-    stops = np.append(np.arange(n, m, n, dtype=np.int64), m)
+    doubling = 1 << np.arange((min(n, m) - 1).bit_length(), dtype=np.int64)
+    stops = np.concatenate([doubling, np.arange(n, m, n, dtype=np.int64), [m]])
     gen = make_generator(plan.run_seed(run_index))
-    chain = _chain_states(gen, n, l, stops, _GROUP_DRAWS)
-    for _i, _j, rows, _counts in chain:
-        pass
-    return int(np.arange(l + 2) @ rows[-1] > 0)
+    index = np.arange(l + 2)
+    for _i, _j, rows, _counts in _chain_states(gen, n, l, stops, 0):
+        if index @ rows[-1] > 0:
+            return 1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -428,8 +434,9 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
                      lipschitz_samples: int = 20_000) -> HypothesisReport:
     """Empirically verify the bounded-increment, drift, and Lipschitz hypotheses.
 
-    (1) replays every run in the plan and checks the largest one-step change
-    against ``spec.increment_bound``; (2) samples one-step means at up to
+    (1) replays every run in the plan, each only until its first move
+    settles the answer (see :func:`max_increment`), and checks the largest
+    one-step change against ``spec.increment_bound``; (2) samples one-step means at up to
     ``state_samples`` distinct pilot states (a horizon of m steps has m + 1),
     taken one at a time from :func:`_pilot_chain` so that they cost O(n)
     memory however many, and fails if any z-score against ``spec.drift``

@@ -10,7 +10,10 @@ intervals in every way, and force either lone update.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
 kernel's saturated counts against one bincount of draws made in one call,
 and the memory of ``simulate``, ``max_increment`` and the pilot walk against
-bounds linear in ``n``.
+bounds linear in ``n``.  ``max_increment`` stops at its first move, so its
+own tests cover the stop walk: the answer at plans whose horizon is
+shorter than, equal to and longer than ``n``, how few values a coupon run
+draws, and the stops of a run that never moves.
 """
 
 from unittest import mock
@@ -187,12 +190,70 @@ def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
 
 
 def test_saturated_counts_take_one_byte_per_type(traced_peak_mb):
-    # Eight-byte counts alone would take 8 MB at this n.  max_increment's
-    # intervals hold n draws each, so its peak is the int64 draws, the dense
-    # update's one int64 bincount over the types and the one-byte counts.
+    # Eight-byte counts alone would take 8 MB at this n.  max_increment
+    # stops after the coupon chain's first step, one draw, so its peak is
+    # the 1 MB of one-byte counts.
     n = 1_000_000
     assert traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
-    assert traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 20
+    assert traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 2
+
+
+@pytest.mark.parametrize("n, s_max, horizon", [
+    (1, 1.0, "m = n"), (1, 5.0, "m > n"),
+    (2, 0.5, "m < n"), (2, 1.0, "m = n"), (2, 3.5, "m > n"),
+    (3, 0.5, "m < n"), (3, 1.0, "m = n"), (3, None, "m > n"),
+    (1000, 0.3, "m < n"), (1000, 1.0, "m = n"), (1000, 1.5, "m > n"),
+])
+def test_max_increment_matches_full_replay_at_edge_plans(n, s_max, horizon):
+    plan = RunPlan(n=n, master_seed=11, s_max=s_max)
+    m = plan.resolved_horizon()
+    assert horizon == {-1: "m < n", 0: "m = n", 1: "m > n"}[np.sign(m - n)]
+    _, buckets = _replay(plan, 0)
+    assert max_increment(plan, 0) == int(np.abs(np.diff(buckets, axis=0)).max())
+
+
+def test_max_increment_stops_after_the_first_step():
+    # A full replay draws n ln n values (1,151,293 here); the first step of
+    # the coupon chain always moves, which settles the answer.
+    drawn = []
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def integers(self, low, high, size, dtype):
+            drawn.append(size)
+            return self.gen.integers(low, high, size=size, dtype=dtype)
+
+    real = montecarlo.make_generator
+    plan = RunPlan(n=100_000, master_seed=3)
+    with mock.patch.object(montecarlo, "make_generator", lambda seed: Counting(real(seed))):
+        assert max_increment(plan, 0) == 1
+    assert sum(drawn) < plan.n
+    assert drawn == [1]
+
+
+@pytest.mark.parametrize("n, s_max", [(1, 3.0), (2, 0.5), (3, None), (1000, 0.3),
+                                      (1000, 1.0), (1000, 7.5), (100_000, None)])
+def test_max_increment_is_zero_only_after_the_whole_horizon(n, s_max):
+    # A chain that never moves keeps all its mass in bucket 0; its stops
+    # must still reach the horizon, in intervals of at most n draws.
+    seen = []
+
+    def still(gen, n, l, stops, group):
+        for i, stop in enumerate(stops):
+            seen.append(int(stop))
+            rows = np.zeros((1, l + 2), dtype=np.int64)
+            rows[0, 0] = n
+            yield i, i + 1, rows, np.zeros(n, dtype=np.uint8)
+
+    plan = RunPlan(n=n, master_seed=5, s_max=s_max)
+    with mock.patch.object(montecarlo, "_chain_states", still):
+        assert max_increment(plan, 0) == 0
+    gaps = np.diff(seen, prepend=0)
+    assert seen[-1] == plan.resolved_horizon()
+    assert gaps.min() > 0
+    assert gaps.max() <= n
 
 
 def test_pilot_walk_keeps_one_byte_per_type(traced_peak_mb):
