@@ -436,14 +436,14 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     (1) replays every run in the plan, each only until its first move
     settles the answer (see :func:`max_increment`), and checks the largest
-    one-step change against ``spec.increment_bound``; (2) samples one-step means at up to
-    ``state_samples`` distinct pilot states (a horizon of m steps has m + 1),
-    taken one at a time from :func:`_pilot_chain` so that they cost O(n)
-    memory however many, and fails if any z-score against ``spec.drift``
-    exceeds :data:`Z_THRESHOLD` in magnitude; (3) estimates the drift's
-    Lipschitz constant and, when ``spec.lipschitz_hint`` is set, checks the
-    estimate does not exceed it.  Thresholds are engineering choices and are
-    echoed in the report details.  ``state_samples`` below 1,
+    one-step change against ``spec.increment_bound``; (2) samples one-step
+    means at up to ``state_samples`` distinct pilot states (a horizon of m
+    steps has m + 1), taken one at a time from :func:`_pilot_chain` so that
+    they cost O(n) memory however many, and fails if any z-score against
+    ``spec.drift`` exceeds :data:`Z_THRESHOLD` in magnitude; (3) estimates
+    the drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
+    checks the estimate does not exceed it.  Thresholds are engineering
+    choices and are echoed in the report details.  ``state_samples`` below 1,
     ``drift_samples`` below 100 or ``lipschitz_samples`` below 2 raises
     :class:`ContractError` before anything runs; a non-finite drift at any
     examined point raises :class:`DriftEvaluationError`.
