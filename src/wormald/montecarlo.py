@@ -21,15 +21,15 @@ each type's count saturated there, in one byte per type up to l = 254,
 and the pilot's snapshots carry those saturated counts.  Bounded Philox
 draws are prefix-stable however the stream is split into calls, and every
 update is integer arithmetic, so neither the grouping nor the saturation
-changes any seed's trajectory by a bit.  ``max_increment`` walks stops that
-double up to ``n`` and stops at the first one past a move, since a move
-settles its answer; a coupon run's first step always moves.
+changes any seed's trajectory by a bit.  ``max_increment`` replays only a
+run's first step, the one that settles its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
-drift, and a Lipschitz drift.  It takes the pilot states one at a time and
-the Lipschitz pairs in fixed blocks, so its memory is O(n + block) whatever
-the sample counts.
+drift, and a Lipschitz drift.  Each drift z-score's variance is floored at
+the least an integer increment with the predicted mean allows.  It takes
+the pilot states one at a time and the Lipschitz pairs in fixed blocks, so
+its memory is O(n + block) whatever the sample counts.
 """
 
 from __future__ import annotations
@@ -279,28 +279,22 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
 
 
 def max_increment(plan: RunPlan, run_index: int) -> int:
-    """Largest one-step coordinate change over a replayed run.
+    """Largest one-step coordinate change of a replayed run, measured on its first step.
 
     A step moves one unit between adjacent buckets exactly when the drawn
-    type held at most ``l`` copies.  Every such move raises the bucket-index
-    sum ``sum_i i * counts_of_counts[i]`` by one and no step lowers it, so
-    the answer is 1 once the sum is positive, and no later step can change
-    it.  The replay therefore stops at the first stop where the sum is
-    positive: the stops double from step 1 up to ``n``, then follow every
-    ``n`` steps to the horizon m, each drawn and applied on its own (see
-    :func:`_chain_states`).  Only a run with no move in all m steps returns
-    0, after replaying them all in memory O(n).  The coupon chain's first
-    step always moves (l >= 1), so a coupon run stops after one draw.
+    type held at most ``l`` copies, and no step moves more, so the run's
+    largest change is settled by its first moving step.  A coupon chain's
+    first step always moves (a type leaves bucket 0 for bucket 1, l >= 1),
+    and a plan has n >= 1 and a horizon of at least one step, so the replay
+    draws that one step through :func:`_chain_states` and returns the
+    largest change between the fresh row ``(n, 0, ...)`` and its row.
     """
-    n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
-    doubling = 1 << np.arange((min(n, m) - 1).bit_length(), dtype=np.int64)
-    stops = np.concatenate([doubling, np.arange(n, m, n, dtype=np.int64), [m]])
+    n, l = plan.n, plan.truncation
     gen = make_generator(plan.run_seed(run_index))
-    index = np.arange(l + 2)
-    for _i, _j, rows, _counts in _chain_states(gen, n, l, stops, 0):
-        if index @ rows[-1] > 0:
-            return 1
-    return 0
+    _i, _j, rows, _counts = next(_chain_states(gen, n, l, [1], 0))
+    fresh = np.zeros(l + 2, dtype=np.int64)
+    fresh[0] = n
+    return int(np.abs(rows[0] - fresh).max())
 
 
 @dataclass(frozen=True)
@@ -329,12 +323,12 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     the predicted one-step mean, ``spec``'s drift at the state's scaled time
     and counts (:func:`wormald.process.evaluate_drift`, so a spec not of the
     state's ``truncation + 2`` coordinates raises :class:`ContractError`).
-    Where the sampled change has zero variance (no sample moved the
-    coordinate, or every sample moved it alike), the standard error falls
-    back to the smallest one the prediction ``mu`` allows for an
-    integer-valued increment, sqrt((|mu| - mu^2) / sample_count).  Only where
-    that floor is zero too is the change deterministic; it then gets a
-    z-score of zero when it matches the prediction and infinity when not.
+    The variance of each coordinate's change is the sampled one, floored
+    at the smallest the prediction ``mu`` allows for an integer-valued
+    increment, |mu| - mu^2, so a coordinate that few samples moved is not
+    judged by a standard error below what the null allows.  Only where both
+    are zero is the change deterministic; it then gets a z-score of zero
+    when it matches the prediction and infinity when not.
     """
     if sample_count < 100:
         raise ContractError(f"sample_count must be >= 100, got {sample_count}")
@@ -358,10 +352,10 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
 
     var = np.maximum(mean_sq - empirical**2, 0.0) * sample_count / (sample_count - 1)
     # Increments are integers, so E[X^2] >= |E[X]| and under the null the
-    # variance is at least |mu| - mu^2.  A coordinate that no sample moved
-    # has empirical variance 0; it is tested against that floor instead.
+    # variance is at least |mu| - mu^2; a low-count coordinate's sampled
+    # variance may fall below it.
     floor = np.maximum(np.abs(predicted) - predicted**2, 0.0)
-    var = np.where(var > 0, var, floor)
+    var = np.maximum(var, floor)
     stderr = np.sqrt(var / sample_count)
     z = np.zeros(l + 2)
     live = stderr > 0
@@ -434,9 +428,9 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
                      lipschitz_samples: int = 20_000) -> HypothesisReport:
     """Empirically verify the bounded-increment, drift, and Lipschitz hypotheses.
 
-    (1) replays every run in the plan, each only until its first move
-    settles the answer (see :func:`max_increment`), and checks the largest
-    one-step change against ``spec.increment_bound``; (2) samples one-step
+    (1) replays the first step of every run in the plan, the step that
+    settles its largest one-step change (see :func:`max_increment`), and
+    checks that change against ``spec.increment_bound``; (2) samples one-step
     means at up to ``state_samples`` distinct pilot states (a horizon of m
     steps has m + 1), taken one at a time from :func:`_pilot_chain` so that
     they cost O(n) memory however many, and fails if any z-score against

@@ -21,7 +21,13 @@ The exact and reference columns, and the manifest, did not move.
 
 The ``check`` digest pins ``check.json`` (the three hypothesis verdicts); it
 was recorded with the Lipschitz estimator still looping over point pairs one
-drift call at a time, before it evaluated all pairs in one batched call.
+drift call at a time, before it evaluated all pairs in one batched call.  It
+was re-recorded when the drift check began to floor every coordinate's
+sampled variance at the integer-increment minimum |mu| - mu^2, not only a
+zero one: a low-count coordinate's sampled variance had been below it.  Only
+the drift entry moved (worst |z| 3.0246 at t = 13961 -> 2.6003 at t =
+10859); the increment and Lipschitz entries and the manifest kept their
+bytes.
 
 The ``solve`` case, every ``manifest.json`` digest and the config-file case
 were recorded before the CLI took its defaults from the flags and parsed
@@ -85,7 +91,7 @@ GOLDEN = {
     "check": (
         ["check", "--n", "2000", "--runs", "2", "--seed", "5"],
         {
-            "check.json": "2a4c780d3b04e525f26924ee355404d131e701ee2c4a8b6d43d8e965936bf026",
+            "check.json": "1a4dd459fb56dc0e50e9b8440b152978fddaf83735ac649d229caeeeb86411ea",
             "manifest.json": "673ac1ace59eb6c7eb3c32e9350f8a8587b319eca783d38be49d0f2b370338f6",
         },
     ),

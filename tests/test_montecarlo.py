@@ -315,6 +315,32 @@ def test_empirical_drift_accepts_true_drift_with_unsampled_coordinates(seed):
     assert report.stderr[8] == math.sqrt((abs(mu) - mu**2) / 10_000)
 
 
+# A state of n = 1000 types whose coordinates 6..8 hold few types: coordinate
+# 8 is predicted to gain 10 in 10^4 samples.  A sampled variance from the
+# few moves seen can put its standard error below what an integer increment
+# of that mean allows.
+_LOW_COUNT_STATE = (283, 351, 243, 79, 28, 14, 1, 1, 0, 0, 0, 0)
+
+
+def test_empirical_drift_floors_a_low_count_variance():
+    # Unfloored, 2 moves seen against 10 expected read z = 5.66 here.
+    state = _state_from_counts_of_counts(_LOW_COUNT_STATE)
+    report = empirical_drift(state, 10_000, seed=derive_seed(2026, 2**48 + 10),
+                             spec=make_coupon_spec(10))
+    assert report.max_abs_z <= 5.0
+    floor = np.abs(report.predicted) - report.predicted**2
+    assert np.all(report.stderr >= np.sqrt(floor / 10_000))
+
+
+def test_empirical_drift_gives_no_false_alarm_over_2000_seeds():
+    # Unfloored, 6 of these seeds read |z| > 5, the largest 9.0.
+    state = _state_from_counts_of_counts(_LOW_COUNT_STATE)
+    spec = make_coupon_spec(10)
+    worst = max(empirical_drift(state, 10_000, seed=seed, spec=spec).max_abs_z
+                for seed in range(2000))
+    assert worst <= 5.0
+
+
 def test_empirical_drift_rejects_doubled_drift_at_sparse_state():
     state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
     true_drift = coupon_drift(10)
@@ -382,3 +408,12 @@ def test_check_hypotheses_passes_true_drift_at_large_n():
     report = check_hypotheses(spec, plan, 50, lipschitz_samples=1000)
     assert report.drift.passed, report.drift.detail
     assert report.drift.observed <= 5.0
+
+
+def test_check_hypotheses_passes_true_drift_at_benchmark_size():
+    # The benchmark's `check --n 100000 --runs 4` at seed 24.  Unfloored, the
+    # overflow coordinate read z = -6.40: 1 move seen against 7.4 expected.
+    plan = RunPlan(n=100_000, run_count=4, master_seed=24)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    report = check_hypotheses(spec, plan, 50)
+    assert report.drift.passed, report.drift.detail
