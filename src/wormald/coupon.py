@@ -163,9 +163,10 @@ class CouponState:
     updates it in place.
 
     The pilot states :func:`wormald.montecarlo.check_hypotheses` examines
-    hold counts saturated at ``l + 1``, in one byte up to l = 254.  :func:`coupon_step`
-    steps states with exact counts, such as :meth:`fresh` ones: at l = 254
-    a saturated uint8 count of 255 cannot take ``+ 1``.
+    are canonically labelled and saturated: with ``C`` the cumulative sum of
+    ``counts_of_counts``, types ``[C[b-1], C[b])`` hold ``b`` copies, in one
+    byte up to l = 254.  :func:`coupon_step` steps states with exact counts,
+    such as :meth:`fresh` ones: a saturated uint8 255 cannot take ``+ 1``.
     """
 
     n: int

@@ -10,19 +10,19 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 
 ``simulate``, the pilot run (:func:`_pilot_chain`, whose states
 :func:`check_hypotheses` examines) and ``max_increment`` all advance the
-chain through one kernel, :func:`_chain_states`.  It draws a run's steps
-group by group.  A run of consecutive short grid intervals is drawn in one
-call and applied in one sorted pass that gives the bucket counts after each
-of its stops; an interval too long to share a pass is applied alone as one
+chain through one kernel, :func:`_chain_states`, grouped by one rule.  A
+run of consecutive short grid intervals is drawn in one call and applied
+in one sorted pass that gives the bucket counts after each of its stops;
+an interval too long to share a pass is applied alone as one
 counts-of-counts update.  A run costs O(n + interval) memory instead of
 O(horizon), and no grid point costs more than one sweep over the ``n``
-types.  The buckets only see ``min(copies, l + 1)``, so the kernel keeps
-each type's count saturated there, in one byte per type up to l = 254,
-and the pilot's snapshots carry those saturated counts.  Bounded Philox
-draws are prefix-stable however the stream is split into calls, and every
-update is integer arithmetic, so neither the grouping nor the saturation
-changes any seed's trajectory by a bit.  ``max_increment`` replays only a
-run's first step, the one that settles its answer.
+types.  Each type's count stays inside the kernel, saturated at ``l + 1``
+in one byte per type up to l = 254; only bucket rows leave it.  Bounded
+Philox draws are prefix-stable however the stream is split into calls, and
+every update is integer arithmetic, so neither the grouping nor the
+saturation changes any seed's rows by a bit.  Draws are uniform, so a pilot
+state labels its types canonically from its row alone.  ``max_increment``
+replays only a run's first step, the one that settles its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -196,25 +196,22 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     return counts_of_counts + np.cumsum(change, axis=0)
 
 
-def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
+def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
     ``stops`` is a non-empty, non-decreasing sequence of step counts, taken
     in groups.  A group is the longest run of consecutive stops whose draws
-    number at most ``group`` in all and at most ``group / 8`` per stop on
-    average, or else a lone stop.  After the group ``stops[i:j]`` the
-    generator yields ``(i, j, rows, counts)``: ``rows[r]`` holds the bucket
-    sizes (overflow at index ``l + 1``) after ``stops[i + r]`` uniform
-    draws from ``gen``, and ``counts`` the per-type copies after
-    ``stops[j - 1]``.  Both may be overwritten by the next group, so
-    callers copy what they keep.  With ``group=0`` every distinct stop is
-    its own group, so ``counts`` is current at each.
+    number at most :data:`_GROUP_DRAWS` in all and at most an eighth of that
+    per stop on average, or else a lone stop.  After the group
+    ``stops[i:j]`` the generator yields ``(i, j, rows)``: ``rows[r]`` holds
+    the bucket sizes (overflow at index ``l + 1``) after ``stops[i + r]``
+    uniform draws from ``gen``.  ``rows`` may be overwritten by the next
+    group, so callers copy what they keep.
 
-    The buckets only see ``min(copies, l + 1)``, so each type's count is
-    stored as exactly that, in the smallest unsigned dtype that holds
-    ``l + 1`` (one byte per type up to l = 254); ``rows`` are the integers
-    exact counts would give.  Increments are summed in int64 before they
-    are capped, so a narrow count never wraps.
+    Each type's count stays inside the kernel as ``min(copies, l + 1)``, in
+    the smallest unsigned dtype that holds it (one byte per type up to l =
+    254), summed in int64 before the cap so that it never wraps; ``rows``
+    are the integers exact counts would give.
 
     Each group draws its steps in one call.  A group of several stops is
     applied by :func:`_sorted_pass` and a lone stop by
@@ -223,7 +220,7 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     cheaper (see :func:`_dense_update`).  Memory is O(n + group + interval)
     rather than O(horizon).  Bounded Philox draws are prefix-stable however
     a stream is split into calls, so the chain sees exactly the first
-    ``stops[-1]`` values of the stream, as if they had been drawn at once.
+    ``stops[-1]`` values of the stream whatever the grouping.
     """
     stops = np.asarray(stops, dtype=np.int64)
     counts = np.zeros(n, dtype=np.min_scalar_type(l + 1))
@@ -231,8 +228,8 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
     counts_of_counts[0] = n
     i = t_prev = 0
     while i < stops.size:
-        j = max(i + 1, int(np.searchsorted(stops, t_prev + group, side="right")))
-        if stops[j - 1] - t_prev > (j - i) * (group >> 3):
+        j = max(i + 1, int(np.searchsorted(stops, t_prev + _GROUP_DRAWS, side="right")))
+        if stops[j - 1] - t_prev > (j - i) * (_GROUP_DRAWS >> 3):
             j = i + 1  # intervals this long are cheaper one at a time
         draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
         if j - i > 1 and draws.size:
@@ -241,7 +238,7 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops, group: int):
         else:  # a lone stop, or repeated stops with no draw between them
             _lone_update(draws, counts, counts_of_counts, l)
             rows = np.broadcast_to(counts_of_counts, (j - i, l + 2))
-        yield i, j, rows, counts
+        yield i, j, rows
         t_prev = int(stops[j - 1])
         i = j
 
@@ -262,9 +259,7 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     carries the scaled bucket counts after the nearest whole step.  Short
     grid intervals are drawn and applied a run at a time, long ones one at
     a time (see :func:`_chain_states`), so memory is O(n + interval) and
-    the trajectory does not depend on how the stream is split.  Per-type
-    counts are saturated at ``l + 1``, one byte per type up to l = 254,
-    which leaves every bucket as it was with exact counts.  States are
+    the trajectory does not depend on how the stream is split.  States are
     scaled counts in [0, 1] at times in [0, s_max], strictly inside the
     coupon domain box, so ``sigma_exit`` is always ``None``.
     """
@@ -272,8 +267,7 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     grid, t_grid = _grid_step_counts(plan)
     states = np.empty((grid.size, l + 2))
     gen = make_generator(plan.run_seed(run_index))
-    chain = _chain_states(gen, n, l, t_grid, _GROUP_DRAWS)
-    for i, j, rows, _counts in chain:
+    for i, j, rows in _chain_states(gen, n, l, t_grid):
         states[i:j] = rows / n
     return Trajectory(grid, states, None)
 
@@ -291,7 +285,7 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     """
     n, l = plan.n, plan.truncation
     gen = make_generator(plan.run_seed(run_index))
-    _i, _j, rows, _counts = next(_chain_states(gen, n, l, [1], 0))
+    _i, _j, rows = next(_chain_states(gen, n, l, [1]))
     fresh = np.zeros(l + 2, dtype=np.int64)
     fresh[0] = n
     return int(np.abs(rows[0] - fresh).max())
@@ -376,23 +370,25 @@ def _pilot_chain(plan: RunPlan, count: int):
     """Yield ``count >= 1`` states, evenly spaced in steps, of a pilot run, one at a time.
 
     The pilot draws from its own reserved stream so it never shares
-    randomness with the plan's numbered runs.  Draws are generated per
-    interval between snapshots (see :func:`_chain_states`), the per-type
-    counts are the kernel's, saturated at ``l + 1`` in one byte per type up
-    to l = 254, and each yielded state is a fresh copy, so a caller that
-    drops each state before taking the next holds O(n) memory however many
-    it examines.  A horizon of m steps has m + 1 distinct states, so
-    ``count`` is clamped to m + 1 before the times are spaced: above that,
-    the rounded times are exactly 0..m.
+    randomness with the plan's numbered runs.  A state's
+    ``per_type_counts`` is its row's canonical labelling: bucket ``b``
+    holds the types ``[C[b-1], C[b])``, ``C`` the row's cumulative sum, in
+    one byte per type up to l = 254.  Draws are uniform, so the one-step law
+    the drift check samples is the same under any labelling.  Each state is
+    built as it is yielded, so a caller that drops each before taking the
+    next holds O(n) memory however many it examines.  A horizon of m steps
+    has m + 1 distinct states, so ``count`` is clamped to m + 1 before the
+    times are spaced: above that, the rounded times are exactly 0..m.
     """
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     times = np.linspace(0, m, min(count, m + 1)).round().astype(np.int64)
     # Already sorted, so dropping repeats needs no np.unique (which imports numpy.ma).
     times = times[np.diff(times, prepend=-1) > 0]
-    chain = _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times, 0)
-    for i, _j, rows, counts in chain:
-        yield CouponState(n=n, t=int(times[i]), per_type_counts=counts.copy(),
-                          counts_of_counts=rows[0].copy())
+    buckets = np.arange(l + 2, dtype=np.min_scalar_type(l + 1))
+    for i, _j, rows in _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times):
+        for t, row in zip(times[i:], rows):
+            yield CouponState(n=n, t=int(t), per_type_counts=np.repeat(buckets, row),
+                              counts_of_counts=row.copy())
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,8 @@ class DomainBox:
     """Open axis-aligned box (s_low, s_high) x prod_l (z_low[l], z_high[l]).
 
     Concretizes the bounded connected open set on which the drift must be
-    Lipschitz.  Membership is strict on every face: the box is open.  It has
-    at least one coordinate.
+    Lipschitz, so every bound is finite.  Membership is strict on every
+    face: the box is open.  It has at least one coordinate.
     """
 
     s_low: float
@@ -68,10 +68,11 @@ class DomainBox:
             raise ContractError("z_low and z_high must be 1-d arrays of equal length")
         if self.z_low.size == 0:
             raise ContractError("the box needs at least one coordinate")
-        if not self.s_low < self.s_high:
-            raise ContractError(f"need s_low < s_high, got [{self.s_low}, {self.s_high}]")
-        if not np.all(self.z_low < self.z_high):
-            raise ContractError("need z_low[l] < z_high[l] for every coordinate")
+        if not -np.inf < self.s_low < self.s_high < np.inf:
+            raise ContractError(f"need finite s_low < s_high, got [{self.s_low}, {self.s_high}]")
+        finite = np.isfinite(self.z_low) & np.isfinite(self.z_high)
+        if not np.all(finite & (self.z_low < self.z_high)):
+            raise ContractError("need finite z_low[l] < z_high[l] for every coordinate")
 
     @property
     def coord_count(self) -> int:
@@ -114,10 +115,10 @@ class ProcessSpec:
     linear: bool = False
 
     def __post_init__(self):
-        if not self.increment_bound > 0:
-            raise ContractError("increment_bound must be positive")
-        if self.lipschitz_hint is not None and self.lipschitz_hint < 0:
-            raise ContractError("lipschitz_hint must be non-negative")
+        if not 0 < self.increment_bound < np.inf:
+            raise ContractError("increment_bound must be positive and finite")
+        if self.lipschitz_hint is not None and not 0 <= self.lipschitz_hint < np.inf:
+            raise ContractError("lipschitz_hint must be non-negative and finite")
         if not isinstance(self.linear, bool):
             raise ContractError(f"linear must be a bool, got {type(self.linear).__name__}")
 

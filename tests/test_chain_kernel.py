@@ -8,8 +8,8 @@ pass, and a lone interval either as a sparse ``np.unique`` delta or as a
 dense bincount over all types.  These tests vary the group size, which splits and merges
 intervals in every way, and force either lone update.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
-kernel's saturated counts against one bincount of draws made in one call,
-and the memory of ``simulate``, ``max_increment`` and the pilot walk against
+kernel's rows against one bincount of draws made in one call, and the
+memory of ``simulate``, ``max_increment`` and the pilot walk against
 bounds linear in ``n``.  ``max_increment`` stops at its first move, so its
 own tests cover the stop walk: the answer at plans whose horizon is
 shorter than, equal to and longer than ``n``, how few values a coupon run
@@ -36,17 +36,15 @@ from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
 
 
 def _replay(plan, stream_index):
-    """States after every step 0..horizon of one stream, by ``coupon_step``."""
+    """Bucket rows after every step 0..horizon of one stream, by ``coupon_step``."""
     gen = spawn(plan.master_seed, stream_index)
     draws = gen.integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
     state = CouponState.fresh(plan.n, plan.truncation)
-    per_type = [state.per_type_counts.copy()]
     buckets = [state.counts_of_counts.copy()]
     for draw in draws:
         coupon_step(state, int(draw))
-        per_type.append(state.per_type_counts.copy())
         buckets.append(state.counts_of_counts.copy())
-    return np.array(per_type), np.array(buckets)
+    return np.array(buckets)
 
 
 @st.composite
@@ -82,23 +80,26 @@ def test_kernel_matches_step_by_step_replay(plan, group, update, data):
         snapshots = list(_pilot_chain(plan, count))
         increment = max_increment(plan, run)
 
-    _, buckets = _replay(plan, run)
+    buckets = _replay(plan, run)
     t_grid = np.minimum(np.rint(traj.s * plan.n).astype(np.int64),
                         plan.resolved_horizon())
     assert np.array_equal(traj.z, buckets[t_grid] / plan.n)
     assert traj.sigma_exit is None
     assert increment == int(np.abs(np.diff(buckets, axis=0)).max())
 
-    per_type, buckets = _replay(plan, _AUX_STREAM_BASE)
+    buckets = _replay(plan, _AUX_STREAM_BASE)
     m = plan.resolved_horizon()
     times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
     assert [s.t for s in snapshots] == times.tolist()
     l = plan.truncation
     for state in snapshots:
         assert state.n == plan.n
-        assert state.per_type_counts.dtype == np.min_scalar_type(l + 1)
-        assert np.array_equal(state.per_type_counts, np.minimum(per_type[state.t], l + 1))
         assert np.array_equal(state.counts_of_counts, buckets[state.t])
+        # the row's canonical labelling: bucket b holds types [C[b-1], C[b])
+        labels = state.per_type_counts
+        assert labels.dtype == np.min_scalar_type(l + 1)
+        assert np.all(labels[1:] >= labels[:-1])
+        assert np.array_equal(np.bincount(labels, minlength=l + 2), state.counts_of_counts)
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])
@@ -126,18 +127,18 @@ def test_simulate_spanning_several_blocks_matches_one_shot_counts():
 def test_kernel_yields_once_per_stop_including_repeated_stops():
     stops = [0, 0, 4, 4, 9]
     draws = spawn(1, 0).integers(0, 5, size=stops[-1], dtype=np.int64)
+    # buckets after each stop, from per-type copies saturated at l + 1 = 3
+    expected = [np.bincount(np.minimum(np.bincount(draws[:stop], minlength=5), 3),
+                            minlength=4).tolist() for stop in stops]
     for group in (0, 4, 16, montecarlo._GROUP_DRAWS):
-        spans, row_sums = [], []
-        for i, j, rows, counts in _chain_states(spawn(1, 0), 5, 2, stops, group):
-            spans.append((i, j))
-            row_sums += [int(row.sum()) for row in rows]
-            # per-type copies after stops[j - 1] draws, saturated at l + 1 = 3
-            expected = np.minimum(np.bincount(draws[: stops[j - 1]], minlength=5), 3)
-            assert np.array_equal(counts, expected)
+        spans, seen = [], []
+        with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
+            for i, j, rows in _chain_states(spawn(1, 0), 5, 2, stops):
+                spans.append((i, j))
+                seen += [row.tolist() for row in rows]
         assert [i for i, _ in spans] == [0] + [j for _, j in spans[:-1]]
         assert spans[-1][1] == len(stops)
-        assert row_sums == [5] * len(stops)
-        assert np.array_equal(counts, np.minimum(np.bincount(draws, minlength=5), 3))
+        assert seen == expected
 
 
 @pytest.mark.parametrize("n", [30_000, 100_000])
@@ -147,8 +148,7 @@ def test_grouped_passes_match_lone_stops_at_large_n(n):
     for seed in (1, 2, 3):
         plan = RunPlan(n=n, master_seed=seed, s_max=4.0)
         _, t_grid = montecarlo._grid_step_counts(plan)
-        groups = list(_chain_states(spawn(seed, 0), n, plan.truncation, t_grid,
-                                    montecarlo._GROUP_DRAWS))
+        groups = list(_chain_states(spawn(seed, 0), n, plan.truncation, t_grid))
         assert len(groups) < t_grid.size // 10
         grouped = simulate(plan, 0)
         with mock.patch.object(montecarlo, "_GROUP_DRAWS", 0):
@@ -176,12 +176,10 @@ def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
     stops = np.cumsum(gaps)
     draws = spawn(7, 0).integers(0, n, size=stops[-1], dtype=np.int64)
     rows = []
-    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
-        for _i, j, r, counts in _chain_states(spawn(7, 0), n, l, stops, group):
+    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]), \
+            mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
+        for _i, _j, r in _chain_states(spawn(7, 0), n, l, stops):
             rows.extend(np.array(r))
-            assert counts.dtype == np.min_scalar_type(l + 1)
-            per_type = np.bincount(draws[: stops[j - 1]], minlength=n)
-            assert np.array_equal(counts, np.minimum(per_type, l + 1))
     assert len(rows) == stops.size
     for stop, row in zip(stops, rows):
         per_type = np.bincount(draws[:stop], minlength=n)
@@ -208,7 +206,7 @@ def test_max_increment_matches_full_replay_at_edge_plans(n, s_max, horizon):
     plan = RunPlan(n=n, master_seed=11, s_max=s_max)
     m = plan.resolved_horizon()
     assert horizon == {-1: "m < n", 0: "m = n", 1: "m > n"}[np.sign(m - n)]
-    _, buckets = _replay(plan, 0)
+    buckets = _replay(plan, 0)
     assert max_increment(plan, 0) == int(np.abs(np.diff(buckets, axis=0)).max())
 
 
@@ -238,21 +236,38 @@ def test_max_increment_measures_the_first_row(moved):
     # whose first step moves nothing, or moves two units, must show it.
     seen = []
 
-    def kernel(gen, n, l, stops, group):
+    def kernel(gen, n, l, stops):
         seen.append(list(stops))
         rows = np.zeros((1, l + 2), dtype=np.int64)
         rows[0, 0] = n - moved
         rows[0, 1] = moved
-        yield 0, 1, rows, np.zeros(n, dtype=np.uint8)
+        yield 0, 1, rows
 
     with mock.patch.object(montecarlo, "_chain_states", kernel):
         assert max_increment(RunPlan(n=1000, master_seed=5), 0) == moved
     assert seen == [[1]]
 
 
+def test_golden_check_pilot_runs_through_a_sorted_pass():
+    # The golden `check` case: 50 pilot states over ceil(n ln n) = 15,202
+    # steps at n = 2000, about 310 draws per interval, short enough to share
+    # one sorted pass instead of 49 lone updates.
+    passes = []
+    real = montecarlo._sorted_pass
+
+    def counting(draws, ends, *args):
+        passes.append(ends.size)
+        return real(draws, ends, *args)
+
+    with mock.patch.object(montecarlo, "_sorted_pass", counting):
+        states = list(_pilot_chain(RunPlan(n=2000, run_count=2, master_seed=5), 50))
+    assert len(states) == 50
+    assert passes and max(passes) > 1
+
+
 def test_pilot_walk_keeps_one_byte_per_type(traced_peak_mb):
-    # The walk copies each of its 50 snapshots of 1e6 types as it reaches
-    # it; eight-byte counts alone would take 8 MB running and 8 MB per copy.
+    # The walk labels each of its 50 states' 1e6 types as it reaches it;
+    # eight-byte counts alone would take 8 MB running and 8 MB per state.
     def walk(plan, count):
         for _state in _pilot_chain(plan, count):
             pass

@@ -27,7 +27,15 @@ sampled variance at the integer-increment minimum |mu| - mu^2, not only a
 zero one: a low-count coordinate's sampled variance had been below it.  Only
 the drift entry moved (worst |z| 3.0246 at t = 13961 -> 2.6003 at t =
 10859); the increment and Lipschitz entries and the manifest kept their
-bytes.
+bytes.  It was re-recorded again when the pilot run began to walk the chain
+with the same grouping as every other run and to label each state's types
+canonically from its bucket row (bucket ``b`` holds the types ``[C[b-1],
+C[b])``, ``C`` the row's cumulative sum), where it had carried each type's
+own count.  The pilot's rows, and so every state's description, kept their
+values; the drift check's 10,000 draws per state land on relabelled types,
+which is the same one-step law with new samples.  Only the drift entry
+moved (worst |z| 2.6003 at t = 10859 -> 3.3349 at t = 6515); the manifest
+kept its bytes.
 
 The ``solve`` case, every ``manifest.json`` digest and the config-file case
 were recorded before the CLI took its defaults from the flags and parsed
@@ -91,7 +99,7 @@ GOLDEN = {
     "check": (
         ["check", "--n", "2000", "--runs", "2", "--seed", "5"],
         {
-            "check.json": "1a4dd459fb56dc0e50e9b8440b152978fddaf83735ac649d229caeeeb86411ea",
+            "check.json": "6bd8274d01a9653fd955d13830ad933376436f66dfc17b1b06bb0ac6f9b52828",
             "manifest.json": "673ac1ace59eb6c7eb3c32e9350f8a8587b319eca783d38be49d0f2b370338f6",
         },
     ),

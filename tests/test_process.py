@@ -136,6 +136,31 @@ def test_domain_box_validation():
         DomainBox(0.0, 1.0, np.zeros(0), np.ones(0))
 
 
+# Each bound is non-finite and nothing else is wrong with the box.
+@pytest.mark.parametrize("field, value", [
+    ("s_low", -np.inf), ("s_low", np.nan), ("s_high", np.inf), ("s_high", np.nan),
+    ("z_low", -np.inf), ("z_low", np.nan), ("z_high", np.inf), ("z_high", np.nan),
+])
+def test_domain_box_refuses_non_finite_bounds(field, value):
+    bounds = {"s_low": 0.0, "s_high": 1.0, "z_low": np.zeros(2), "z_high": np.ones(2)}
+    if field.startswith("z"):
+        bounds[field] = np.array([bounds[field][0], value])
+    else:
+        bounds[field] = value
+    with pytest.raises(ContractError, match="finite"):
+        DomainBox(**bounds)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("increment_bound", np.inf), ("increment_bound", np.nan),
+    ("lipschitz_hint", np.inf), ("lipschitz_hint", np.nan),
+])
+def test_process_spec_refuses_non_finite_bounds(field, value):
+    kwargs = {"increment_bound": 1.0, "lipschitz_hint": 1.0, field: value}
+    with pytest.raises(ContractError, match=f"{field} must be .* finite"):
+        ProcessSpec(lambda s, z: np.zeros(2), domain=unit_box(2), **kwargs)
+
+
 def test_process_spec_validation():
     box = unit_box(2)
     drift = lambda s, z: np.zeros(2)
