@@ -30,14 +30,11 @@ from .process import (
     evaluate_drift,
     in_domain,
 )
-from .ode import OrderEstimate, convergence_order, grid_times, integrate
+from .ode import grid_times, integrate
 from .coupon import (
-    CouponState,
     closed_form,
-    closed_form_system,
     coupon_drift,
     coupon_reference,
-    coupon_step,
     cover_time,
     exact_cover_tail,
     make_coupon_spec,
@@ -69,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractError",
-    "CouponState",
     "DeviationReport",
     "DivergenceError",
     "DomainBox",
@@ -82,7 +78,6 @@ __all__ = [
     "HypothesisCheck",
     "HypothesisReport",
     "NumericalError",
-    "OrderEstimate",
     "ProcessSpec",
     "RunPlan",
     "ScalingReport",
@@ -91,12 +86,9 @@ __all__ = [
     "WormaldError",
     "check_hypotheses",
     "closed_form",
-    "closed_form_system",
     "compare_run",
-    "convergence_order",
     "coupon_drift",
     "coupon_reference",
-    "coupon_step",
     "cover_time",
     "derive_seed",
     "empirical_drift",

@@ -25,17 +25,17 @@ wherever they are taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, integrate
 from .process import DomainBox, ProcessSpec, Trajectory
-from .rng import KeyedStream, make_generator
+# Nothing here calls make_generator; the benchmark's tracer test requires
+# this module to bind it.
+from .rng import KeyedStream, make_generator  # noqa: F401
 
 #: Default truncation level and scaled horizon of the coupon engines and the
 #: CLI (``RunPlan`` and ``simulate``/``check`` leave s_max out by default).
@@ -139,89 +139,6 @@ def closed_form(s: float, i: int) -> float:
     return math.exp(i * math.log(s) - s - math.lgamma(i + 1))
 
 
-def closed_form_system(s: float, l: int) -> np.ndarray:
-    """Exact solution vector of the truncated system, overflow included.
-
-    Entries 0..l are :func:`closed_form`; the overflow entry is the Poisson
-    tail 1 - sum of the others, so the vector sums to exactly one.
-    """
-    if l < 1:
-        raise ContractError(f"truncation level must be >= 1, got {l}")
-    head = [closed_form(s, i) for i in range(l + 1)]
-    return np.array(head + [1.0 - math.fsum(head)])
-
-
-@dataclass
-class CouponState:
-    """Mutable state of one coupon-collecting run.
-
-    ``per_type_counts`` holds the copies of each of the ``n`` types;
-    ``counts_of_counts[i]`` is the number of types with exactly ``i`` copies
-    for ``i <= l``, with index ``l+1`` counting types past the truncation
-    level.  ``cover_time`` is set the first time no type is missing.  A
-    state belongs to one execution context at a time; :func:`coupon_step`
-    updates it in place.
-
-    The pilot states :func:`wormald.montecarlo.check_hypotheses` examines
-    are canonically labelled and saturated: with ``C`` the cumulative sum of
-    ``counts_of_counts``, types ``[C[b-1], C[b])`` hold ``b`` copies, in one
-    byte up to l = 254.  :func:`coupon_step` steps states with exact counts,
-    such as :meth:`fresh` ones: a saturated uint8 255 cannot take ``+ 1``.
-    """
-
-    n: int
-    t: int
-    per_type_counts: np.ndarray
-    counts_of_counts: np.ndarray
-    cover_time: Optional[int] = None
-
-    @classmethod
-    def fresh(cls, n: int, l: int = DEFAULT_L) -> "CouponState":
-        if n < 1:
-            raise ContractError(f"n must be positive, got {n}")
-        if l < 1:
-            raise ContractError(f"truncation level must be >= 1, got {l}")
-        counts_of_counts = np.zeros(l + 2, dtype=np.int64)
-        counts_of_counts[0] = n
-        return cls(
-            n=n,
-            t=0,
-            per_type_counts=np.zeros(n, dtype=np.int64),
-            counts_of_counts=counts_of_counts,
-        )
-
-    @property
-    def truncation(self) -> int:
-        return self.counts_of_counts.shape[0] - 2
-
-    def describe(self) -> str:
-        return (f"n={self.n} t={self.t} "
-                f"counts_of_counts={tuple(int(c) for c in self.counts_of_counts)}")
-
-
-def coupon_step(state: CouponState, draw: int) -> CouponState:
-    """Apply one draw to ``state`` in place (constant time) and return it.
-
-    Moves the drawn type from bucket min(copies, l+1) to
-    min(copies + 1, l+1), advances ``t``, and records the cover time when
-    the zero-copy bucket first empties.
-    """
-    if not 0 <= draw < state.n:
-        raise ContractError(f"draw {draw} out of range [0, {state.n})")
-    l_over = state.counts_of_counts.shape[0] - 1
-    copies = int(state.per_type_counts[draw])
-    state.per_type_counts[draw] = copies + 1
-    b_old = min(copies, l_over)
-    b_new = min(copies + 1, l_over)
-    if b_new != b_old:
-        state.counts_of_counts[b_old] -= 1
-        state.counts_of_counts[b_new] += 1
-    state.t += 1
-    if state.cover_time is None and state.counts_of_counts[0] == 0:
-        state.cover_time = state.t
-    return state
-
-
 def cover_time(n: int, seed: int) -> int:
     """Steps until every type has been drawn at least once.
 
@@ -245,23 +162,14 @@ def cover_time(n: int, seed: int) -> int:
     return 1 + int(waits.sum())
 
 
-def cover_time_reference(n: int, seed: int) -> int:
-    """:func:`cover_time` one wait at a time, the slow path it is tested against.
-
-    One ``standard_exponential`` draw and one ``math.ceil`` per wait, from a
-    new generator for ``seed``.
-    """
-    gen = make_generator(seed)
-    return 1 + sum(math.ceil(gen.standard_exponential() / -math.log1p(-(n - k) / n))
-                   for k in range(1, n))
-
-
 @lru_cache(maxsize=2)
 def _wait_rates(n: int) -> np.ndarray:
     """Read-only per-n rates r_k = -log1p(-p_k), k = 1..n-1, of :func:`cover_time`.
 
-    ``math.log1p`` is libm's, as :func:`cover_time_reference` uses; np.log1p
-    is a SIMD routine that differs from it in the last bit for some p.
+    ``math.log1p`` is libm's, as the one-wait-at-a-time reference that
+    :func:`cover_time` is tested against (in ``tests/oracles.py``) uses;
+    np.log1p is a SIMD routine that differs from it in the last bit for
+    some p.
     """
     minus_p = np.arange(1 - n, 0) / n
     rates = np.fromiter(map(math.log1p, minus_p), dtype=np.float64, count=n - 1)

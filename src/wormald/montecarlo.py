@@ -20,16 +20,17 @@ types.  Each type's count stays inside the kernel, saturated at ``l + 1``
 in one byte per type up to l = 254; only bucket rows leave it.  Bounded
 Philox draws are prefix-stable however the stream is split into calls, and
 every update is integer arithmetic, so neither the grouping nor the
-saturation changes any seed's rows by a bit.  Draws are uniform, so a pilot
-state labels its types canonically from its row alone.  ``max_increment``
-replays only a run's first step, the one that settles its answer.
+saturation changes any seed's rows by a bit.  ``max_increment`` replays
+only a run's first step, the one that settles its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
-drift, and a Lipschitz drift.  Each drift z-score's variance is floored at
-the least an integer increment with the predicted mean allows.  It takes
-the pilot states one at a time and the Lipschitz pairs in fixed blocks, so
-its memory is O(n + block) whatever the sample counts.
+drift, and a Lipschitz drift.  A pilot state is a bucket row and its step
+count, as the method tracks the chain: draws are uniform, so the one-step
+law at a state depends on its row alone.  Each drift z-score's variance is
+floored at the least an integer increment with the predicted mean allows.
+The check takes the pilot rows one at a time and the Lipschitz pairs in
+fixed blocks, so its memory is O(n + block) whatever the sample counts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupon import DEFAULT_L, CouponState
+from .coupon import DEFAULT_L
 from .errors import ContractError
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
@@ -307,31 +308,52 @@ class DriftCheckReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
-def empirical_drift(state: CouponState, sample_count: int, seed: int,
+def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
                     spec: ProcessSpec) -> DriftCheckReport:
-    """Sample independent single steps from a frozen state and test the drift.
+    """Sample independent single steps from a frozen bucket row and test the drift.
 
+    ``row`` holds the bucket sizes of a state ``t`` steps into a run, the
+    overflow bucket last, so ``n = row.sum()`` and ``l = row.size - 2``.
     Draws ``sample_count`` fresh uniform types from a Philox stream keyed by
     ``seed`` (each sample restarts from the same state, so the steps are
     independent), averages the per-coordinate change, and compares it with
-    the predicted one-step mean, ``spec``'s drift at the state's scaled time
-    and counts (:func:`wormald.process.evaluate_drift`, so a spec not of the
-    state's ``truncation + 2`` coordinates raises :class:`ContractError`).
-    The variance of each coordinate's change is the sampled one, floored
-    at the smallest the prediction ``mu`` allows for an integer-valued
-    increment, |mu| - mu^2, so a coordinate that few samples moved is not
-    judged by a standard error below what the null allows.  Only where both
-    are zero is the change deterministic; it then gets a z-score of zero
-    when it matches the prediction and infinity when not.
+    the predicted one-step mean, ``spec``'s drift at the scaled time and
+    counts (:func:`wormald.process.evaluate_drift`, so a spec not of
+    ``l + 2`` coordinates raises :class:`ContractError`).  Types are
+    labelled canonically: with ``C`` the row's cumulative sum, bucket ``b``
+    holds the types ``[C[b-1], C[b])``, so its draws are counted by binary
+    searches into the sorted draws.  Draws are uniform, so the one-step law
+    is the same under any labelling.  The variance of each coordinate's
+    change is the sampled one, floored at the smallest the prediction ``mu``
+    allows for an integer-valued increment, |mu| - mu^2, so a coordinate
+    that few samples moved is not judged by a standard error below what the
+    null allows.  Only where both are zero is the change deterministic; it
+    then gets a z-score of zero when it matches the prediction and infinity
+    when not.  A row that is not a 1-d integer array of at least three
+    non-negative entries with a positive sum, a negative ``t`` or
+    ``sample_count`` below 100 raises :class:`ContractError`.
     """
     if sample_count < 100:
         raise ContractError(f"sample_count must be >= 100, got {sample_count}")
-    n = state.n
-    l = state.truncation
+    row = np.asarray(row)
+    if row.ndim != 1 or row.size < 3 or not np.issubdtype(row.dtype, np.integer):
+        raise ContractError("row must be a 1-d integer array of at least 3 buckets "
+                            f"(l >= 1), got {row.dtype} of shape {row.shape}")
+    if row.min() < 0:
+        raise ContractError(f"row entries must be non-negative, got {row}")
+    n = int(row.sum())
+    if n < 1:
+        raise ContractError("row must hold at least one type")
+    if t < 0:
+        raise ContractError(f"t must be non-negative, got {t}")
+    l = row.size - 2
     gen = make_generator(seed)
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
-    source = np.minimum(state.per_type_counts[draws], l + 1)
-    cnt = np.bincount(source, minlength=l + 2).astype(float)
+    # int32 keys sort about twice as fast as int64 ones
+    key_type = np.int32 if n < 2**31 else np.int64
+    keys = np.sort(draws.astype(key_type))
+    cnt = np.diff(np.searchsorted(keys, np.cumsum(row, dtype=key_type)), prepend=0)
+    cnt = cnt.astype(float)
 
     # A draw from bucket b <= l moves one unit b -> min(b+1, l+1); a draw
     # from the overflow bucket changes nothing.
@@ -342,7 +364,7 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     empirical = (inc - dec) / sample_count
     mean_sq = (inc + dec) / sample_count  # each move contributes (+-1)^2
 
-    predicted = evaluate_drift(spec, state.t / n, state.counts_of_counts / n)
+    predicted = evaluate_drift(spec, t / n, row / n)
 
     var = np.maximum(mean_sq - empirical**2, 0.0) * sample_count / (sample_count - 1)
     # Increments are integers, so E[X^2] >= |E[X]| and under the null the
@@ -357,7 +379,7 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
     frozen_mismatch = ~live & (np.abs(empirical - predicted) > 1e-9)
     z[frozen_mismatch] = np.inf
     return DriftCheckReport(
-        description=state.describe(),
+        description=f"n={n} t={t} counts_of_counts={tuple(int(c) for c in row)}",
         sample_count=sample_count,
         empirical=empirical,
         predicted=predicted,
@@ -369,26 +391,22 @@ def empirical_drift(state: CouponState, sample_count: int, seed: int,
 def _pilot_chain(plan: RunPlan, count: int):
     """Yield ``count >= 1`` states, evenly spaced in steps, of a pilot run, one at a time.
 
-    The pilot draws from its own reserved stream so it never shares
-    randomness with the plan's numbered runs.  A state's
-    ``per_type_counts`` is its row's canonical labelling: bucket ``b``
-    holds the types ``[C[b-1], C[b])``, ``C`` the row's cumulative sum, in
-    one byte per type up to l = 254.  Draws are uniform, so the one-step law
-    the drift check samples is the same under any labelling.  Each state is
-    built as it is yielded, so a caller that drops each before taking the
-    next holds O(n) memory however many it examines.  A horizon of m steps
-    has m + 1 distinct states, so ``count`` is clamped to m + 1 before the
-    times are spaced: above that, the rounded times are exactly 0..m.
+    A state is ``(t, row)``: the step count and a copy of the kernel's int64
+    bucket row after ``t`` steps, the overflow bucket last.  The pilot draws
+    from its own reserved stream so it never shares randomness with the
+    plan's numbered runs.  A row holds ``l + 2`` entries, so the walk costs
+    the kernel's O(n) memory however many states a caller keeps.  A horizon
+    of m steps has m + 1 distinct states, so ``count`` is clamped to m + 1
+    before the times are spaced: above that, the rounded times are exactly
+    0..m.
     """
     n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
     times = np.linspace(0, m, min(count, m + 1)).round().astype(np.int64)
     # Already sorted, so dropping repeats needs no np.unique (which imports numpy.ma).
     times = times[np.diff(times, prepend=-1) > 0]
-    buckets = np.arange(l + 2, dtype=np.min_scalar_type(l + 1))
     for i, _j, rows in _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times):
         for t, row in zip(times[i:], rows):
-            yield CouponState(n=n, t=int(t), per_type_counts=np.repeat(buckets, row),
-                              counts_of_counts=row.copy())
+            yield int(t), row.copy()
 
 
 @dataclass(frozen=True)
@@ -428,9 +446,11 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     settles its largest one-step change (see :func:`max_increment`), and
     checks that change against ``spec.increment_bound``; (2) samples one-step
     means at up to ``state_samples`` distinct pilot states (a horizon of m
-    steps has m + 1), taken one at a time from :func:`_pilot_chain` so that
-    they cost O(n) memory however many, and fails if any z-score against
-    ``spec.drift`` exceeds :data:`Z_THRESHOLD` in magnitude; (3) estimates
+    steps has m + 1), bucket rows taken one at a time from
+    :func:`_pilot_chain` and passed to :func:`empirical_drift` with their
+    step counts, so that they cost O(n) memory however many, and fails if
+    any z-score against ``spec.drift`` exceeds :data:`Z_THRESHOLD` in
+    magnitude; (3) estimates
     the drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,
     checks the estimate does not exceed it.  Thresholds are engineering
     choices and are echoed in the report details.  ``state_samples`` below 1,
@@ -458,9 +478,9 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     worst_z = 0.0
     worst_state = ""
-    for examined, state in enumerate(_pilot_chain(plan, state_samples), start=1):
+    for examined, (t, row) in enumerate(_pilot_chain(plan, state_samples), start=1):
         report = empirical_drift(
-            state, drift_samples,
+            row, t, drift_samples,
             seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + examined),
             spec=spec,
         )

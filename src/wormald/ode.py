@@ -24,7 +24,6 @@ against the closed form at h = 1e-3, 2e-8 at h = 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -185,34 +184,3 @@ def integrate(spec: ProcessSpec, z0: np.ndarray, s_max: float,
             break
 
     return Trajectory(grid[:len(out_z)], np.array(out_z), sigma_exit)
-
-
-@dataclass(frozen=True)
-class OrderEstimate:
-    """Observed convergence order; ``degenerate`` flags a zero fine-grid error."""
-
-    order: float
-    err_coarse: float
-    err_fine: float
-    degenerate: bool = False
-
-
-def convergence_order(spec: ProcessSpec, z0: np.ndarray, s_max: float, h: float,
-                      oracle: Callable[[float, int], float]) -> OrderEstimate:
-    """Measure the integrator's order against an exact solution.
-
-    Integrates with steps ``h`` and ``h/2`` (emitting every step), takes the
-    max-over-grid, max-over-coordinate absolute error against
-    ``oracle(s, l)``, and returns ``log2(err(h) / err(h/2))``.  A zero
-    fine-grid error yields an infinite order with ``degenerate=True``.
-    """
-    errs = []
-    for step in (h, h / 2.0):
-        traj = integrate(spec, z0, s_max, h=step, grid_stride=1)
-        exact = np.array([[oracle(float(s), l) for l in range(spec.coord_count)]
-                          for s in traj.s])
-        errs.append(float(np.max(np.abs(traj.z - exact))))
-    err_coarse, err_fine = errs
-    if err_fine == 0.0:
-        return OrderEstimate(math.inf, err_coarse, err_fine, degenerate=True)
-    return OrderEstimate(math.log2(err_coarse / err_fine), err_coarse, err_fine)

@@ -12,15 +12,12 @@ import time
 
 import numpy as np
 
+from oracles import CouponState, closed_form_system, convergence_order, coupon_step
 from wormald import (
-    CouponState,
     ProcessSpec,
     RunPlan,
     check_hypotheses,
-    closed_form_system,
-    convergence_order,
     coupon_drift,
-    coupon_step,
     cover_time,
     derive_seed,
     estimate_lipschitz,

@@ -10,10 +10,11 @@ intervals in every way, and force either lone update.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
 kernel's rows against one bincount of draws made in one call, and the
 memory of ``simulate``, ``max_increment`` and the pilot walk against
-bounds linear in ``n``.  ``max_increment`` stops at its first move, so its
-own tests cover the stop walk: the answer at plans whose horizon is
-shorter than, equal to and longer than ``n``, how few values a coupon run
-draws, and the stops of a run that never moves.
+bounds linear in ``n``.  ``max_increment`` draws one step, the coupon
+chain's first, which always moves, so its own tests cover that step: the
+answer at plans whose horizon is shorter than, equal to and longer than
+``n``, that a run draws one value, and that the answer is read off the
+kernel's first row, whatever that row moved.
 """
 
 from unittest import mock
@@ -23,14 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wormald import (
-    CouponState,
-    RunPlan,
-    coupon_step,
-    max_increment,
-    simulate,
-    spawn,
-)
+from oracles import CouponState, coupon_step
+from wormald import RunPlan, max_increment, simulate, spawn
 from wormald import montecarlo
 from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
 
@@ -90,16 +85,10 @@ def test_kernel_matches_step_by_step_replay(plan, group, update, data):
     buckets = _replay(plan, _AUX_STREAM_BASE)
     m = plan.resolved_horizon()
     times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
-    assert [s.t for s in snapshots] == times.tolist()
-    l = plan.truncation
-    for state in snapshots:
-        assert state.n == plan.n
-        assert np.array_equal(state.counts_of_counts, buckets[state.t])
-        # the row's canonical labelling: bucket b holds types [C[b-1], C[b])
-        labels = state.per_type_counts
-        assert labels.dtype == np.min_scalar_type(l + 1)
-        assert np.all(labels[1:] >= labels[:-1])
-        assert np.array_equal(np.bincount(labels, minlength=l + 2), state.counts_of_counts)
+    assert [t for t, _row in snapshots] == times.tolist()
+    for t, row in snapshots:
+        assert row.dtype == np.int64
+        assert np.array_equal(row, buckets[t])
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])
@@ -189,8 +178,8 @@ def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
 
 def test_saturated_counts_take_one_byte_per_type(traced_peak_mb):
     # Eight-byte counts alone would take 8 MB at this n.  max_increment
-    # stops after the coupon chain's first step, one draw, so its peak is
-    # the 1 MB of one-byte counts.
+    # draws the coupon chain's first step, one value, so its peak is the
+    # 1 MB of one-byte counts.
     n = 1_000_000
     assert traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
     assert traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 2
@@ -265,14 +254,15 @@ def test_golden_check_pilot_runs_through_a_sorted_pass():
     assert passes and max(passes) > 1
 
 
-def test_pilot_walk_keeps_one_byte_per_type(traced_peak_mb):
-    # The walk labels each of its 50 states' 1e6 types as it reaches it;
-    # eight-byte counts alone would take 8 MB running and 8 MB per state.
+def test_pilot_walk_holds_no_per_type_array(traced_peak_mb):
+    # The kernel's 1e6 one-byte counts and one interval's draws; a state is
+    # its row of l + 2 buckets.  A 1e6-entry labelling per state would peak
+    # near 3.9 MB.
     def walk(plan, count):
         for _state in _pilot_chain(plan, count):
             pass
 
-    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 8
+    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 3
 
 
 @pytest.mark.parametrize("n, limit_mb", [(100_000, 4), (1_000_000, 12)])

@@ -11,20 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wormald.coupon
+from oracles import (
+    CouponState,
+    bucket_chain_law,
+    closed_form_system,
+    coupon_step,
+    cover_time_reference,
+)
 from wormald import (
     ContractError,
-    CouponState,
     closed_form,
-    closed_form_system,
     coupon_drift,
-    coupon_step,
     cover_time,
     derive_seed,
     evaluate_drift,
     exact_cover_tail,
     make_coupon_spec,
 )
-from wormald.coupon import cover_time_reference
 
 
 def test_spec_shape_and_bounds():
@@ -386,6 +389,18 @@ def test_exact_tail_matches_brute_force_n4():
 def test_exact_tail_matches_brute_force_n3_all_k():
     for k in range(0, 12):
         assert abs(exact_cover_tail(3, k) - brute_force_tail(3, k)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 40])
+@pytest.mark.parametrize("c", [-1, 0, 1, 2])
+def test_exact_tail_matches_the_bucket_chain_law(n, c):
+    # The cover time exceeds k exactly when bucket 0 is not yet empty; the
+    # chain's exact law (66 rows at n = 10, 861 at n = 40) meets the
+    # inclusion-exclusion sum.
+    k = math.ceil(n * math.log(n) + c * n)
+    rows, p = bucket_chain_law(n, 1, k)
+    assert abs(math.fsum(p) - 1.0) <= 1e-14
+    assert abs((1.0 - math.fsum(p[rows[:, 0] == 0])) - exact_cover_tail(n, k)) <= 1e-14
 
 
 def test_exact_tail_monotone_in_k():

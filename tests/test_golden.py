@@ -35,7 +35,10 @@ own count.  The pilot's rows, and so every state's description, kept their
 values; the drift check's 10,000 draws per state land on relabelled types,
 which is the same one-step law with new samples.  Only the drift entry
 moved (worst |z| 2.6003 at t = 10859 -> 3.3349 at t = 6515); the manifest
-kept its bytes.
+kept its bytes.  When pilot states became bare bucket rows, and the drift
+check began to count each bucket's draws by binary searches into the
+sorted draws instead of a gather through that labelling, the digest kept
+its bytes: the counts are the same integers.
 
 The ``solve`` case, every ``manifest.json`` digest and the config-file case
 were recorded before the CLI took its defaults from the flags and parsed

@@ -6,21 +6,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import empirical_drift_reference
 from wormald import (
     ContractError,
-    CouponState,
     DriftEvaluationError,
     ProcessSpec,
     RunPlan,
     check_hypotheses,
     coupon_drift,
-    coupon_step,
     derive_seed,
     empirical_drift,
     grid_times,
     integrate,
     make_coupon_spec,
+    make_generator,
     max_increment,
     simulate,
 )
@@ -136,8 +138,7 @@ def test_max_increment_is_one_for_coupon():
 
 
 def test_empirical_drift_fresh_state_is_deterministic_transition():
-    state = CouponState.fresh(6, l=2)
-    report = empirical_drift(state, 2000, seed=14, spec=make_coupon_spec(2))
+    report = empirical_drift((6, 0, 0, 0), 0, 2000, seed=14, spec=make_coupon_spec(2))
     assert report.empirical[0] == -1.0
     assert report.empirical[1] == 1.0
     assert report.predicted[0] == -1.0
@@ -145,36 +146,80 @@ def test_empirical_drift_fresh_state_is_deterministic_transition():
 
 
 def test_empirical_drift_worked_example():
-    state = CouponState.fresh(4, l=2)
-    coupon_step(state, 0)
-    coupon_step(state, 1)
-    report = empirical_drift(state, 20_000, seed=77, spec=make_coupon_spec(2))
+    # Two of four types drawn once each, two steps in.
+    report = empirical_drift((2, 2, 0, 0), 2, 20_000, seed=77, spec=make_coupon_spec(2))
     assert np.array_equal(report.predicted, [-0.5, 0.0, 0.5, 0.0])
     assert report.max_abs_z < 5.0
     assert abs(report.empirical[2] - 0.5) <= 4 * report.stderr[2]
 
 
 def test_empirical_drift_validates_and_reproduces():
-    state = CouponState.fresh(10, l=2)
+    row = (10, 0, 0, 0)
     spec = make_coupon_spec(2)
     with pytest.raises(ContractError):
-        empirical_drift(state, 99, seed=0, spec=spec)
-    a = empirical_drift(state, 500, seed=3, spec=spec)
-    b = empirical_drift(state, 500, seed=3, spec=spec)
+        empirical_drift(row, 0, 99, seed=0, spec=spec)
+    a = empirical_drift(row, 0, 500, seed=3, spec=spec)
+    b = empirical_drift(row, 0, 500, seed=3, spec=spec)
     assert np.array_equal(a.empirical, b.empirical)
+
+
+@pytest.mark.parametrize("row, t, match", [
+    (np.array([[6, 0, 0, 0]]), 0, "1-d"),
+    (np.array([6, 0]), 0, "at least 3"),
+    (np.array([6.0, 0.0, 0.0]), 0, "integer"),
+    (np.array([7, -1, 0, 0]), 1, "non-negative"),
+    (np.array([0, 0, 0, 0]), 0, "at least one type"),
+    (np.array([6, 0, 0, 0]), -1, "t must be"),
+])
+def test_empirical_drift_refuses_malformed_rows(row, t, match):
+    spec = make_coupon_spec(max(row.shape[-1] - 2, 1))
+    with pytest.raises(ContractError, match=match):
+        empirical_drift(row, t, 500, seed=2, spec=spec)
+
+
+@st.composite
+def rows(draw):
+    l = draw(st.integers(1, 12))
+    sizes = st.integers(0, 10) | st.integers(0, 10_000 // (l + 2)) | st.just(0)
+    row = draw(st.lists(sizes, min_size=l + 2, max_size=l + 2))
+    assume(sum(row) > 0)
+    return np.array(row, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=rows(), t=st.integers(0, 10**6), samples=st.integers(100, 10_000),
+       seed=st.integers(0, 2**64 - 1))
+def test_empirical_drift_counts_match_the_labelled_gather(row, t, samples, seed):
+    spec = make_coupon_spec(row.size - 2)
+    report = empirical_drift(row, t, samples, seed=seed, spec=spec)
+    empirical, stderr, z = empirical_drift_reference(row, t, samples, seed, spec)
+    assert report.empirical.tobytes() == empirical.tobytes()
+    assert report.stderr.tobytes() == stderr.tobytes()
+    assert report.z_scores.tobytes() == z.tobytes()
+
+
+def test_empirical_drift_counts_rows_past_int32():
+    # Past 2**31 types the draws sort as int64; no labelling could be built
+    # here, so each bucket's draws are counted by comparison instead.
+    row = np.array([2**31, 5, 2**31, 7])
+    report = empirical_drift(row, 2**32, 1000, seed=9, spec=make_coupon_spec(2))
+    draws = make_generator(9).integers(0, int(row.sum()), size=1000, dtype=np.int64)
+    cnt = np.diff([np.count_nonzero(draws < c) for c in np.cumsum(row)], prepend=0)
+    moved = cnt.astype(float)
+    moved[3] = 0.0
+    expected = (np.concatenate([[0.0], cnt[:3]]) - moved) / 1000
+    assert report.empirical.tobytes() == expected.tobytes()
 
 
 def test_pilot_states_span_the_run():
     plan = RunPlan(n=300, master_seed=10)
-    l = plan.truncation
     states = list(_pilot_chain(plan, 7))
     assert len(states) == 7
-    assert states[0].t == 0
-    assert states[-1].t == plan.resolved_horizon()
-    for state in states:
-        assert int(state.counts_of_counts.sum()) == plan.n
-        assert np.array_equal(np.bincount(state.per_type_counts, minlength=l + 2),
-                              state.counts_of_counts)
+    assert states[0][0] == 0
+    assert states[-1][0] == plan.resolved_horizon()
+    for _t, row in states:
+        assert row.dtype == np.int64 and row.shape == (plan.truncation + 2,)
+        assert int(row.sum()) == plan.n
 
 
 @pytest.mark.parametrize("state_samples", [0, -3])
@@ -208,8 +253,8 @@ def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
     m = plan.resolved_horizon()
     for count in (*range(1, m + 3), 3 * m + 7, 10_000):
         unclamped = np.unique(np.linspace(0, m, count).round().astype(np.int64))
-        assert [s.t for s in _pilot_chain(plan, count)] == unclamped.tolist()
-    assert [s.t for s in _pilot_chain(plan, 10_000)] == list(range(m + 1))
+        assert [t for t, _row in _pilot_chain(plan, count)] == unclamped.tolist()
+    assert [t for t, _row in _pilot_chain(plan, 10_000)] == list(range(m + 1))
 
 
 def test_check_memory_does_not_grow_with_state_samples(traced_peak_mb):
@@ -227,21 +272,21 @@ def test_check_hypotheses_examines_the_pilot_states():
     spec = make_coupon_spec(10, plan.resolved_s_max())
     seen = []
 
-    def record(state, *args, **kwargs):
-        seen.append((state.t, state.per_type_counts.copy(), state.counts_of_counts.copy()))
-        return empirical_drift(state, *args, **kwargs)
+    def record(row, t, *args, **kwargs):
+        seen.append((t, row.copy()))
+        return empirical_drift(row, t, *args, **kwargs)
 
     with mock.patch.object(montecarlo, "empirical_drift", record):
         check_hypotheses(spec, plan, 9, drift_samples=100, lipschitz_samples=100)
     pilot = list(_pilot_chain(plan, 9))
-    assert [t for t, _, _ in seen] == [state.t for state in pilot]
-    for (_, per_type, buckets), state in zip(seen, pilot):
-        assert np.array_equal(per_type, state.per_type_counts)
-        assert np.array_equal(buckets, state.counts_of_counts)
+    assert [t for t, _ in seen] == [t for t, _ in pilot]
+    for (_, row), (_, expected) in zip(seen, pilot):
+        assert np.array_equal(row, expected)
 
 
 def test_check_hypotheses_holds_one_pilot_state_at_a_time(traced_peak_mb):
-    # 200 snapshots of 1e5 one-byte counts would take 20 MB at once.
+    # The kernel's 1e5 one-byte counts and its group's draws; 200 states
+    # held at once as per-type arrays would take 20 MB.
     plan = RunPlan(n=100_000, master_seed=5)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     peak = traced_peak_mb(lambda: check_hypotheses(
@@ -291,11 +336,9 @@ def test_check_hypotheses_rejects_sign_flipped_drift():
     assert report.drift.observed > 5.0
 
 
-def _state_from_counts_of_counts(counts_of_counts):
-    coc = np.asarray(counts_of_counts, dtype=np.int64)
-    per_type = np.repeat(np.arange(coc.size, dtype=np.int64), coc)
-    return CouponState(n=int(coc.sum()), t=int(per_type.sum()),
-                       per_type_counts=per_type, counts_of_counts=coc)
+def _steps_in(row):
+    """The fewest steps that reach ``row``: bucket ``b`` holds types drawn ``b`` times."""
+    return sum(b * count for b, count in enumerate(row))
 
 
 # A state reached by a pilot run of `check --n 100000`: coordinates 6..8 hold
@@ -306,8 +349,8 @@ _SPARSE_TAIL_STATE = (49443, 34784, 12296, 2885, 509, 80, 1, 2, 0, 0, 0, 0)
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_empirical_drift_accepts_true_drift_with_unsampled_coordinates(seed):
-    state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
-    report = empirical_drift(state, 10_000, seed=seed, spec=make_coupon_spec(10))
+    row = _SPARSE_TAIL_STATE
+    report = empirical_drift(row, _steps_in(row), 10_000, seed=seed, spec=make_coupon_spec(10))
     assert np.isfinite(report.z_scores).all()
     assert report.max_abs_z <= 5.0
     # The unsampled coordinate 8 is tested against the integer-increment floor.
@@ -324,8 +367,8 @@ _LOW_COUNT_STATE = (283, 351, 243, 79, 28, 14, 1, 1, 0, 0, 0, 0)
 
 def test_empirical_drift_floors_a_low_count_variance():
     # Unfloored, 2 moves seen against 10 expected read z = 5.66 here.
-    state = _state_from_counts_of_counts(_LOW_COUNT_STATE)
-    report = empirical_drift(state, 10_000, seed=derive_seed(2026, 2**48 + 10),
+    row = _LOW_COUNT_STATE
+    report = empirical_drift(row, _steps_in(row), 10_000, seed=derive_seed(2026, 2**48 + 10),
                              spec=make_coupon_spec(10))
     assert report.max_abs_z <= 5.0
     floor = np.abs(report.predicted) - report.predicted**2
@@ -334,31 +377,31 @@ def test_empirical_drift_floors_a_low_count_variance():
 
 def test_empirical_drift_gives_no_false_alarm_over_2000_seeds():
     # Unfloored, 6 of these seeds read |z| > 5, the largest 9.0.
-    state = _state_from_counts_of_counts(_LOW_COUNT_STATE)
+    row = _LOW_COUNT_STATE
     spec = make_coupon_spec(10)
-    worst = max(empirical_drift(state, 10_000, seed=seed, spec=spec).max_abs_z
+    worst = max(empirical_drift(row, _steps_in(row), 10_000, seed=seed, spec=spec).max_abs_z
                 for seed in range(2000))
     assert worst <= 5.0
 
 
 def test_empirical_drift_rejects_doubled_drift_at_sparse_state():
-    state = _state_from_counts_of_counts(_SPARSE_TAIL_STATE)
+    row = _SPARSE_TAIL_STATE
     true_drift = coupon_drift(10)
     doubled = dataclasses.replace(make_coupon_spec(10),
                                   drift=lambda s, z: 2 * true_drift(s, z))
-    report = empirical_drift(state, 10_000, seed=1, spec=doubled)
+    report = empirical_drift(row, _steps_in(row), 10_000, seed=1, spec=doubled)
     assert report.max_abs_z > 5.0
     assert np.isfinite(report.z_scores[:6]).all()
 
 
 def test_empirical_drift_rejects_wrong_shape_drift():
-    state = CouponState.fresh(6, l=2)
+    row = (6, 0, 0, 0)
     short = dataclasses.replace(make_coupon_spec(2), drift=lambda s, z: np.zeros(3))
     with pytest.raises(ContractError):
-        empirical_drift(state, 500, seed=2, spec=short)
-    # a spec for another truncation level does not fit the state either
+        empirical_drift(row, 0, 500, seed=2, spec=short)
+    # a spec for another truncation level does not fit the row either
     with pytest.raises(ContractError):
-        empirical_drift(state, 500, seed=2, spec=make_coupon_spec(3))
+        empirical_drift(row, 0, 500, seed=2, spec=make_coupon_spec(3))
 
 
 def test_check_hypotheses_rejects_drift_nonfinite_on_the_simplex():
@@ -380,10 +423,9 @@ def test_check_hypotheses_rejects_drift_nonfinite_on_the_simplex():
 def test_empirical_drift_deterministic_mismatch_is_infinite():
     # From the fresh state every sample moves bucket 0 -> 1; a prediction of
     # -2 for coordinate 0 allows no variance at all, so it is rejected outright.
-    state = CouponState.fresh(6, l=2)
     wrong = dataclasses.replace(make_coupon_spec(2),
                                 drift=lambda s, z: np.array([-2.0, 2.0, 0.0, 0.0]))
-    report = empirical_drift(state, 500, seed=2, spec=wrong)
+    report = empirical_drift((6, 0, 0, 0), 0, 500, seed=2, spec=wrong)
     assert report.z_scores[0] == np.inf
 
 

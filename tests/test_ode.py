@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import closed_form_system, convergence_order
 from wormald import (
     ContractError,
     DivergenceError,
     DomainBox,
     ProcessSpec,
     closed_form,
-    closed_form_system,
-    convergence_order,
     coupon_reference,
     grid_times,
     integrate,
