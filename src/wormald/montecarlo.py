@@ -349,11 +349,8 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     l = row.size - 2
     gen = make_generator(seed)
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
-    # int32 keys sort about twice as fast as int64 ones
-    key_type = np.int32 if n < 2**31 else np.int64
-    keys = np.sort(draws.astype(key_type))
-    cnt = np.diff(np.searchsorted(keys, np.cumsum(row, dtype=key_type)), prepend=0)
-    cnt = cnt.astype(float)
+    keys = np.sort(draws)
+    cnt = np.diff(np.searchsorted(keys, np.cumsum(row)), prepend=0).astype(float)
 
     # A draw from bucket b <= l moves one unit b -> min(b+1, l+1); a draw
     # from the overflow bucket changes nothing.

@@ -22,7 +22,6 @@ from wormald import (
     grid_times,
     integrate,
     make_coupon_spec,
-    make_generator,
     max_increment,
     simulate,
 )
@@ -196,19 +195,6 @@ def test_empirical_drift_counts_match_the_labelled_gather(row, t, samples, seed)
     assert report.empirical.tobytes() == empirical.tobytes()
     assert report.stderr.tobytes() == stderr.tobytes()
     assert report.z_scores.tobytes() == z.tobytes()
-
-
-def test_empirical_drift_counts_rows_past_int32():
-    # Past 2**31 types the draws sort as int64; no labelling could be built
-    # here, so each bucket's draws are counted by comparison instead.
-    row = np.array([2**31, 5, 2**31, 7])
-    report = empirical_drift(row, 2**32, 1000, seed=9, spec=make_coupon_spec(2))
-    draws = make_generator(9).integers(0, int(row.sum()), size=1000, dtype=np.int64)
-    cnt = np.diff([np.count_nonzero(draws < c) for c in np.cumsum(row)], prepend=0)
-    moved = cnt.astype(float)
-    moved[3] = 0.0
-    expected = (np.concatenate([[0.0], cnt[:3]]) - moved) / 1000
-    assert report.empirical.tobytes() == expected.tobytes()
 
 
 def test_pilot_states_span_the_run():
