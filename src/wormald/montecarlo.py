@@ -13,15 +13,16 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 chain through one kernel, :func:`_chain_states`, grouped by one rule.  A
 run of consecutive short grid intervals is drawn in one call and applied
 in one sorted pass that gives the bucket counts after each of its stops;
-an interval too long to share a pass is applied alone as one
-counts-of-counts update.  A run costs O(n + interval) memory instead of
-O(horizon), and no grid point costs more than one sweep over the ``n``
-types.  Each type's count stays inside the kernel, saturated at ``l + 1``
-in one byte per type up to l = 254; only bucket rows leave it.  Bounded
-Philox draws are prefix-stable however the stream is split into calls, and
-every update is integer arithmetic, so neither the grouping nor the
-saturation changes any seed's rows by a bit.  ``max_increment`` replays
-only a run's first step, the one that settles its answer.
+an interval too long to share a pass gets a sorted pass of its own, or,
+when it is long next to ``n``, one bincount over all types.  A run costs
+O(n + interval) memory instead of O(horizon), and no grid point costs more
+than one sweep over the ``n`` types.  Each type's count stays inside the
+kernel, saturated at ``l + 1`` in one byte per type up to l = 254; only
+bucket rows leave it.  Bounded Philox draws are prefix-stable however the
+stream is split into calls, and every update is integer arithmetic, so
+neither the grouping nor the saturation changes any seed's rows by a bit.
+``max_increment`` replays only a run's first step, the one that settles
+its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -110,90 +111,87 @@ class RunPlan:
 def _dense_update(n: int, draws: int) -> bool:
     """Whether a lone interval of ``draws`` steps is cheaper to apply over all ``n`` types.
 
-    Measured per interval with numpy 2.4 on x86-64 and one-byte counts: the
-    ``np.unique`` delta update costs about 20 us plus 30 ns per draw, the
-    dense update (one bincount over all types, summed, capped and stored
-    back) about 10 us plus 4-5 ns per type, so the two meet near
-    ``n = 4096 + 8 * draws`` as they did with int64 counts.  A sorted pass
-    (:func:`_sorted_pass`) costs about 35-70 ns per draw including the draw
-    itself, against about 20 us per interval plus 35-40 ns per draw for a
-    lone one, so grouping pays only for intervals shorter than about 2,000
-    draws.
+    Measured per interval with numpy 2.4 on x86-64 and one-byte counts: a
+    one-interval :func:`_sorted_pass` costs about 35 us plus 20-25 ns per
+    draw (34 ns at 1e6 draws), the dense update (one bincount over all
+    types, summed, capped and stored back) about 10 us plus 4-5 ns per
+    type.  The two met at about 555 draws for ``n = 1e4``, 19,800 for 1e5
+    and 238,000 for 1e6, and dense was the cheaper at every interval length
+    for ``n`` up to 5,000; ``n = 8192 + 4 * draws`` puts the crossovers at
+    452, 22,952 and 247,952 draws.
     """
-    return n < 4096 + 8 * draws
+    return n < 8192 + 4 * draws
 
 
-def _lone_update(draws: np.ndarray, counts: np.ndarray, counts_of_counts: np.ndarray,
-                 l: int) -> None:
-    """Apply one interval's ``draws`` to ``counts`` and ``counts_of_counts`` in place.
+def _dense_pass(draws: np.ndarray, counts: np.ndarray, l: int) -> np.ndarray:
+    """Bucket counts after one interval's ``draws``, from one bincount over all types.
 
-    The draws are reduced to distinct types and multiplicities with
-    ``np.unique`` and applied as one counts-of-counts update: the touched
-    types leave their old buckets and enter their new ones, in O(d log d)
-    work for d draws.  An interval long next to ``n`` (see
-    :func:`_dense_update`) is applied with one bincount over all types
-    instead, whose int64 array is the only n-entry temporary; both give the
-    same integers.  New counts are summed in int64 and stored as
+    Returns them as one row and updates ``counts`` in place.  New counts are
+    summed in int64, the only n-entry temporary, and stored as
     ``min(count, l + 1)`` (see :func:`_chain_states`).
     """
-    n = counts.size
-    if _dense_update(n, draws.size):
-        new = np.bincount(draws, minlength=n)
-        new += counts
-        np.minimum(new, l + 1, out=new)
-        counts[:] = new
-        counts_of_counts[:] = np.bincount(new, minlength=l + 2)
-    else:
-        types, mult = np.unique(draws, return_counts=True)
-        old = counts[types]
-        new = mult + old  # int64: a narrow old + 1 could wrap
-        bucket = np.minimum(new, l + 1)
-        counts_of_counts -= np.bincount(old, minlength=l + 2)  # already capped
-        counts_of_counts += np.bincount(bucket, minlength=l + 2)
-        counts[types] = bucket
+    new = np.bincount(draws, minlength=counts.size)
+    new += counts
+    np.minimum(new, l + 1, out=new)
+    counts[:] = new
+    return np.bincount(new, minlength=l + 2)[None]
 
 
 def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
                  counts_of_counts: np.ndarray, l: int) -> np.ndarray:
-    """Bucket counts after each of several consecutive intervals, from one sort.
+    """Bucket counts after each of ``k`` consecutive intervals, from one sort.
 
-    ``draws`` are the group's draws in stream order (at least one) and
+    ``draws`` are the intervals' draws in stream order, none or more, and
     ``ends[r]`` how many of them are taken by the end of interval ``r``.
-    Each draw is packed as ``(type << b) | interval`` and the keys sorted,
-    which puts every type's draws together in interval order.  A draw's
-    prior count is then its type's count before the group plus its rank
-    among that type's earlier draws; within one interval the ranks of a
-    type's draws may come in any order, as the interval's moves depend only
-    on their set.  A draw moves one unit from bucket ``min(old, l + 1)`` to
-    ``min(old + 1, l + 1)``, which is no move in the overflow bucket, so one
-    bincount of the source buckets keyed by interval gives every interval's
-    change, and a cumulative sum over intervals gives every stop's row.
-    ``counts`` is updated in place from each type's last draw, saturated at
-    ``l + 1`` (see :func:`_chain_states`).
+    Each draw is packed as ``(type << b) | interval`` (with ``k = 1``, as
+    its type alone) and the keys sorted, which puts every type's draws
+    together in interval order.  A draw's prior count is then its type's
+    count before the pass plus its rank among that type's earlier draws,
+    the distance to its run's first key, read off a running maximum of the
+    run starts; within one interval the ranks of a type's draws may come in
+    any order, as the interval's moves depend only on their set.  A draw
+    moves one unit from bucket ``min(old, l + 1)`` to ``min(old + 1,
+    l + 1)``, which is no move in the overflow bucket, so one bincount of
+    the source buckets keyed by interval gives every interval's change, and
+    a cumulative sum over intervals gives every stop's row.  A type's
+    counts only grow along its run, so
+    ``np.maximum.at`` stores its last draw's, saturated at ``l + 1`` (see
+    :func:`_chain_states`), into ``counts`` whatever the order of repeated
+    indices; ``ufunc.at`` has its fast path only from numpy 1.25.
     """
-    k = ends.size
+    k, d = ends.size, draws.size
     b = (k - 1).bit_length()
-    # int32 keys sort about twice as fast as int64 ones
-    key_type = np.int32 if counts.size << b < 2**31 else np.int64
-    interval = np.repeat(np.arange(k, dtype=key_type), np.diff(ends, prepend=0))
-    keys = np.sort((draws.astype(key_type, copy=False) << b) | interval)
-    types = keys >> b
-    d = keys.size
+    # Keys, counts and source buckets all fit the key type; int32 keys sort
+    # about twice as fast as int64 ones.
+    wide = max(counts.size << b, k * (l + 2), d + l + 2) >= 2**31
+    key_type = np.int64 if wide else np.int32
+    keys = draws.astype(key_type)
+    if k > 1:
+        keys <<= b
+        keys |= np.repeat(np.arange(k, dtype=key_type), np.diff(ends, prepend=0))
+    keys.sort()
+    types = keys >> b if k > 1 else keys
     first = np.empty(d, dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.not_equal(types[1:], types[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    rank = np.arange(d) - np.repeat(starts, np.diff(starts, append=d))
-    old = counts[types] + rank  # int64 (rank's dtype) whatever the counts' dtype
-    source = np.multiply(keys & ((1 << b) - 1), l + 2, dtype=np.int64)
-    source += np.minimum(old, l + 1)
+    old = np.arange(d, dtype=key_type)
+    start = old * first
+    np.maximum.accumulate(start, out=start)
+    old -= start  # the rank
+    old += counts.take(types)
+    source = np.minimum(old, l + 1, out=start)
+    if k > 1:
+        keys &= (1 << b) - 1
+        keys *= l + 2
+        keys += source
+        source = keys
     moves = np.bincount(source, minlength=k * (l + 2)).reshape(k, l + 2)
     moves[:, l + 1] = 0  # a draw in the overflow bucket moves nothing
     change = -moves
     change[:, 1:] += moves[:, :-1]
-    last = np.append(starts[1:], d) - 1
-    new = old[last] + 1
-    counts[types[last]] = np.minimum(new, l + 1)
+    old += 1
+    np.minimum(old, l + 1, out=old)
+    np.maximum.at(counts, types, old.astype(counts.dtype))
     return counts_of_counts + np.cumsum(change, axis=0)
 
 
@@ -211,17 +209,18 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
 
     Each type's count stays inside the kernel as ``min(copies, l + 1)``, in
     the smallest unsigned dtype that holds it (one byte per type up to l =
-    254), summed in int64 before the cap so that it never wraps; ``rows``
-    are the integers exact counts would give.
+    254), summed in a wider integer before the cap so that it never wraps;
+    ``rows`` are the integers exact counts would give.
 
-    Each group draws its steps in one call.  A group of several stops is
-    applied by :func:`_sorted_pass` and a lone stop by
-    :func:`_lone_update`; the average bound keeps intervals longer than
-    about 2,000 draws out of sorted passes, where the lone update is
-    cheaper (see :func:`_dense_update`).  Memory is O(n + group + interval)
-    rather than O(horizon).  Bounded Philox draws are prefix-stable however
-    a stream is split into calls, so the chain sees exactly the first
-    ``stops[-1]`` values of the stream whatever the grouping.
+    Each group draws its steps in one call and is applied by
+    :func:`_sorted_pass`; the average bound gives intervals longer than
+    about 2,000 draws a pass of their own.  A lone stop whose interval is
+    long next to ``n`` (see :func:`_dense_update`) is applied instead by
+    :func:`_dense_pass`; both give the same integers.  Memory is O(n +
+    group + interval) rather than O(horizon).  Bounded Philox draws are
+    prefix-stable however a stream is split into calls, so the chain sees
+    exactly the first ``stops[-1]`` values of the stream whatever the
+    grouping.
     """
     stops = np.asarray(stops, dtype=np.int64)
     counts = np.zeros(n, dtype=np.min_scalar_type(l + 1))
@@ -231,14 +230,13 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
     while i < stops.size:
         j = max(i + 1, int(np.searchsorted(stops, t_prev + _GROUP_DRAWS, side="right")))
         if stops[j - 1] - t_prev > (j - i) * (_GROUP_DRAWS >> 3):
-            j = i + 1  # intervals this long are cheaper one at a time
+            j = i + 1  # intervals this long take a pass of their own
         draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
-        if j - i > 1 and draws.size:
+        if j - i == 1 and _dense_update(n, draws.size):
+            rows = _dense_pass(draws, counts, l)
+        else:
             rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l)
-            counts_of_counts[:] = rows[-1]
-        else:  # a lone stop, or repeated stops with no draw between them
-            _lone_update(draws, counts, counts_of_counts, l)
-            rows = np.broadcast_to(counts_of_counts, (j - i, l + 2))
+        counts_of_counts[:] = rows[-1]
         yield i, j, rows
         t_prev = int(stops[j - 1])
         i = j

@@ -4,17 +4,20 @@
 is the brute-force oracle for the chain.  ``simulate``, the pilot walk
 (``_pilot_chain``) and ``max_increment`` advance the chain group by group:
 a run of short grid intervals is drawn at once and applied in one sorted
-pass, and a lone interval either as a sparse ``np.unique`` delta or as a
-dense bincount over all types.  These tests vary the group size, which splits and merges
-intervals in every way, and force either lone update.  Beyond the replay's
+pass, and a lone interval either by a sorted pass of its own or by a
+dense bincount over all types.  These tests vary the group size, which
+splits and merges intervals in every way, and force either lone update.
+The sorted pass is also held on its own against ``coupon_step``, draw by
+draw, from saturated and narrow-dtype counts.  Beyond the replay's
 reach, grouped runs at large ``n`` are checked against lone-stop runs, the
-kernel's rows against one bincount of draws made in one call, and the
-memory of ``simulate``, ``max_increment`` and the pilot walk against
-bounds linear in ``n``.  ``max_increment`` draws one step, the coupon
-chain's first, which always moves, so its own tests cover that step: the
-answer at plans whose horizon is shorter than, equal to and longer than
-``n``, that a run draws one value, and that the answer is read off the
-kernel's first row, whatever that row moved.
+kernel's rows against one bincount of draws made in one call (also where
+a pass needs int64 keys), and the memory of ``simulate``,
+``max_increment`` and the pilot walk against bounds linear in ``n``.
+``max_increment`` draws one step, the coupon chain's first, which always
+moves, so its own tests cover that step: the answer at plans whose horizon
+is shorter than, equal to and longer than ``n``, that a run draws one
+value, and that the answer is read off the kernel's first row, whatever
+that row moved.
 """
 
 from unittest import mock
@@ -146,7 +149,7 @@ def test_grouped_passes_match_lone_stops_at_large_n(n):
 
 
 @settings(max_examples=120, deadline=None)
-@given(n=st.integers(1, 12) | st.integers(4000, 5000) | st.integers(1, 5000),
+@given(n=st.integers(1, 12) | st.integers(8000, 10_000) | st.integers(1, 10_000),
        l=st.sampled_from([1, 2, 10, 253, 254, 255, 256]),
        group=st.sampled_from([0, 4, 16, montecarlo._GROUP_DRAWS]),
        update=st.sampled_from(sorted(_UPDATES)),
@@ -156,10 +159,11 @@ def test_grouped_passes_match_lone_stops_at_large_n(n):
 @example(n=2, l=254, group=montecarlo._GROUP_DRAWS, update="chosen", gaps=[200] * 10)
 @example(n=3, l=255, group=16, update="chosen", gaps=[300, 2, 2, 2, 2, 2, 700, 2, 2])
 @example(n=5000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
+@example(n=10_000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
 def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
-    # The chosen update applies lone intervals densely at n <= 4096 and
-    # sparsely above 4096 + 8d; forcing either covers both at every n.  At
-    # small n types take hundreds of draws, past every count's byte
+    # The chosen update applies lone intervals densely below n = 8192 + 4d
+    # and by a sorted pass from there; forcing either covers both at every
+    # n.  At small n types take hundreds of draws, past every count's byte
     # (l = 254: saturated at 255, the largest uint8) and past 2**8 (l = 255
     # and 256, two bytes).
     stops = np.cumsum(gaps)
@@ -174,6 +178,83 @@ def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
         per_type = np.bincount(draws[:stop], minlength=n)
         assert np.array_equal(row, np.bincount(np.minimum(per_type, l + 1),
                                                minlength=l + 2))
+
+
+@st.composite
+def pass_inputs(draw):
+    """``(l, start, sizes, types)``: initial counts, interval sizes and draws."""
+    l = draw(st.sampled_from([1, 254, 255]))
+    n = draw(st.integers(1, 8))
+    start = draw(st.lists(st.sampled_from([0, 1, l - 1, l, l + 1]) | st.integers(0, l + 1),
+                          min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=20))
+    types = draw(st.lists(st.integers(0, n - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    return l, start, sizes, types
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=pass_inputs())
+@example(inputs=(254, [255, 255, 255], [4], [0, 1, 2, 0]))
+@example(inputs=(255, [254, 0], [0, 3, 0], [0, 0, 0]))
+def test_sorted_pass_matches_draw_by_draw_steps(inputs):
+    # l = 1 and 254 keep one-byte counts, l = 255 two-byte ones.  Types start
+    # anywhere in 0..l + 1, often at the edge: saturated at l + 1, or a few
+    # draws short of it.  Intervals may hold no draw, and k = 1 takes the
+    # pass's unkeyed branch.
+    l, start, sizes, types = inputs
+    n = len(start)
+    counts = np.array(start, dtype=np.min_scalar_type(l + 1))
+    counts_of_counts = np.bincount(counts, minlength=l + 2)
+    draws = np.array(types, dtype=np.int64)
+    ends = np.cumsum(sizes)
+
+    state = CouponState(n, 0, counts.astype(np.int64), counts_of_counts.copy())
+    expected = []
+    for begin, end in zip(np.concatenate([[0], ends[:-1]]), ends):
+        for draw in draws[begin:end]:
+            coupon_step(state, int(draw))
+        expected.append(state.counts_of_counts.copy())
+
+    rows = montecarlo._sorted_pass(draws, ends, counts, counts_of_counts, l)
+    assert np.array_equal(rows, expected)
+    assert counts.dtype == np.min_scalar_type(l + 1)
+    assert np.array_equal(counts, np.minimum(state.per_type_counts, l + 1))
+
+
+def test_int64_key_pass_matches_one_call_bincount():
+    # 4,096 stops of 1-3 draws share one pass, whose keys hold a 12-bit
+    # interval index above types below 600,000: 600,000 << 12 >= 2**31, so
+    # they need int64.  A long dense interval before it gives the pass
+    # counts to read, and a lone sorted pass after it reads what it wrote.
+    n, l, before, after = 600_000, 10, 300_000, 20_000
+    gaps = spawn(5, 1).integers(1, 4, size=4096)
+    stops = np.concatenate([[before], before + np.cumsum(gaps)])
+    stops = np.append(stops, stops[-1] + after)
+    passes = []
+    real = montecarlo._sorted_pass
+
+    def recording(draws, ends, counts, *args):
+        passes.append(counts.size << (ends.size - 1).bit_length())
+        return real(draws, ends, counts, *args)
+
+    with mock.patch.object(montecarlo, "_sorted_pass", recording):
+        groups = list(_chain_states(spawn(5, 0), n, l, stops))
+    assert [(i, j) for i, j, _rows in groups] == [(0, 1), (1, 4097), (4097, 4098)]
+    assert [p >= 2**31 for p in passes] == [True, False]
+    rows = np.concatenate([r for _i, _j, r in groups])
+
+    # Rows from one bincount of draws made in one call, over the types
+    # drawn after the first stop and the base counts of the rest.
+    draws = spawn(5, 0).integers(0, n, size=stops[-1], dtype=np.int64)
+    base = np.bincount(draws[:before], minlength=n)
+    touched, label = np.unique(draws[before:], return_inverse=True)
+    untouched = (np.bincount(np.minimum(base, l + 1), minlength=l + 2)
+                 - np.bincount(np.minimum(base[touched], l + 1), minlength=l + 2))
+    for stop, row in zip(stops, rows):
+        per_type = base[touched] + np.bincount(label[:stop - before],
+                                               minlength=touched.size)
+        expected = untouched + np.bincount(np.minimum(per_type, l + 1), minlength=l + 2)
+        assert np.array_equal(row, expected)
 
 
 def test_saturated_counts_take_one_byte_per_type(traced_peak_mb):
