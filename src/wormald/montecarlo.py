@@ -10,19 +10,15 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 
 ``simulate``, the pilot run (:func:`_pilot_chain`, whose states
 :func:`check_hypotheses` examines) and ``max_increment`` all advance the
-chain through one kernel, :func:`_chain_states`, grouped by one rule.  A
-run of consecutive short grid intervals is drawn in one call and applied
-in one sorted pass that gives the bucket counts after each of its stops;
-an interval too long to share a pass gets a sorted pass of its own, or,
-when it is long next to ``n``, one bincount over all types.  A run costs
-O(n + interval) memory instead of O(horizon), and no grid point costs more
-than one sweep over the ``n`` types.  Each type's count stays inside the
-kernel, saturated at ``l + 1`` in one byte per type up to l = 254; only
-bucket rows leave it.  Bounded Philox draws are prefix-stable however the
-stream is split into calls, and every update is integer arithmetic, so
-neither the grouping nor the saturation changes any seed's rows by a bit.
-``max_increment`` replays only a run's first step, the one that settles
-its answer.
+chain through one kernel, :func:`_chain_states`, whose only state is the
+bucket row, as the paper follows it.  The kernel reads the stream in
+blocks of a fixed number of draws at fixed positions, and applies each in
+one sorted pass that gives the bucket counts after each stop inside it.
+At the start of a block the types are labelled canonically from the row;
+draws are uniform, so the rows keep the chain's exact law.  A run costs
+O(block) memory whatever ``n``, and a row depends only on the stream and
+the block size, not on the grid.  ``max_increment`` replays only a run's
+first step, the one that settles its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -31,7 +27,8 @@ count, as the method tracks the chain: draws are uniform, so the one-step
 law at a state depends on its row alone.  Each drift z-score's variance is
 floored at the least an integer increment with the predicted mean allows.
 The check takes the pilot rows one at a time and the Lipschitz pairs in
-fixed blocks, so its memory is O(n + block) whatever the sample counts.
+fixed blocks, so its memory grows with neither ``n`` nor the state and
+pair counts.
 """
 
 from __future__ import annotations
@@ -55,7 +52,8 @@ _AUX_STREAM_BASE = 2**48
 #: Largest |z| a one-step mean may reach in the drift check.
 Z_THRESHOLD = 5.0
 
-#: Most draws applied in one sorted pass (see :func:`_chain_states`).
+#: Draws in one block of the stream, applied in one sorted pass (see
+#: :func:`_chain_states`).
 _GROUP_DRAWS = 1 << 14
 
 
@@ -108,62 +106,32 @@ class RunPlan:
         return derive_seed(self.master_seed, run_index)
 
 
-def _dense_update(n: int, draws: int) -> bool:
-    """Whether a lone interval of ``draws`` steps is cheaper to apply over all ``n`` types.
+def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -> np.ndarray:
+    """Bucket rows after each of ``k`` consecutive intervals, from one sort.
 
-    Measured per interval with numpy 2.4 on x86-64 and one-byte counts: a
-    one-interval :func:`_sorted_pass` costs about 35 us plus 20-25 ns per
-    draw (34 ns at 1e6 draws), the dense update (one bincount over all
-    types, summed, capped and stored back) about 10 us plus 4-5 ns per
-    type.  The two met at about 555 draws for ``n = 1e4``, 19,800 for 1e5
-    and 238,000 for 1e6, and dense was the cheaper at every interval length
-    for ``n`` up to 5,000; ``n = 8192 + 4 * draws`` puts the crossovers at
-    452, 22,952 and 247,952 draws.
-    """
-    return n < 8192 + 4 * draws
-
-
-def _dense_pass(draws: np.ndarray, counts: np.ndarray, l: int) -> np.ndarray:
-    """Bucket counts after one interval's ``draws``, from one bincount over all types.
-
-    Returns them as one row and updates ``counts`` in place.  New counts are
-    summed in int64, the only n-entry temporary, and stored as
-    ``min(count, l + 1)`` (see :func:`_chain_states`).
-    """
-    new = np.bincount(draws, minlength=counts.size)
-    new += counts
-    np.minimum(new, l + 1, out=new)
-    counts[:] = new
-    return np.bincount(new, minlength=l + 2)[None]
-
-
-def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-                 counts_of_counts: np.ndarray, l: int) -> np.ndarray:
-    """Bucket counts after each of ``k`` consecutive intervals, from one sort.
-
-    ``draws`` are the intervals' draws in stream order, none or more, and
-    ``ends[r]`` how many of them are taken by the end of interval ``r``.
-    Each draw is packed as ``(type << b) | interval`` (with ``k = 1``, as
-    its type alone) and the keys sorted, which puts every type's draws
-    together in interval order.  A draw's prior count is then its type's
-    count before the pass plus its rank among that type's earlier draws,
-    the distance to its run's first key, read off a running maximum of the
-    run starts; within one interval the ranks of a type's draws may come in
-    any order, as the interval's moves depend only on their set.  A draw
-    moves one unit from bucket ``min(old, l + 1)`` to ``min(old + 1,
-    l + 1)``, which is no move in the overflow bucket, so one bincount of
-    the source buckets keyed by interval gives every interval's change, and
-    a cumulative sum over intervals gives every stop's row.  A type's
-    counts only grow along its run, so
-    ``np.maximum.at`` stores its last draw's, saturated at ``l + 1`` (see
-    :func:`_chain_states`), into ``counts`` whatever the order of repeated
-    indices; ``ufunc.at`` has its fast path only from numpy 1.25.
+    ``row`` holds the bucket sizes before the pass and labels the types
+    canonically: with ``C`` its cumulative sum, bucket ``b`` holds the types
+    ``[C[b-1], C[b])``.  ``draws`` are the intervals' draws in stream order,
+    none or more, and ``ends[r]`` how many of them are taken by the end of
+    interval ``r``.  Each draw is packed as ``(type << b) | interval``
+    (with ``k = 1``, as its type alone) and the keys sorted, which puts
+    every type's draws together in interval order.  Binary searches of
+    ``C`` into the sorted types give each draw's bucket before the pass,
+    and its prior count is that bucket plus its rank among its type's
+    earlier draws, the distance to its run's first key, read off a running
+    maximum of the run starts; within one interval the ranks of a
+    type's draws may come in any order, as the interval's moves depend only
+    on their set.  A draw moves one unit from bucket ``min(old, l + 1)`` to
+    ``min(old + 1, l + 1)``, which is no move in the overflow bucket, so one
+    bincount of the source buckets keyed by interval gives every interval's
+    change, and a cumulative sum over intervals gives every stop's row.
     """
     k, d = ends.size, draws.size
     b = (k - 1).bit_length()
     # Keys, counts and source buckets all fit the key type; int32 keys sort
     # about twice as fast as int64 ones.
-    wide = max(counts.size << b, k * (l + 2), d + l + 2) >= 2**31
+    n = int(row.sum())
+    wide = max(n << b, k * (l + 2), d + l + 2) >= 2**31
     key_type = np.int64 if wide else np.int32
     keys = draws.astype(key_type)
     if k > 1:
@@ -178,7 +146,10 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     start = old * first
     np.maximum.accumulate(start, out=start)
     old -= start  # the rank
-    old += counts.take(types)
+    # bucket b's draws lie between the searches of C[b-1] and C[b] (C[l+1] = n)
+    per_bucket = types.searchsorted(np.cumsum(row).astype(key_type))
+    per_bucket[1:] -= per_bucket[:-1]
+    old += np.arange(l + 2, dtype=key_type).repeat(per_bucket)
     source = np.minimum(old, l + 1, out=start)
     if k > 1:
         keys &= (1 << b) - 1
@@ -189,57 +160,46 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, counts: np.ndarray,
     moves[:, l + 1] = 0  # a draw in the overflow bucket moves nothing
     change = -moves
     change[:, 1:] += moves[:, :-1]
-    old += 1
-    np.minimum(old, l + 1, out=old)
-    np.maximum.at(counts, types, old.astype(counts.dtype))
-    return counts_of_counts + np.cumsum(change, axis=0)
+    return row + np.cumsum(change, axis=0)
 
 
 def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
-    ``stops`` is a non-empty, non-decreasing sequence of step counts, taken
-    in groups.  A group is the longest run of consecutive stops whose draws
-    number at most :data:`_GROUP_DRAWS` in all and at most an eighth of that
-    per stop on average, or else a lone stop.  After the group
-    ``stops[i:j]`` the generator yields ``(i, j, rows)``: ``rows[r]`` holds
-    the bucket sizes (overflow at index ``l + 1``) after ``stops[i + r]``
-    uniform draws from ``gen``.  ``rows`` may be overwritten by the next
-    group, so callers copy what they keep.
+    ``stops`` is a non-empty, non-decreasing sequence of step counts.  The
+    chain reads the stream in blocks of :data:`_GROUP_DRAWS` draws, at the
+    fixed stream positions 0, B, 2B, ... and the last stop, each drawn in
+    one call and applied by one :func:`_sorted_pass`, whose intervals end
+    at the stops inside the block and, when no stop ends it, at its end.
+    After a block holding the stops ``stops[i:j]`` the generator
+    yields ``(i, j, rows)``: ``rows[r]`` holds the bucket sizes (overflow at
+    index ``l + 1``) after ``stops[i + r]`` uniform draws from ``gen``.  A
+    block holding no stop yields nothing.
 
-    Each type's count stays inside the kernel as ``min(copies, l + 1)``, in
-    the smallest unsigned dtype that holds it (one byte per type up to l =
-    254), summed in a wider integer before the cap so that it never wraps;
-    ``rows`` are the integers exact counts would give.
-
-    Each group draws its steps in one call and is applied by
-    :func:`_sorted_pass`; the average bound gives intervals longer than
-    about 2,000 draws a pass of their own.  A lone stop whose interval is
-    long next to ``n`` (see :func:`_dense_update`) is applied instead by
-    :func:`_dense_pass`; both give the same integers.  Memory is O(n +
-    group + interval) rather than O(horizon).  Bounded Philox draws are
-    prefix-stable however a stream is split into calls, so the chain sees
-    exactly the first ``stops[-1]`` values of the stream whatever the
-    grouping.
+    The chain's only state is its bucket row.  At the start of each block
+    the types are labelled canonically from it (see :func:`_sorted_pass`):
+    draws are uniform, so any labelling fixed by the row gives the same
+    future, and the rows keep the chain's exact law.  A row after ``t``
+    steps depends only on the stream's first ``t`` values and on the block
+    size, not on the stops, and memory is O(block + stops in a block),
+    whatever ``n``.  Bounded Philox draws are prefix-stable however a
+    stream is split into calls.
     """
     stops = np.asarray(stops, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.min_scalar_type(l + 1))
-    counts_of_counts = np.zeros(l + 2, dtype=np.int64)
-    counts_of_counts[0] = n
-    i = t_prev = 0
+    row = np.zeros(l + 2, dtype=np.int64)
+    row[0] = n
+    i = begin = 0
     while i < stops.size:
-        j = max(i + 1, int(np.searchsorted(stops, t_prev + _GROUP_DRAWS, side="right")))
-        if stops[j - 1] - t_prev > (j - i) * (_GROUP_DRAWS >> 3):
-            j = i + 1  # intervals this long take a pass of their own
-        draws = gen.integers(0, n, size=int(stops[j - 1]) - t_prev, dtype=np.int64)
-        if j - i == 1 and _dense_update(n, draws.size):
-            rows = _dense_pass(draws, counts, l)
-        else:
-            rows = _sorted_pass(draws, stops[i:j] - t_prev, counts, counts_of_counts, l)
-        counts_of_counts[:] = rows[-1]
-        yield i, j, rows
-        t_prev = int(stops[j - 1])
-        i = j
+        end = min(begin + _GROUP_DRAWS, int(stops[-1]))
+        j = int(np.searchsorted(stops, end, side="right"))
+        # the block's stops, then its trailing part up to the next stop
+        ends = np.minimum(stops[i:j + 1], end) - begin
+        draws = gen.integers(0, n, size=end - begin, dtype=np.int64)
+        rows = _sorted_pass(draws, ends, row, l)
+        row = rows[-1]
+        if j > i:
+            yield i, j, rows[:j - i]
+        i, begin = j, end
 
 
 def _grid_step_counts(plan: RunPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +215,9 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     """Execute run ``run_index`` of the plan and sample it on the shared grid.
 
     The emitted grid times are bitwise-identical to the ODE engine's; each
-    carries the scaled bucket counts after the nearest whole step.  Short
-    grid intervals are drawn and applied a run at a time, long ones one at
-    a time (see :func:`_chain_states`), so memory is O(n + interval) and
-    the trajectory does not depend on how the stream is split.  States are
+    carries the scaled bucket counts after the nearest whole step.  The
+    stream is read in fixed blocks (see :func:`_chain_states`), so memory
+    does not grow with ``n`` and the rows do not depend on the grid.  States are
     scaled counts in [0, 1] at times in [0, s_max], strictly inside the
     coupon domain box, so ``sigma_exit`` is always ``None``.
     """
@@ -390,7 +349,7 @@ def _pilot_chain(plan: RunPlan, count: int):
     bucket row after ``t`` steps, the overflow bucket last.  The pilot draws
     from its own reserved stream so it never shares randomness with the
     plan's numbered runs.  A row holds ``l + 2`` entries, so the walk costs
-    the kernel's O(n) memory however many states a caller keeps.  A horizon
+    the kernel's O(block) memory however many states a caller keeps.  A horizon
     of m steps has m + 1 distinct states, so ``count`` is clamped to m + 1
     before the times are spaced: above that, the rounded times are exactly
     0..m.
@@ -443,7 +402,7 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     means at up to ``state_samples`` distinct pilot states (a horizon of m
     steps has m + 1), bucket rows taken one at a time from
     :func:`_pilot_chain` and passed to :func:`empirical_drift` with their
-    step counts, so that they cost O(n) memory however many, and fails if
+    step counts, so that they cost the kernel's memory however many, and fails if
     any z-score against ``spec.drift`` exceeds :data:`Z_THRESHOLD` in
     magnitude; (3) estimates
     the drift's Lipschitz constant and, when ``spec.lipschitz_hint`` is set,

@@ -5,7 +5,10 @@ Nothing in ``src/`` imports this module; the tests import it as
 ``sys.path``).
 
 - :class:`CouponState` and :func:`coupon_step`: the chain replayed draw by
-  draw with one count per type, the brute-force oracle for the kernel.
+  draw with one count per type.
+- :func:`relabelled_replay`: that replay with the types relabelled
+  canonically from the row every ``block`` draws, the brute-force oracle
+  for the kernel.
 - :func:`cover_time_reference`: ``cover_time`` one wait at a time.
 - :func:`closed_form_system` and :func:`convergence_order`: the exact ODE
   solution vector and the integrator's observed order against it.
@@ -98,6 +101,25 @@ def coupon_step(state: CouponState, draw: int) -> CouponState:
     if state.cover_time is None and state.counts_of_counts[0] == 0:
         state.cover_time = state.t
     return state
+
+
+def relabelled_replay(draws, n: int, l: int, block: int) -> np.ndarray:
+    """Bucket rows after every step 0..len(draws), relabelled every ``block`` draws.
+
+    Applies :func:`coupon_step` draw by draw.  Before draw ``t`` whenever
+    ``t`` is a multiple of ``block``, the state is rebuilt canonically from
+    its row: with ``C`` the row's cumulative sum, the types ``[C[b-1],
+    C[b])`` get ``b`` copies (``l + 1`` for the overflow bucket).  Written
+    apart from the library's kernel: it shares no code with it.
+    """
+    state = CouponState.fresh(n, l)
+    rows = [state.counts_of_counts.copy()]
+    for t, draw in enumerate(draws):
+        if t % block == 0:
+            state.per_type_counts = np.repeat(np.arange(l + 2), state.counts_of_counts)
+        coupon_step(state, int(draw))
+        rows.append(state.counts_of_counts.copy())
+    return np.array(rows)
 
 
 def cover_time_reference(n: int, seed: int) -> int:

@@ -1,18 +1,19 @@
-"""The streaming coupon-chain kernel against a draw-by-draw replay.
+"""The streaming coupon-chain kernel against a relabelled draw-by-draw replay.
 
-``coupon_step`` applied to every draw of a run's stream, drawn in one call,
-is the brute-force oracle for the chain.  ``simulate``, the pilot walk
-(``_pilot_chain``) and ``max_increment`` advance the chain group by group:
-a run of short grid intervals is drawn at once and applied in one sorted
-pass, and a lone interval either by a sorted pass of its own or by a
-dense bincount over all types.  These tests vary the group size, which
-splits and merges intervals in every way, and force either lone update.
-The sorted pass is also held on its own against ``coupon_step``, draw by
-draw, from saturated and narrow-dtype counts.  Beyond the replay's
-reach, grouped runs at large ``n`` are checked against lone-stop runs, the
-kernel's rows against one bincount of draws made in one call (also where
-a pass needs int64 keys), and the memory of ``simulate``,
-``max_increment`` and the pilot walk against bounds linear in ``n``.
+The kernel's only state is the bucket row.  It reads the stream in blocks
+of ``_GROUP_DRAWS`` draws at fixed positions and, at the start of each,
+labels the types canonically from the row.  ``relabelled_replay``, which
+applies ``coupon_step`` to every draw and rebuilds the state from its row
+at the same block boundaries, is the brute-force oracle: ``simulate``, the
+pilot walk (``_pilot_chain``) and ``max_increment`` must give its bytes
+at every block size from 1 to 70.  The sorted pass is also held on its
+own against ``coupon_step``, draw by draw, from canonical rows.  The law
+of the rows is checked exactly: every draw sequence of a few steps at
+n = 3 and 4, fed through the kernel, must give the bucket chain's law.
+Beyond the replay's reach, rows at large ``n`` are checked not to depend
+on the grid, and against one bincount per block of draws made in one call
+(also where a pass needs int64 keys); the memory of ``simulate``,
+``max_increment`` and the pilot walk must not grow with ``n``.
 ``max_increment`` draws one step, the coupon chain's first, which always
 moves, so its own tests cover that step: the answer at plans whose horizon
 is shorter than, equal to and longer than ``n``, that a run draws one
@@ -20,6 +21,8 @@ value, and that the answer is read off the kernel's first row, whatever
 that row moved.
 """
 
+import itertools
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -27,22 +30,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import CouponState, coupon_step
+from oracles import CouponState, bucket_chain_law, coupon_step, relabelled_replay
 from wormald import RunPlan, max_increment, simulate, spawn
 from wormald import montecarlo
 from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
 
+_BLOCK = montecarlo._GROUP_DRAWS
 
-def _replay(plan, stream_index):
-    """Bucket rows after every step 0..horizon of one stream, by ``coupon_step``."""
+
+def _replay(plan, stream_index, block=_BLOCK):
+    """Bucket rows after every step 0..horizon of one stream, by the relabelled replay."""
     gen = spawn(plan.master_seed, stream_index)
     draws = gen.integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
-    state = CouponState.fresh(plan.n, plan.truncation)
-    buckets = [state.counts_of_counts.copy()]
-    for draw in draws:
-        coupon_step(state, int(draw))
-        buckets.append(state.counts_of_counts.copy())
-    return np.array(buckets)
+    return relabelled_replay(draws, plan.n, plan.truncation, block)
+
+
+def _blockwise_rows(draws, n, l, block, stops):
+    """Rows after each stop, from one bincount per block over its canonical labelling."""
+    def counted(row, block_draws):
+        per_type = np.repeat(np.arange(l + 2), row) + np.bincount(block_draws, minlength=n)
+        return np.bincount(np.minimum(per_type, l + 1), minlength=l + 2)
+
+    row = np.zeros(l + 2, dtype=np.int64)
+    row[0] = n
+    begin, rows = 0, []
+    for stop in stops:
+        while stop > begin + block:
+            row = counted(row, draws[begin:begin + block])
+            begin += block
+        rows.append(counted(row, draws[begin:stop]))
+    return rows
 
 
 @st.composite
@@ -59,39 +76,65 @@ def plans(draw):
     )
 
 
-_UPDATES = {
-    "chosen": montecarlo._dense_update,
-    "dense": lambda n, draws: True,
-    "sparse": lambda n, draws: False,
-}
-
-
 @settings(max_examples=80, deadline=None)
-@given(plan=plans(), group=st.integers(0, 70), update=st.sampled_from(sorted(_UPDATES)),
-       data=st.data())
-def test_kernel_matches_step_by_step_replay(plan, group, update, data):
+@given(plan=plans(), group=st.integers(1, 70), data=st.data())
+def test_kernel_matches_step_by_step_replay(plan, group, data):
     run = data.draw(st.integers(0, plan.run_count - 1))
     count = data.draw(st.integers(1, 12))
-    with mock.patch.object(montecarlo, "_GROUP_DRAWS", group), \
-            mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]):
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
         traj = simulate(plan, run)
         snapshots = list(_pilot_chain(plan, count))
         increment = max_increment(plan, run)
 
-    buckets = _replay(plan, run)
+    buckets = _replay(plan, run, group)
     t_grid = np.minimum(np.rint(traj.s * plan.n).astype(np.int64),
                         plan.resolved_horizon())
     assert np.array_equal(traj.z, buckets[t_grid] / plan.n)
     assert traj.sigma_exit is None
     assert increment == int(np.abs(np.diff(buckets, axis=0)).max())
 
-    buckets = _replay(plan, _AUX_STREAM_BASE)
+    buckets = _replay(plan, _AUX_STREAM_BASE, group)
     m = plan.resolved_horizon()
     times = np.unique(np.linspace(0, m, count).round().astype(np.int64))
     assert [t for t, _row in snapshots] == times.tolist()
     for t, row in snapshots:
         assert row.dtype == np.int64
         assert np.array_equal(row, buckets[t])
+
+
+class _Sequence:
+    """A generator stand-in that hands out one fixed draw sequence in order."""
+
+    def __init__(self, draws):
+        self.draws, self.taken = draws, 0
+
+    def integers(self, low, high, size, dtype):
+        self.taken += size
+        return self.draws[self.taken - size:self.taken]
+
+
+@pytest.mark.parametrize("group", [1, 2, 3])
+@pytest.mark.parametrize("n, t", [(3, 8), (4, 6)])
+def test_kernel_law_is_the_bucket_chain_law(n, t, group):
+    # Every one of the n**t equally likely draw sequences goes through the
+    # kernel; the share of them that reach each row at each stop must be
+    # the exact law of the bucket chain.  Blocks of 1-3 draws relabel the
+    # types often, and their boundaries fall between and on the stops.
+    sequences = np.array(list(itertools.product(range(n), repeat=t)), dtype=np.int64)
+    stops = np.arange(t + 1)
+    for l in (1, 2):
+        seen = [Counter() for _ in stops]
+        with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
+            for draws in sequences:
+                for i, _j, rows in _chain_states(_Sequence(draws), n, l, stops):
+                    for stop, row in zip(stops[i:], rows):
+                        seen[stop][tuple(row.tolist())] += 1
+        for stop in stops:
+            rows, p = bucket_chain_law(n, l, int(stop))
+            law = {tuple(row): q for row, q in zip(rows.tolist(), p) if q > 0}
+            assert set(seen[stop]) <= set(law)
+            for row, q in law.items():
+                assert abs(seen[stop][row] / len(sequences) - q) <= 1e-12
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])
@@ -103,26 +146,23 @@ def test_bounded_philox_draws_are_prefix_stable_across_splits(sizes):
 
 
 def test_simulate_spanning_several_blocks_matches_one_shot_counts():
-    # 4 * 30000 steps span several groups, each drawn in its own call; the
-    # reference counts every prefix with one bincount over draws made in a
-    # single call.
+    # 4 * 30000 steps span several blocks, each drawn in its own call; the
+    # reference counts every prefix with one bincount per block over draws
+    # made in a single call.
     plan = RunPlan(n=30_000, master_seed=3, s_max=4.0, grid_stride=50)
     traj = simulate(plan, 0)
     draws = spawn(3, 0).integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
-    l = plan.truncation
-    for s, z in zip(traj.s, traj.z):
-        counts = np.bincount(draws[: int(np.rint(s * plan.n))], minlength=plan.n)
-        expected = np.bincount(np.minimum(counts, l + 1), minlength=l + 2) / plan.n
-        assert np.array_equal(z, expected)
+    stops = np.rint(traj.s * plan.n).astype(np.int64)
+    expected = _blockwise_rows(draws, plan.n, plan.truncation, _BLOCK, stops)
+    assert np.array_equal(traj.z, np.array(expected) / plan.n)
 
 
 def test_kernel_yields_once_per_stop_including_repeated_stops():
     stops = [0, 0, 4, 4, 9]
     draws = spawn(1, 0).integers(0, 5, size=stops[-1], dtype=np.int64)
-    # buckets after each stop, from per-type copies saturated at l + 1 = 3
-    expected = [np.bincount(np.minimum(np.bincount(draws[:stop], minlength=5), 3),
-                            minlength=4).tolist() for stop in stops]
-    for group in (0, 4, 16, montecarlo._GROUP_DRAWS):
+    for group in (1, 4, 16, _BLOCK):
+        # buckets after each stop, relabelled every `group` draws (l = 2)
+        expected = relabelled_replay(draws, 5, 2, group)[stops].tolist()
         spans, seen = [], []
         with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
             for i, j, rows in _chain_states(spawn(1, 0), 5, 2, stops):
@@ -133,56 +173,48 @@ def test_kernel_yields_once_per_stop_including_repeated_stops():
         assert seen == expected
 
 
-@pytest.mark.parametrize("n", [30_000, 100_000])
-def test_grouped_passes_match_lone_stops_at_large_n(n):
-    # Groups here span 16 to 54 intervals and types repeat inside them, far
-    # beyond what the coupon_step replay can reach.
-    for seed in (1, 2, 3):
-        plan = RunPlan(n=n, master_seed=seed, s_max=4.0)
-        _, t_grid = montecarlo._grid_step_counts(plan)
-        groups = list(_chain_states(spawn(seed, 0), n, plan.truncation, t_grid))
-        assert len(groups) < t_grid.size // 10
-        grouped = simulate(plan, 0)
-        with mock.patch.object(montecarlo, "_GROUP_DRAWS", 0):
-            lone = simulate(plan, 0)
-        assert grouped.z.tobytes() == lone.z.tobytes()
+@pytest.mark.parametrize("n", [30_000, 200_000])
+def test_rows_do_not_depend_on_the_grid(n):
+    # Blocks sit at fixed stream positions, so the stops only cut the
+    # blocks' passes into intervals: runs on different grids must agree,
+    # bit for bit, wherever the grids share a time.
+    runs = []
+    for stride in (7, 10, 20):
+        traj = simulate(RunPlan(n=n, master_seed=4, grid_stride=stride), 0)
+        runs.append((np.rint(traj.s * n).astype(np.int64), traj.z))
+    for (t_a, z_a), (t_b, z_b) in itertools.combinations(runs, 2):
+        shared, at_a, at_b = np.intersect1d(t_a, t_b, return_indices=True)
+        assert shared.size >= 10
+        assert z_a[at_a].tobytes() == z_b[at_b].tobytes()
 
 
 @settings(max_examples=120, deadline=None)
-@given(n=st.integers(1, 12) | st.integers(8000, 10_000) | st.integers(1, 10_000),
+@given(n=st.integers(1, 12) | st.integers(1, 10_000),
        l=st.sampled_from([1, 2, 10, 253, 254, 255, 256]),
-       group=st.sampled_from([0, 4, 16, montecarlo._GROUP_DRAWS]),
-       update=st.sampled_from(sorted(_UPDATES)),
+       group=st.sampled_from([16, 256, 1000, _BLOCK]),
        gaps=st.lists(st.integers(0, 600), min_size=1, max_size=30))
-@example(n=1, l=254, group=0, update="sparse", gaps=[255, 1, 300])
-@example(n=1, l=254, group=0, update="dense", gaps=[255, 1, 300])
-@example(n=2, l=254, group=montecarlo._GROUP_DRAWS, update="chosen", gaps=[200] * 10)
-@example(n=3, l=255, group=16, update="chosen", gaps=[300, 2, 2, 2, 2, 2, 700, 2, 2])
-@example(n=5000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
-@example(n=10_000, l=254, group=0, update="chosen", gaps=[600, 100, 5])
-def test_kernel_matches_one_call_bincount(n, l, group, update, gaps):
-    # The chosen update applies lone intervals densely below n = 8192 + 4d
-    # and by a sorted pass from there; forcing either covers both at every
-    # n.  At small n types take hundreds of draws, past every count's byte
-    # (l = 254: saturated at 255, the largest uint8) and past 2**8 (l = 255
-    # and 256, two bytes).
+@example(n=1, l=254, group=16, gaps=[255, 1, 300])
+@example(n=2, l=254, group=_BLOCK, gaps=[200] * 10)
+@example(n=3, l=255, group=16, gaps=[300, 2, 2, 2, 2, 2, 700, 2, 2])
+@example(n=10_000, l=254, group=256, gaps=[600, 100, 5])
+def test_kernel_matches_one_call_bincount(n, l, group, gaps):
+    # Stops fall before, on and across block boundaries, and at small n
+    # types take hundreds of draws, into the overflow bucket even at
+    # l = 256, so ranks within a block pass l + 1.
     stops = np.cumsum(gaps)
     draws = spawn(7, 0).integers(0, n, size=stops[-1], dtype=np.int64)
     rows = []
-    with mock.patch.object(montecarlo, "_dense_update", _UPDATES[update]), \
-            mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
         for _i, _j, r in _chain_states(spawn(7, 0), n, l, stops):
             rows.extend(np.array(r))
     assert len(rows) == stops.size
-    for stop, row in zip(stops, rows):
-        per_type = np.bincount(draws[:stop], minlength=n)
-        assert np.array_equal(row, np.bincount(np.minimum(per_type, l + 1),
-                                               minlength=l + 2))
+    for row, expected in zip(rows, _blockwise_rows(draws, n, l, group, stops)):
+        assert np.array_equal(row, expected)
 
 
 @st.composite
 def pass_inputs(draw):
-    """``(l, start, sizes, types)``: initial counts, interval sizes and draws."""
+    """``(l, start, sizes, types)``: per-type counts before, interval sizes and draws."""
     l = draw(st.sampled_from([1, 254, 255]))
     n = draw(st.integers(1, 8))
     start = draw(st.lists(st.sampled_from([0, 1, l - 1, l, l + 1]) | st.integers(0, l + 1),
@@ -197,73 +229,53 @@ def pass_inputs(draw):
 @example(inputs=(254, [255, 255, 255], [4], [0, 1, 2, 0]))
 @example(inputs=(255, [254, 0], [0, 3, 0], [0, 0, 0]))
 def test_sorted_pass_matches_draw_by_draw_steps(inputs):
-    # l = 1 and 254 keep one-byte counts, l = 255 two-byte ones.  Types start
-    # anywhere in 0..l + 1, often at the edge: saturated at l + 1, or a few
-    # draws short of it.  Intervals may hold no draw, and k = 1 takes the
-    # pass's unkeyed branch.
+    # The pass reads a row and labels its types canonically; the replay
+    # starts from that labelling.  Types start anywhere in 0..l + 1, often
+    # at the edge: saturated at l + 1, or a few draws short of it.
+    # Intervals may hold no draw, and k = 1 takes the pass's unkeyed branch.
     l, start, sizes, types = inputs
     n = len(start)
-    counts = np.array(start, dtype=np.min_scalar_type(l + 1))
-    counts_of_counts = np.bincount(counts, minlength=l + 2)
+    row = np.bincount(start, minlength=l + 2)
     draws = np.array(types, dtype=np.int64)
     ends = np.cumsum(sizes)
 
-    state = CouponState(n, 0, counts.astype(np.int64), counts_of_counts.copy())
+    state = CouponState(n, 0, np.repeat(np.arange(l + 2), row), row.copy())
     expected = []
     for begin, end in zip(np.concatenate([[0], ends[:-1]]), ends):
         for draw in draws[begin:end]:
             coupon_step(state, int(draw))
         expected.append(state.counts_of_counts.copy())
 
-    rows = montecarlo._sorted_pass(draws, ends, counts, counts_of_counts, l)
+    rows = montecarlo._sorted_pass(draws, ends, row, l)
     assert np.array_equal(rows, expected)
-    assert counts.dtype == np.min_scalar_type(l + 1)
-    assert np.array_equal(counts, np.minimum(state.per_type_counts, l + 1))
+    assert np.array_equal(row, np.bincount(start, minlength=l + 2))
 
 
 def test_int64_key_pass_matches_one_call_bincount():
-    # 4,096 stops of 1-3 draws share one pass, whose keys hold a 12-bit
-    # interval index above types below 600,000: 600,000 << 12 >= 2**31, so
-    # they need int64.  A long dense interval before it gives the pass
-    # counts to read, and a lone sorted pass after it reads what it wrote.
-    n, l, before, after = 600_000, 10, 300_000, 20_000
+    # 4,096 stops of 1-3 draws share the second block's pass, whose keys
+    # hold a 13-bit interval index above types below 600,000: 600,000 << 13
+    # >= 2**31, so they need int64.  The blocks before and after it take
+    # int32 keys.  Rows are held against the relabelled replay of the same
+    # draws, made in one call.
+    n, l, block = 600_000, 10, _BLOCK
     gaps = spawn(5, 1).integers(1, 4, size=4096)
-    stops = np.concatenate([[before], before + np.cumsum(gaps)])
-    stops = np.append(stops, stops[-1] + after)
+    stops = np.concatenate([[block + 100], block + 100 + np.cumsum(gaps)])
+    stops = np.append(stops, 3 * block + 5)
     passes = []
     real = montecarlo._sorted_pass
 
-    def recording(draws, ends, counts, *args):
-        passes.append(counts.size << (ends.size - 1).bit_length())
-        return real(draws, ends, counts, *args)
+    def recording(draws, ends, row, l):
+        passes.append(n << (ends.size - 1).bit_length())
+        return real(draws, ends, row, l)
 
     with mock.patch.object(montecarlo, "_sorted_pass", recording):
         groups = list(_chain_states(spawn(5, 0), n, l, stops))
-    assert [(i, j) for i, j, _rows in groups] == [(0, 1), (1, 4097), (4097, 4098)]
-    assert [p >= 2**31 for p in passes] == [True, False]
+    assert [(i, j) for i, j, _rows in groups] == [(0, 4097), (4097, 4098)]
+    assert [p >= 2**31 for p in passes] == [False, True, False, False]
     rows = np.concatenate([r for _i, _j, r in groups])
 
-    # Rows from one bincount of draws made in one call, over the types
-    # drawn after the first stop and the base counts of the rest.
     draws = spawn(5, 0).integers(0, n, size=stops[-1], dtype=np.int64)
-    base = np.bincount(draws[:before], minlength=n)
-    touched, label = np.unique(draws[before:], return_inverse=True)
-    untouched = (np.bincount(np.minimum(base, l + 1), minlength=l + 2)
-                 - np.bincount(np.minimum(base[touched], l + 1), minlength=l + 2))
-    for stop, row in zip(stops, rows):
-        per_type = base[touched] + np.bincount(label[:stop - before],
-                                               minlength=touched.size)
-        expected = untouched + np.bincount(np.minimum(per_type, l + 1), minlength=l + 2)
-        assert np.array_equal(row, expected)
-
-
-def test_saturated_counts_take_one_byte_per_type(traced_peak_mb):
-    # Eight-byte counts alone would take 8 MB at this n.  max_increment
-    # draws the coupon chain's first step, one value, so its peak is the
-    # 1 MB of one-byte counts.
-    n = 1_000_000
-    assert traced_peak_mb(simulate, RunPlan(n=n, master_seed=1, s_max=4.0), 0) < 4
-    assert traced_peak_mb(max_increment, RunPlan(n=n, master_seed=1, s_max=2.0), 0) < 2
+    assert np.array_equal(rows, relabelled_replay(draws, n, l, block)[stops])
 
 
 @pytest.mark.parametrize("n, s_max, horizon", [
@@ -320,8 +332,7 @@ def test_max_increment_measures_the_first_row(moved):
 
 def test_golden_check_pilot_runs_through_a_sorted_pass():
     # The golden `check` case: 50 pilot states over ceil(n ln n) = 15,202
-    # steps at n = 2000, about 310 draws per interval, short enough to share
-    # one sorted pass instead of 49 lone updates.
+    # steps at n = 2000, one block, so one sorted pass cut at every state.
     passes = []
     real = montecarlo._sorted_pass
 
@@ -336,17 +347,21 @@ def test_golden_check_pilot_runs_through_a_sorted_pass():
 
 
 def test_pilot_walk_holds_no_per_type_array(traced_peak_mb):
-    # The kernel's 1e6 one-byte counts and one interval's draws; a state is
-    # its row of l + 2 buckets.  A 1e6-entry labelling per state would peak
-    # near 3.9 MB.
+    # One block's draws and its pass's temporaries, 0.55 MB (1.3 MB as the
+    # first call in a process); a state is its row of l + 2 buckets.  A
+    # 1e6-entry labelling per state would peak near 3.9 MB.
     def walk(plan, count):
         for _state in _pilot_chain(plan, count):
             pass
 
-    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 3
+    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 2
 
 
-@pytest.mark.parametrize("n, limit_mb", [(100_000, 4), (1_000_000, 12)])
-def test_simulate_memory_is_linear_in_n(n, limit_mb, traced_peak_mb):
-    plan = RunPlan(n=n, master_seed=1, s_max=4.0)
-    assert traced_peak_mb(simulate, plan, 0) < limit_mb
+@pytest.mark.parametrize("n", [1_000_000, 10_000_000])
+def test_simulate_memory_does_not_grow_with_n(n, traced_peak_mb):
+    # The chain holds its bucket row and one block's draws and temporaries,
+    # 0.56 MB at either n (1.3 MB as the first call in a process); one byte
+    # per type alone would take 10 MB at n = 1e7.
+    plan = RunPlan(n=n, master_seed=1, s_max=1.0)
+    assert traced_peak_mb(simulate, plan, 0) < 2
+    assert traced_peak_mb(max_increment, plan, 0) < 2

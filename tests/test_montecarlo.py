@@ -271,7 +271,7 @@ def test_check_hypotheses_examines_the_pilot_states():
 
 
 def test_check_hypotheses_holds_one_pilot_state_at_a_time(traced_peak_mb):
-    # The kernel's 1e5 one-byte counts and its group's draws; 200 states
+    # The kernel's block of draws and its pass; 200 states
     # held at once as per-type arrays would take 20 MB.
     plan = RunPlan(n=100_000, master_seed=5)
     spec = make_coupon_spec(10, plan.resolved_s_max())
