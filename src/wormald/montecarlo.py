@@ -11,7 +11,11 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 ``simulate``, the pilot run (:func:`_pilot_chain`, whose states
 :func:`check_hypotheses` examines) and ``max_increment`` all advance the
 chain through one kernel, :func:`_chain_states`, whose only state is the
-bucket row, as the paper follows it.  The kernel reads the stream in
+bucket row, as the paper follows it.  The move rule, where one draw from
+each bucket sends its type, is written once, as the matrix
+:func:`_bucket_steps`: the kernel applies it, and the drift check takes
+its one-step means through it, so the checks examine the chain that
+``simulate`` runs.  The kernel reads the stream in
 blocks of a fixed number of draws at fixed positions, and applies each in
 one sorted pass that gives the bucket counts after each stop inside it.
 At the start of a block the types are labelled canonically from the row;
@@ -33,6 +37,7 @@ pair counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -106,6 +111,24 @@ class RunPlan:
         return derive_seed(self.master_seed, run_index)
 
 
+@functools.lru_cache(maxsize=8)
+def _bucket_steps(l: int) -> np.ndarray:
+    """The chain's move rule, as a read-only ``(l + 2, l + 2)`` int64 matrix.
+
+    Row ``b`` is the change one draw from bucket ``b`` makes to the bucket
+    row: the drawn type leaves bucket ``b`` for ``b + 1`` when ``b <= l``,
+    and a draw from the overflow bucket ``l + 1`` changes nothing.  With
+    ``moves[r, b]`` draws from bucket ``b``, ``moves @ _bucket_steps(l)`` is
+    the change they make; the kernel and the drift check both take it so.
+    """
+    steps = np.zeros((l + 2, l + 2), dtype=np.int64)
+    moving = np.arange(l + 1)
+    steps[moving, moving] = -1
+    steps[moving, moving + 1] = 1
+    steps.flags.writeable = False
+    return steps
+
+
 def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -> np.ndarray:
     """Bucket rows after each of ``k`` consecutive intervals, from one sort.
 
@@ -121,10 +144,11 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
     earlier draws, the distance to its run's first key, read off a running
     maximum of the run starts; within one interval the ranks of a
     type's draws may come in any order, as the interval's moves depend only
-    on their set.  A draw moves one unit from bucket ``min(old, l + 1)`` to
-    ``min(old + 1, l + 1)``, which is no move in the overflow bucket, so one
-    bincount of the source buckets keyed by interval gives every interval's
-    change, and a cumulative sum over intervals gives every stop's row.
+    on their set.  A draw leaves bucket ``min(old, l + 1)``, so one bincount
+    of these source buckets keyed by interval counts every interval's draws
+    per bucket; the move rule :func:`_bucket_steps` says where each goes,
+    which turns the counts into every interval's change, and a cumulative
+    sum over intervals gives every stop's row.
     """
     k, d = ends.size, draws.size
     b = (k - 1).bit_length()
@@ -157,16 +181,14 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
         keys += source
         source = keys
     moves = np.bincount(source, minlength=k * (l + 2)).reshape(k, l + 2)
-    moves[:, l + 1] = 0  # a draw in the overflow bucket moves nothing
-    change = -moves
-    change[:, 1:] += moves[:, :-1]
-    return row + np.cumsum(change, axis=0)
+    return row + np.cumsum(moves @ _bucket_steps(l), axis=0)
 
 
 def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
     """Advance a fresh coupon chain through the step counts ``stops``.
 
-    ``stops`` is a non-empty, non-decreasing sequence of step counts.  The
+    ``stops`` is a non-empty, non-decreasing sequence of step counts; a
+    stop may be 0, whose row is the fresh row ``(n, 0, ...)``.  The
     chain reads the stream in blocks of :data:`_GROUP_DRAWS` draws, at the
     fixed stream positions 0, B, 2B, ... and the last stop, each drawn in
     one call and applied by one :func:`_sorted_pass`, whose intervals end
@@ -238,15 +260,13 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     largest change is settled by its first moving step.  A coupon chain's
     first step always moves (a type leaves bucket 0 for bucket 1, l >= 1),
     and a plan has n >= 1 and a horizon of at least one step, so the replay
-    draws that one step through :func:`_chain_states` and returns the
-    largest change between the fresh row ``(n, 0, ...)`` and its row.
+    asks :func:`_chain_states` for the rows at steps 0 and 1, which draws
+    that one step, and returns the largest change between them.
     """
     n, l = plan.n, plan.truncation
     gen = make_generator(plan.run_seed(run_index))
-    _i, _j, rows = next(_chain_states(gen, n, l, [1]))
-    fresh = np.zeros(l + 2, dtype=np.int64)
-    fresh[0] = n
-    return int(np.abs(rows[0] - fresh).max())
+    _i, _j, rows = next(_chain_states(gen, n, l, [0, 1]))
+    return int(np.abs(rows[1] - rows[0]).max())
 
 
 @dataclass(frozen=True)
@@ -280,7 +300,9 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     labelled canonically: with ``C`` the row's cumulative sum, bucket ``b``
     holds the types ``[C[b-1], C[b])``, so its draws are counted by binary
     searches into the sorted draws.  Draws are uniform, so the one-step law
-    is the same under any labelling.  The variance of each coordinate's
+    is the same under any labelling.  The change is those counts times the
+    kernel's own move rule, :func:`_bucket_steps`, so the check examines
+    the chain that :func:`simulate` runs.  The variance of each coordinate's
     change is the sampled one, floored at the smallest the prediction ``mu``
     allows for an integer-valued increment, |mu| - mu^2, so a coordinate
     that few samples moved is not judged by a standard error below what the
@@ -308,15 +330,9 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
     keys = np.sort(draws)
     cnt = np.diff(np.searchsorted(keys, np.cumsum(row)), prepend=0).astype(float)
-
-    # A draw from bucket b <= l moves one unit b -> min(b+1, l+1); a draw
-    # from the overflow bucket changes nothing.
-    dec = cnt.copy()
-    dec[l + 1] = 0.0
-    inc = np.zeros(l + 2)
-    inc[1 : l + 2] = cnt[0 : l + 1]
-    empirical = (inc - dec) / sample_count
-    mean_sq = (inc + dec) / sample_count  # each move contributes (+-1)^2
+    step = _bucket_steps(l)
+    empirical = cnt @ step / sample_count
+    mean_sq = cnt @ np.abs(step) / sample_count  # each move contributes (+-1)^2
 
     predicted = evaluate_drift(spec, t / n, row / n)
 

@@ -7,7 +7,9 @@ applies ``coupon_step`` to every draw and rebuilds the state from its row
 at the same block boundaries, is the brute-force oracle: ``simulate``, the
 pilot walk (``_pilot_chain``) and ``max_increment`` must give its bytes
 at every block size from 1 to 70.  The sorted pass is also held on its
-own against ``coupon_step``, draw by draw, from canonical rows.  The law
+own against ``coupon_step``, draw by draw, from canonical rows, and the
+move rule ``_bucket_steps`` against ``coupon_step`` one draw per bucket; a
+doubled rule must double every change ``simulate`` makes.  The law
 of the rows is checked exactly: every draw sequence of a few steps at
 n = 3 and 4, fed through the kernel, must give the bucket chain's law.
 Beyond the replay's reach, rows at large ``n`` are checked not to depend
@@ -17,8 +19,8 @@ on the grid, and against one bincount per block of draws made in one call
 ``max_increment`` draws one step, the coupon chain's first, which always
 moves, so its own tests cover that step: the answer at plans whose horizon
 is shorter than, equal to and longer than ``n``, that a run draws one
-value, and that the answer is read off the kernel's first row, whatever
-that row moved.
+value, and that the answer is read off the kernel's rows at steps 0 and
+1, whatever the step moved.
 """
 
 import itertools
@@ -251,6 +253,46 @@ def test_sorted_pass_matches_draw_by_draw_steps(inputs):
     assert np.array_equal(row, np.bincount(start, minlength=l + 2))
 
 
+@pytest.mark.parametrize("l", [1, 2, 10, 254, 255])
+def test_bucket_steps_is_the_draw_by_draw_rule(l):
+    # One type per bucket: type b holds b copies (the overflow type l + 1),
+    # so drawing type b is one draw from bucket b.
+    steps = montecarlo._bucket_steps(l)
+    assert steps.shape == (l + 2, l + 2) and steps.dtype == np.int64
+    row = np.ones(l + 2, dtype=np.int64)
+    for b in range(l + 2):
+        state = CouponState(l + 2, 0, np.arange(l + 2), row.copy())
+        coupon_step(state, b)
+        assert np.array_equal(steps[b], state.counts_of_counts - row)
+
+
+def test_bucket_steps_is_read_only():
+    # The matrix is cached and shared by every caller; none may change it.
+    steps = montecarlo._bucket_steps(10)
+    assert montecarlo._bucket_steps(10) is steps
+    with pytest.raises(ValueError, match="read-only"):
+        steps[0, 0] = 0
+
+
+def test_simulate_moves_by_the_bucket_steps_rule():
+    # The kernel reads where a draw goes from _bucket_steps alone.  The
+    # 1,000 steps of this plan fit one block, whose source buckets are read
+    # off the fresh row, so a doubled rule doubles every row's change.
+    plan = RunPlan(n=1000, master_seed=5, s_max=1.0)
+    fresh = np.zeros(plan.truncation + 2, dtype=np.int64)
+    fresh[0] = plan.n
+
+    def changes():
+        return np.rint(simulate(plan, 0).z * plan.n).astype(np.int64) - fresh
+
+    true = changes()
+    real = montecarlo._bucket_steps
+    with mock.patch.object(montecarlo, "_bucket_steps", lambda l: 2 * real(l)):
+        doubled = changes()
+    assert np.abs(true).max() > 0
+    assert np.array_equal(doubled, 2 * true)
+
+
 def test_int64_key_pass_matches_one_call_bincount():
     # 4,096 stops of 1-3 draws share the second block's pass, whose keys
     # hold a 13-bit interval index above types below 600,000: 600,000 << 13
@@ -314,20 +356,22 @@ def test_max_increment_stops_after_the_first_step():
 
 @pytest.mark.parametrize("moved", [0, 2])
 def test_max_increment_measures_the_first_row(moved):
-    # The answer is read off the kernel's first row, not assumed: a kernel
-    # whose first step moves nothing, or moves two units, must show it.
+    # The answer is read off the kernel's rows at steps 0 and 1, not
+    # assumed: a kernel whose first step moves nothing, or moves two units,
+    # must show it.
     seen = []
 
     def kernel(gen, n, l, stops):
         seen.append(list(stops))
-        rows = np.zeros((1, l + 2), dtype=np.int64)
-        rows[0, 0] = n - moved
-        rows[0, 1] = moved
-        yield 0, 1, rows
+        rows = np.zeros((2, l + 2), dtype=np.int64)
+        rows[:, 0] = n
+        rows[1, 0] -= moved
+        rows[1, 1] = moved
+        yield 0, 2, rows
 
     with mock.patch.object(montecarlo, "_chain_states", kernel):
         assert max_increment(RunPlan(n=1000, master_seed=5), 0) == moved
-    assert seen == [[1]]
+    assert seen == [[0, 1]]
 
 
 def test_golden_check_pilot_runs_through_a_sorted_pass():

@@ -197,6 +197,37 @@ def test_empirical_drift_counts_match_the_labelled_gather(row, t, samples, seed)
     assert report.z_scores.tobytes() == z.tobytes()
 
 
+def test_drift_check_reads_the_kernels_move_rule():
+    # empirical_drift takes its one-step means through _bucket_steps, the
+    # rule the kernel applies: a doubled rule reads far off the drift.
+    row = np.array((5000, 20000, 30000, 20000, 10000, 8000, 4000, 2000, 700, 200, 80, 20))
+    spec = make_coupon_spec(10)
+    assert empirical_drift(row, 200_000, 10_000, seed=0, spec=spec).max_abs_z < 5
+    real = montecarlo._bucket_steps
+    with mock.patch.object(montecarlo, "_bucket_steps", lambda l: 2 * real(l)):
+        assert empirical_drift(row, 200_000, 10_000, seed=0, spec=spec).max_abs_z > 5
+
+
+def test_check_hypotheses_fails_a_kernel_that_sends_bucket_l_to_bucket_0():
+    # A kernel whose bucket-l draws land in bucket 0 instead of the
+    # overflow bucket is not the chain the drift describes; the check must
+    # see it (worst |z| 29.5, against 3.2 for the true rule).
+    plan = RunPlan(n=1000, run_count=2, master_seed=5)
+    spec = make_coupon_spec(10, plan.resolved_s_max())
+    real = montecarlo._bucket_steps
+
+    def to_bucket_0(l):
+        steps = real(l).copy()
+        steps[l, l + 1] = 0
+        steps[l, 0] = 1
+        return steps
+
+    assert check_hypotheses(spec, plan, 50).drift.passed
+    with mock.patch.object(montecarlo, "_bucket_steps", to_bucket_0):
+        report = check_hypotheses(spec, plan, 50)
+    assert not report.drift.passed, report.drift.detail
+
+
 def test_pilot_states_span_the_run():
     plan = RunPlan(n=300, master_seed=10)
     states = list(_pilot_chain(plan, 7))
