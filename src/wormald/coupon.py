@@ -9,9 +9,10 @@ than ``l`` copies, which closes the system so the coordinates always sum to
     dz_0/ds = -z_0,   dz_i/ds = z_{i-1} - z_i  (1 <= i <= l),
     dz_{l+1}/ds = z_l,
 
-whose right-hand side is linear, the product ``A @ z`` with one matrix
-built in :func:`coupon_drift` alone (:func:`make_coupon_spec` declares the
-drift ``linear``, and the integrator reads ``A`` off it), and whose
+whose right-hand side is the chain's expected one-step change, the
+product ``A @ z`` with ``A`` the transpose of the move rule
+:func:`_bucket_steps` (:func:`make_coupon_spec` declares the drift
+``linear``, and the integrator reads ``A`` off it), and whose
 solution from z_0(0)=1 is the Poisson profile z_i(s) = s^i e^-s / i!
 (:func:`closed_form`), the overflow coordinate being the matching Poisson
 tail.  :func:`coupon_reference` integrates the system from that start on
@@ -56,23 +57,37 @@ _TAIL_STOP = Decimal("1e-40")
 _STREAM = KeyedStream()
 
 
+@lru_cache(maxsize=8)
+def _bucket_steps(l: int) -> np.ndarray:
+    """The chain's move rule, as a read-only ``(l + 2, l + 2)`` int64 matrix.
+
+    Row ``b`` is the change one draw from bucket ``b`` makes to the bucket
+    row: the drawn type leaves bucket ``b`` for ``b + 1`` when ``b <= l``,
+    and a draw from the overflow bucket ``l + 1`` changes nothing.  With
+    ``moves[r, b]`` draws from bucket ``b``, ``moves @ _bucket_steps(l)`` is
+    the change they make; the chain kernel and the drift check both take it
+    so, and :func:`coupon_drift` is its mean.
+    """
+    steps = np.zeros((l + 2, l + 2), dtype=np.int64)
+    moving = np.arange(l + 1)
+    steps[moving, moving] = -1
+    steps[moving, moving + 1] = 1
+    steps.flags.writeable = False
+    return steps
+
+
 def coupon_drift(l: int):
     """Drift function of the truncated coupon process with overflow coordinate.
 
-    Coordinates are indexed 0..l+1.  Mass flows down the chain: coordinate 0
-    only loses (a type with 0 copies can only gain its first copy), interior
-    coordinates gain from the left neighbor and lose to the right, and the
-    overflow coordinate only gains.  The entries sum to zero identically.
-    The drift is the product ``A @ z``, for one point ``(l+2,)`` and for a
-    batch ``(l+2, B)`` alike, with ``A`` -1 on the diagonal of rows 0..l,
-    +1 on the subdiagonal, and a zero last column.
+    Coordinates are indexed 0..l+1.  The drift is the chain's expected
+    one-step change, ``sum_b z_b S[b]`` with ``S = _bucket_steps(l)`` the
+    move rule: the product ``A @ z`` with ``A = S.T``, for one point
+    ``(l+2,)`` and for a batch ``(l+2, B)`` alike.  Mass flows down the
+    chain, and the entries sum to zero identically.
     """
     if l < 1:
         raise ContractError(f"truncation level must be >= 1, got {l}")
-    levels = np.arange(l + 1)
-    matrix = np.zeros((l + 2, l + 2))
-    matrix[levels, levels] = -1.0
-    matrix[levels + 1, levels] = 1.0
+    matrix = np.ascontiguousarray(_bucket_steps(l).T, dtype=float)
 
     def drift(s, z: np.ndarray) -> np.ndarray:
         return matrix @ z

@@ -12,17 +12,19 @@ comparable without interpolation: grid entry ``s_k`` carries the state after
 :func:`check_hypotheses` examines) and ``max_increment`` all advance the
 chain through one kernel, :func:`_chain_states`, whose only state is the
 bucket row, as the paper follows it.  The move rule, where one draw from
-each bucket sends its type, is written once, as the matrix
-:func:`_bucket_steps`: the kernel applies it, and the drift check takes
-its one-step means through it, so the checks examine the chain that
-``simulate`` runs.  The kernel reads the stream in
-blocks of a fixed number of draws at fixed positions, and applies each in
-one sorted pass that gives the bucket counts after each stop inside it.
-At the start of a block the types are labelled canonically from the row;
-draws are uniform, so the rows keep the chain's exact law.  A run costs
-O(block) memory whatever ``n``, and a row depends only on the stream and
-the block size, not on the grid.  ``max_increment`` replays only a run's
-first step, the one that settles its answer.
+each bucket sends its type, is the matrix
+:func:`wormald.coupon._bucket_steps`, whose mean is the ODE drift: the
+kernel applies it, and the drift check takes its one-step means through
+it, so the checks examine the chain that ``simulate`` runs.  Both count
+draws per bucket by one lookup, :func:`_bucket_sizes`, which labels the
+types canonically from the row.  The kernel reads the stream in blocks of
+a fixed number of draws at fixed positions, and applies each in one
+sorted pass that gives the bucket counts after each stop inside it.
+Draws are uniform, so relabelling at the start of every block keeps the
+rows' exact law.  A run costs O(block) memory whatever ``n``, and a row
+depends only on the stream and the block size, not on the grid.
+``max_increment`` replays only a run's first step, the one that settles
+its answer.
 
 The hypothesis checker (:func:`check_hypotheses`) verifies empirically what
 the limit theorem assumes: bounded increments, one-step means matching the
@@ -37,14 +39,13 @@ pair counts.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupon import DEFAULT_L
+from .coupon import DEFAULT_L, _bucket_steps
 from .errors import ContractError
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
@@ -111,44 +112,39 @@ class RunPlan:
         return derive_seed(self.master_seed, run_index)
 
 
-@functools.lru_cache(maxsize=8)
-def _bucket_steps(l: int) -> np.ndarray:
-    """The chain's move rule, as a read-only ``(l + 2, l + 2)`` int64 matrix.
+def _bucket_sizes(types: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``types`` fall in each bucket of ``row``.
 
-    Row ``b`` is the change one draw from bucket ``b`` makes to the bucket
-    row: the drawn type leaves bucket ``b`` for ``b + 1`` when ``b <= l``,
-    and a draw from the overflow bucket ``l + 1`` changes nothing.  With
-    ``moves[r, b]`` draws from bucket ``b``, ``moves @ _bucket_steps(l)`` is
-    the change they make; the kernel and the drift check both take it so.
+    The row labels the types canonically: with ``C`` its cumulative sum,
+    bucket ``b`` holds the types ``[C[b-1], C[b])``, so its entries lie
+    between the binary searches of ``C[b-1]`` and ``C[b]`` (``C[l+1] = n``).
+    Draws are uniform, so any labelling fixed by the row gives the same law.
     """
-    steps = np.zeros((l + 2, l + 2), dtype=np.int64)
-    moving = np.arange(l + 1)
-    steps[moving, moving] = -1
-    steps[moving, moving + 1] = 1
-    steps.flags.writeable = False
-    return steps
+    sizes = types.searchsorted(np.cumsum(row).astype(types.dtype))
+    sizes[1:] -= sizes[:-1]
+    return sizes
 
 
 def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -> np.ndarray:
     """Bucket rows after each of ``k`` consecutive intervals, from one sort.
 
     ``row`` holds the bucket sizes before the pass and labels the types
-    canonically: with ``C`` its cumulative sum, bucket ``b`` holds the types
-    ``[C[b-1], C[b])``.  ``draws`` are the intervals' draws in stream order,
-    none or more, and ``ends[r]`` how many of them are taken by the end of
-    interval ``r``.  Each draw is packed as ``(type << b) | interval``
-    (with ``k = 1``, as its type alone) and the keys sorted, which puts
-    every type's draws together in interval order.  Binary searches of
-    ``C`` into the sorted types give each draw's bucket before the pass,
-    and its prior count is that bucket plus its rank among its type's
-    earlier draws, the distance to its run's first key, read off a running
-    maximum of the run starts; within one interval the ranks of a
-    type's draws may come in any order, as the interval's moves depend only
-    on their set.  A draw leaves bucket ``min(old, l + 1)``, so one bincount
-    of these source buckets keyed by interval counts every interval's draws
-    per bucket; the move rule :func:`_bucket_steps` says where each goes,
-    which turns the counts into every interval's change, and a cumulative
-    sum over intervals gives every stop's row.
+    canonically (see :func:`_bucket_sizes`).  ``draws`` are the intervals'
+    draws in stream order, none or more, and ``ends[r]`` how many of them
+    are taken by the end of interval ``r``.  Each draw is packed as ``(type
+    << b) | interval`` (with ``k = 1``, as its type alone) and the keys
+    sorted, which puts every type's draws together in interval order.  The
+    bucket lookup :func:`_bucket_sizes` on the sorted types gives each
+    draw's bucket before the pass, and its prior count is that bucket plus
+    its rank among its type's earlier draws, the distance to its run's
+    first key, read off a running maximum of the run starts; within one
+    interval the ranks of a type's draws may come in any order, as the
+    interval's moves depend only on their set.  A draw leaves bucket
+    ``min(old, l + 1)``, so one bincount of these source buckets keyed by
+    interval counts every interval's draws per bucket; the move rule
+    :func:`wormald.coupon._bucket_steps` says where each goes, which turns
+    the counts into every interval's change, and a cumulative sum over
+    intervals gives every stop's row.
     """
     k, d = ends.size, draws.size
     b = (k - 1).bit_length()
@@ -160,7 +156,9 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
     keys = draws.astype(key_type)
     if k > 1:
         keys <<= b
-        keys |= np.repeat(np.arange(k, dtype=key_type), np.diff(ends, prepend=0))
+        per_interval = ends.copy()
+        per_interval[1:] -= ends[:-1]
+        keys |= np.repeat(np.arange(k, dtype=key_type), per_interval)
     keys.sort()
     types = keys >> b if k > 1 else keys
     first = np.empty(d, dtype=bool)
@@ -170,10 +168,7 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
     start = old * first
     np.maximum.accumulate(start, out=start)
     old -= start  # the rank
-    # bucket b's draws lie between the searches of C[b-1] and C[b] (C[l+1] = n)
-    per_bucket = types.searchsorted(np.cumsum(row).astype(key_type))
-    per_bucket[1:] -= per_bucket[:-1]
-    old += np.arange(l + 2, dtype=key_type).repeat(per_bucket)
+    old += np.arange(l + 2, dtype=key_type).repeat(_bucket_sizes(types, row))
     source = np.minimum(old, l + 1, out=start)
     if k > 1:
         keys &= (1 << b) - 1
@@ -296,13 +291,11 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     independent), averages the per-coordinate change, and compares it with
     the predicted one-step mean, ``spec``'s drift at the scaled time and
     counts (:func:`wormald.process.evaluate_drift`, so a spec not of
-    ``l + 2`` coordinates raises :class:`ContractError`).  Types are
-    labelled canonically: with ``C`` the row's cumulative sum, bucket ``b``
-    holds the types ``[C[b-1], C[b])``, so its draws are counted by binary
-    searches into the sorted draws.  Draws are uniform, so the one-step law
-    is the same under any labelling.  The change is those counts times the
-    kernel's own move rule, :func:`_bucket_steps`, so the check examines
-    the chain that :func:`simulate` runs.  The variance of each coordinate's
+    ``l + 2`` coordinates raises :class:`ContractError`).  Each bucket's
+    draws are counted by the kernel's own lookup, :func:`_bucket_sizes`, and
+    the change is those counts times its own move rule,
+    :func:`wormald.coupon._bucket_steps`, so the check examines the chain
+    that :func:`simulate` runs.  The variance of each coordinate's
     change is the sampled one, floored at the smallest the prediction ``mu``
     allows for an integer-valued increment, |mu| - mu^2, so a coordinate
     that few samples moved is not judged by a standard error below what the
@@ -328,8 +321,7 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     l = row.size - 2
     gen = make_generator(seed)
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
-    keys = np.sort(draws)
-    cnt = np.diff(np.searchsorted(keys, np.cumsum(row)), prepend=0).astype(float)
+    cnt = _bucket_sizes(np.sort(draws), row).astype(float)
     step = _bucket_steps(l)
     empirical = cnt @ step / sample_count
     mean_sq = cnt @ np.abs(step) / sample_count  # each move contributes (+-1)^2

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wormald.coupon
@@ -189,6 +189,26 @@ def test_expected_change_worked_example():
     deltas /= 4
     assert deltas[1] == 0.0
     assert deltas[2] == 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.sampled_from([1, 2, 10, 254]), data=st.data(),
+       s_max=st.floats(0.01, 100.0), t=st.integers(0, 10**6))
+def test_drift_is_the_move_rules_mean_exactly(l, data, s_max, t):
+    # The ODE drift at a row is the chain's expected one-step change,
+    # sum_b (Y_b / n) S[b] with S the move rule, so the trend error is
+    # exactly 0.  Each entry is a sum of at most two exact terms, so only
+    # the sign of a zero may differ, which np.array_equal ignores.
+    sizes = st.integers(0, 3) | st.integers(0, 10_000) | st.just(0)
+    row = np.array(data.draw(st.lists(sizes, min_size=l + 2, max_size=l + 2)), dtype=np.int64)
+    assume(row.sum() > 0)
+    n = int(row.sum())
+    steps = wormald.coupon._bucket_steps(l)
+    spec = make_coupon_spec(l, s_max)
+    assert np.array_equal(evaluate_drift(spec, t / n, row / n), (row / n) @ steps)
+    # the matrix integrate reads off the drift, on the identity's columns
+    a = l + 2
+    assert np.array_equal(evaluate_drift(spec, np.zeros(a), np.eye(a)), steps.T)
 
 
 @pytest.mark.parametrize("n, t", [(7, 40), (50, 200), (1000, 3000)])

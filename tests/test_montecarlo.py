@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import empirical_drift_reference
+from oracles import empirical_drift_reference, relabelled_replay
 from wormald import (
     ContractError,
     DriftEvaluationError,
@@ -24,6 +24,7 @@ from wormald import (
     make_coupon_spec,
     max_increment,
     simulate,
+    spawn,
 )
 from wormald import montecarlo
 from wormald.montecarlo import _pilot_chain
@@ -206,6 +207,37 @@ def test_drift_check_reads_the_kernels_move_rule():
     real = montecarlo._bucket_steps
     with mock.patch.object(montecarlo, "_bucket_steps", lambda l: 2 * real(l)):
         assert empirical_drift(row, 200_000, 10_000, seed=0, spec=spec).max_abs_z > 5
+
+
+def _right_side_lookup(types, row):
+    """``_bucket_sizes`` with right-side searches: type ``C[b]``, the first
+    of bucket ``b + 1``, is counted in bucket ``b``."""
+    sizes = types.searchsorted(np.cumsum(row).astype(types.dtype), side="right")
+    sizes[1:] -= sizes[:-1]
+    return sizes
+
+
+def test_kernel_and_drift_check_share_one_bucket_lookup():
+    # simulate and empirical_drift both count a row's draws per bucket
+    # through _bucket_sizes; a lookup that sends each bucket's first type
+    # to the bucket below must move both off their oracles.  At n = 5 and
+    # blocks of 3 draws, draws hit the bucket boundaries of relabelled rows.
+    plan = RunPlan(n=5, master_seed=2, truncation=2, s_max=4.0)
+    draws = spawn(2, 0).integers(0, 5, size=plan.resolved_horizon(), dtype=np.int64)
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", 3):
+        true = simulate(plan, 0)
+        with mock.patch.object(montecarlo, "_bucket_sizes", _right_side_lookup):
+            mutant = simulate(plan, 0)
+    expected = relabelled_replay(draws, 5, 2, 3)[np.rint(true.s * 5).astype(np.int64)] / 5
+    assert np.array_equal(true.z, expected)
+    assert not np.array_equal(mutant.z, expected)
+
+    row, spec = np.array([2, 1, 1, 1]), make_coupon_spec(2)
+    reference, _stderr, _z = empirical_drift_reference(row, 10, 1000, 0, spec)
+    assert np.array_equal(empirical_drift(row, 10, 1000, seed=0, spec=spec).empirical, reference)
+    with mock.patch.object(montecarlo, "_bucket_sizes", _right_side_lookup):
+        mutant = empirical_drift(row, 10, 1000, seed=0, spec=spec).empirical
+    assert not np.array_equal(mutant, reference)
 
 
 def test_check_hypotheses_fails_a_kernel_that_sends_bucket_l_to_bucket_0():
