@@ -40,7 +40,7 @@ from . import __version__
 from .analysis import compare_run, gumbel_experiment, scaling_study
 from .coupon import DEFAULT_S_MAX, coupon_reference, make_coupon_spec
 from .errors import ContractError, NumericalError
-from .montecarlo import RunPlan, check_hypotheses, simulate
+from .montecarlo import DEFAULT_DRIFT_SAMPLES, RunPlan, check_hypotheses, simulate
 from .process import Trajectory
 from .rng import derive_seed
 
@@ -135,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify the method's hypotheses empirically")
     p.add_argument("--state-samples", dest="state_samples", type=int, default=50,
                    help="pilot states for the drift check")
-    p.add_argument("--drift-samples", dest="drift_samples", type=int, default=10000,
-                   help="single-step samples per pilot state")
+    p.add_argument("--drift-samples", dest="drift_samples", type=int,
+                   default=DEFAULT_DRIFT_SAMPLES, help="single-step samples per pilot state")
     add_common(p, "n", "runs", "seed", "l", "s_max", runs=10)
 
     return parser

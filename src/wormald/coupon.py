@@ -85,8 +85,8 @@ def coupon_drift(l: int):
     ``(l+2,)`` and for a batch ``(l+2, B)`` alike.  Mass flows down the
     chain, and the entries sum to zero identically.
     """
-    if l < 1:
-        raise ContractError(f"truncation level must be >= 1, got {l}")
+    if not isinstance(l, (int, np.integer)) or l < 1:
+        raise ContractError(f"truncation level must be an integer >= 1, got {l!r}")
     matrix = np.ascontiguousarray(_bucket_steps(l).T, dtype=float)
 
     def drift(s, z: np.ndarray) -> np.ndarray:

@@ -58,6 +58,9 @@ _AUX_STREAM_BASE = 2**48
 #: Largest |z| a one-step mean may reach in the drift check.
 Z_THRESHOLD = 5.0
 
+#: Single-step samples the drift check draws per pilot state by default.
+DEFAULT_DRIFT_SAMPLES = 10_000
+
 #: Draws in one block of the stream, applied in one sorted pass (see
 #: :func:`_chain_states`).
 _GROUP_DRAWS = 1 << 14
@@ -84,14 +87,12 @@ class RunPlan:
     s_max: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ContractError(f"n must be positive, got {self.n}")
-        if self.run_count < 1:
-            raise ContractError(f"run_count must be positive, got {self.run_count}")
+        for name in ("n", "run_count", "truncation"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ContractError(f"{name} must be a positive integer, got {value!r}")
         if self.run_count > _AUX_STREAM_BASE:
             raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
-        if self.truncation < 1:
-            raise ContractError(f"truncation must be >= 1, got {self.truncation}")
         check_grid(self.h, self.grid_stride, self.resolved_s_max())
 
     def resolved_horizon(self) -> int:
@@ -125,27 +126,27 @@ def _bucket_sizes(types: np.ndarray, row: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -> np.ndarray:
+def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Bucket rows after each of ``k`` consecutive intervals, from one sort.
 
-    ``row`` holds the bucket sizes before the pass and labels the types
-    canonically (see :func:`_bucket_sizes`).  ``draws`` are the intervals'
-    draws in stream order, none or more, and ``ends[r]`` how many of them
-    are taken by the end of interval ``r``.  Each draw is packed as ``(type
-    << b) | interval`` (with ``k = 1``, as its type alone) and the keys
-    sorted, which puts every type's draws together in interval order.  The
-    bucket lookup :func:`_bucket_sizes` on the sorted types gives each
-    draw's bucket before the pass, and its prior count is that bucket plus
-    its rank among its type's earlier draws, the distance to its run's
-    first key, read off a running maximum of the run starts; within one
-    interval the ranks of a type's draws may come in any order, as the
-    interval's moves depend only on their set.  A draw leaves bucket
-    ``min(old, l + 1)``, so one bincount of these source buckets keyed by
-    interval counts every interval's draws per bucket; the move rule
-    :func:`wormald.coupon._bucket_steps` says where each goes, which turns
-    the counts into every interval's change, and a cumulative sum over
-    intervals gives every stop's row.
+    ``row`` holds the bucket sizes before the pass, overflow last (so ``l =
+    row.size - 2``), and labels the types canonically (see
+    :func:`_bucket_sizes`).  ``draws`` are the intervals' draws in stream
+    order, none or more, and ``ends[r]`` how many are taken by the end of
+    interval ``r``.  Each draw is packed as ``(type << b) | interval``,
+    ``b`` the interval index's bit width (0 for one interval), and the
+    keys sorted, which puts every type's draws together in interval order.
+    A draw's prior count is its bucket before the pass, by
+    :func:`_bucket_sizes` on the sorted types, plus its rank among its
+    type's earlier draws, the distance to its run's first key, read off a
+    running maximum of the run starts; within one interval the ranks of a
+    type's draws may come in any order, as its moves depend only on their
+    set.  A draw leaves bucket ``min(old, l + 1)``, so one bincount of
+    ``interval * (l + 2) + source`` counts every interval's draws per
+    bucket; the move rule :func:`wormald.coupon._bucket_steps` turns them
+    into every interval's change, and a cumulative sum into every stop's row.
     """
+    l = row.size - 2
     k, d = ends.size, draws.size
     b = (k - 1).bit_length()
     # Keys, counts and source buckets all fit the key type; int32 keys sort
@@ -154,13 +155,12 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
     wide = max(n << b, k * (l + 2), d + l + 2) >= 2**31
     key_type = np.int64 if wide else np.int32
     keys = draws.astype(key_type)
-    if k > 1:
-        keys <<= b
-        per_interval = ends.copy()
-        per_interval[1:] -= ends[:-1]
-        keys |= np.repeat(np.arange(k, dtype=key_type), per_interval)
+    keys <<= b
+    per_interval = ends.copy()
+    per_interval[1:] -= ends[:-1]
+    keys |= np.repeat(np.arange(k, dtype=key_type), per_interval)
     keys.sort()
-    types = keys >> b if k > 1 else keys
+    types = keys >> b
     first = np.empty(d, dtype=bool)
     first[:1] = True
     np.not_equal(types[1:], types[:-1], out=first[1:])
@@ -169,13 +169,10 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray, l: int) -
     np.maximum.accumulate(start, out=start)
     old -= start  # the rank
     old += np.arange(l + 2, dtype=key_type).repeat(_bucket_sizes(types, row))
-    source = np.minimum(old, l + 1, out=start)
-    if k > 1:
-        keys &= (1 << b) - 1
-        keys *= l + 2
-        keys += source
-        source = keys
-    moves = np.bincount(source, minlength=k * (l + 2)).reshape(k, l + 2)
+    keys &= (1 << b) - 1
+    keys *= l + 2
+    keys += np.minimum(old, l + 1, out=start)  # the source bucket
+    moves = np.bincount(keys, minlength=k * (l + 2)).reshape(k, l + 2)
     return row + np.cumsum(moves @ _bucket_steps(l), axis=0)
 
 
@@ -212,7 +209,7 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
         # the block's stops, then its trailing part up to the next stop
         ends = np.minimum(stops[i:j + 1], end) - begin
         draws = gen.integers(0, n, size=end - begin, dtype=np.int64)
-        rows = _sorted_pass(draws, ends, row, l)
+        rows = _sorted_pass(draws, ends, row)
         row = rows[-1]
         if j > i:
             yield i, j, rows[:j - i]
@@ -400,7 +397,7 @@ class HypothesisReport:
 
 
 def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
-                     drift_samples: int = 10_000,
+                     drift_samples: int = DEFAULT_DRIFT_SAMPLES,
                      lipschitz_samples: int = 20_000) -> HypothesisReport:
     """Empirically verify the bounded-increment, drift, and Lipschitz hypotheses.
 

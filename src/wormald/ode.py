@@ -48,6 +48,8 @@ def check_grid(h: float, grid_stride: int, s_max: float) -> None:
     2**53 micro-steps, where step indices and so grid times stay exact."""
     if not 0 < h < math.inf:
         raise ContractError(f"step size must be positive and finite, got {h}")
+    if not isinstance(grid_stride, (int, np.integer)):
+        raise ContractError(f"grid_stride must be an integer, got {grid_stride!r}")
     if grid_stride < 1:
         raise ContractError(f"grid_stride must be >= 1, got {grid_stride}")
     if not 0 < s_max < math.inf:

@@ -15,7 +15,8 @@ Nothing in ``src/`` imports this module; the tests import it as
 - :func:`empirical_drift_reference`: the drift check counting each draw's
   bucket by a gather through the row's canonical labelling.
 - :func:`bucket_chain_law`: the exact law of the bucket row after ``k``
-  draws, by the chain's forward equation on the compositions of ``n``.
+  draws from a given row, by the chain's forward equation on the
+  compositions of ``n``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def compositions(n: int, parts: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def bucket_chain_law(n: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def bucket_chain_law(n: int, l: int, k: int,
+                     start=None) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, p)``: the exact law of the bucket row after ``k`` uniform draws.
 
     The bucket row is a Markov chain on the compositions of ``n`` into
@@ -229,9 +231,9 @@ def bucket_chain_law(n: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     <= l`` to ``b + 1`` with probability ``Y_b / n`` and leaves the row as it
     is with probability ``Y_{l+1} / n``.  Each bucket's target index is
     built once, and the forward equation then moves the distribution one
-    draw at a time, one weighted bincount per bucket, from the fresh row
-    ``(n, 0, ..., 0)``.  Written apart from the library's kernel: it shares
-    no code with it and never draws.
+    draw at a time, one weighted bincount per bucket, from the row
+    ``start``, by default the fresh row ``(n, 0, ..., 0)``.  Written apart
+    from the library's kernel: it shares no code with it and never draws.
     """
     rows = compositions(n, l + 2)
     index = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
@@ -244,7 +246,8 @@ def bucket_chain_law(n: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         targets.append(np.array([index.get(row, i)
                                  for i, row in enumerate(map(tuple, moved.tolist()))]))
     p = np.zeros(len(rows))
-    p[index[(n,) + (0,) * (l + 1)]] = 1.0
+    fresh = (n,) + (0,) * (l + 1)
+    p[index[fresh if start is None else tuple(map(int, start))]] = 1.0
     for _ in range(k):
         after = p * (rows[:, l + 1] / n)
         for b, target in enumerate(targets):

@@ -10,8 +10,13 @@ at every block size from 1 to 70.  The sorted pass is also held on its
 own against ``coupon_step``, draw by draw, from canonical rows, and the
 move rule ``_bucket_steps`` against ``coupon_step`` one draw per bucket; a
 doubled rule must double every change ``simulate`` makes.  The law
-of the rows is checked exactly: every draw sequence of a few steps at
-n = 3 and 4, fed through the kernel, must give the bucket chain's law.
+of the rows is checked exactly where it is decided, in the pass: from
+every row at n = 3 and 4 (l = 1 and 2), every sequence of four draws,
+cut into one interval, into one per draw, into an empty interval and a
+repeated stop, and unevenly, must give at each interval's end the bucket
+chain's law from that row.  One case across blocks, every six-draw
+sequence at n = 4 in blocks of three, holds what only the kernel carries
+from block to block, the row and the stops, to the same law.
 Beyond the replay's reach, rows at large ``n`` are checked not to depend
 on the grid, and against one bincount per block of draws made in one call
 (also where a pass needs int64 keys); the memory of ``simulate``,
@@ -32,7 +37,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import CouponState, bucket_chain_law, coupon_step, relabelled_replay
+from oracles import (CouponState, bucket_chain_law, compositions, coupon_step,
+                     relabelled_replay)
 from wormald import RunPlan, max_increment, simulate, spawn
 from wormald import montecarlo
 from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
@@ -115,13 +121,42 @@ class _Sequence:
         return self.draws[self.taken - size:self.taken]
 
 
-@pytest.mark.parametrize("group", [1, 2, 3])
-@pytest.mark.parametrize("n, t", [(3, 8), (4, 6)])
+def _assert_law(seen, total, law_rows, p):
+    """Check that the shares ``seen[row] / total`` are the law ``(law_rows, p)``."""
+    law = {tuple(row): q for row, q in zip(law_rows.tolist(), p) if q > 0}
+    assert set(seen) <= set(law)
+    for row, q in law.items():
+        assert abs(seen[row] / total - q) <= 1e-12
+
+
+@pytest.mark.parametrize("ends", [[4], [1, 2, 3, 4], [0, 2, 2, 4], [1, 4]],
+                         ids=["one-interval", "every-draw-a-stop",
+                              "empty-then-repeated-stops", "uneven"])
+@pytest.mark.parametrize("n, l", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_sorted_pass_law_is_the_bucket_chain_law(n, l, ends):
+    # The pass is a pure function of its draws, ends and row.  From every
+    # row, each of the n**4 equally likely draw sequences goes through one
+    # pass; the share of them that reach each row at each interval's end
+    # must be the exact law of the bucket chain started from that row.
+    sequences = np.array(list(itertools.product(range(n), repeat=4)), dtype=np.int64)
+    ends = np.array(ends)
+    for start in compositions(n, l + 2):
+        seen = [Counter() for _ in ends]
+        for draws in sequences:
+            for at, row in zip(seen, montecarlo._sorted_pass(draws, ends, start).tolist()):
+                at[tuple(row)] += 1
+        for at, end in zip(seen, ends):
+            _assert_law(at, len(sequences), *bucket_chain_law(n, l, int(end), start))
+
+
+@pytest.mark.parametrize("group", [3])
+@pytest.mark.parametrize("n, t", [(4, 6)])
 def test_kernel_law_is_the_bucket_chain_law(n, t, group):
-    # Every one of the n**t equally likely draw sequences goes through the
-    # kernel; the share of them that reach each row at each stop must be
-    # the exact law of the bucket chain.  Blocks of 1-3 draws relabel the
-    # types often, and their boundaries fall between and on the stops.
+    # What only a run across blocks shows: the row each block is labelled
+    # from, and the stop bookkeeping.  Every one of the n**t equally likely
+    # draw sequences goes through the kernel in blocks of `group` draws;
+    # the share of them that reach each row at each stop must be the exact
+    # law of the bucket chain.
     sequences = np.array(list(itertools.product(range(n), repeat=t)), dtype=np.int64)
     stops = np.arange(t + 1)
     for l in (1, 2):
@@ -132,11 +167,7 @@ def test_kernel_law_is_the_bucket_chain_law(n, t, group):
                     for stop, row in zip(stops[i:], rows):
                         seen[stop][tuple(row.tolist())] += 1
         for stop in stops:
-            rows, p = bucket_chain_law(n, l, int(stop))
-            law = {tuple(row): q for row, q in zip(rows.tolist(), p) if q > 0}
-            assert set(seen[stop]) <= set(law)
-            for row, q in law.items():
-                assert abs(seen[stop][row] / len(sequences) - q) <= 1e-12
+            _assert_law(seen[stop], len(sequences), *bucket_chain_law(n, l, int(stop)))
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])
@@ -234,7 +265,7 @@ def test_sorted_pass_matches_draw_by_draw_steps(inputs):
     # The pass reads a row and labels its types canonically; the replay
     # starts from that labelling.  Types start anywhere in 0..l + 1, often
     # at the edge: saturated at l + 1, or a few draws short of it.
-    # Intervals may hold no draw, and k = 1 takes the pass's unkeyed branch.
+    # Intervals may hold no draw, and one interval packs no index bits.
     l, start, sizes, types = inputs
     n = len(start)
     row = np.bincount(start, minlength=l + 2)
@@ -248,7 +279,7 @@ def test_sorted_pass_matches_draw_by_draw_steps(inputs):
             coupon_step(state, int(draw))
         expected.append(state.counts_of_counts.copy())
 
-    rows = montecarlo._sorted_pass(draws, ends, row, l)
+    rows = montecarlo._sorted_pass(draws, ends, row)
     assert np.array_equal(rows, expected)
     assert np.array_equal(row, np.bincount(start, minlength=l + 2))
 
@@ -306,9 +337,9 @@ def test_int64_key_pass_matches_one_call_bincount():
     passes = []
     real = montecarlo._sorted_pass
 
-    def recording(draws, ends, row, l):
+    def recording(draws, ends, row):
         passes.append(n << (ends.size - 1).bit_length())
-        return real(draws, ends, row, l)
+        return real(draws, ends, row)
 
     with mock.patch.object(montecarlo, "_sorted_pass", recording):
         groups = list(_chain_states(spawn(5, 0), n, l, stops))

@@ -22,6 +22,7 @@ from wormald import (
     ContractError,
     closed_form,
     coupon_drift,
+    coupon_reference,
     cover_time,
     derive_seed,
     evaluate_drift,
@@ -49,6 +50,21 @@ def test_spec_preconditions():
     for bad in (math.inf, math.nan):
         with pytest.raises(ContractError):
             make_coupon_spec(10, bad)
+
+
+@pytest.mark.parametrize("build", [coupon_drift, lambda l: make_coupon_spec(l, 1.0)],
+                         ids=["coupon_drift", "make_coupon_spec"])
+def test_truncation_level_must_be_an_integer(build):
+    # 2.5 once reached np.zeros((4.5, ...)) and raised a bare TypeError.
+    for bad in (2.5, 2.0):
+        with pytest.raises(ContractError, match="truncation level must be an integer"):
+            build(bad)
+    assert build(np.int64(2)) is not None
+
+
+def test_coupon_reference_refuses_a_fractional_grid_stride():
+    with pytest.raises(ContractError, match="^grid_stride must be an integer, got 2.5$"):
+        coupon_reference(10, 1.0, 1e-3, 2.5)
 
 
 def test_drift_all_mass_at_truncation_flows_to_overflow():

@@ -62,6 +62,23 @@ def test_plan_validation():
         RunPlan(n=10, s_max=1.0, h=2.0**-54)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 100.5), ("n", 100.0), ("run_count", 2.5), ("truncation", 2.5),
+    ("grid_stride", 2.5), ("grid_stride", 10.0),
+])
+def test_plan_refuses_non_integral_sizes(field, value):
+    # n = 100.5 once ran rows of 100 types scaled by 1/100.5, and a
+    # grid_stride of 2.5 sampled multiples of 2.5 h.
+    with pytest.raises(ContractError, match=f"^{field} must be .*integer.*{value}"):
+        RunPlan(**{"n": 100, "s_max": 1.0, field: value})
+
+
+def test_plan_takes_numpy_integer_sizes():
+    plan = RunPlan(n=np.int64(100), run_count=np.int32(2), truncation=np.int64(3),
+                   grid_stride=np.int64(10), s_max=1.0)
+    assert simulate(plan, 1).z.shape == (101, 5)
+
+
 def test_run_seeds_are_distinct_and_range_checked():
     plan = RunPlan(n=10, run_count=50, master_seed=99)
     seeds = [plan.run_seed(i) for i in range(50)]
