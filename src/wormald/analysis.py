@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .coupon import DEFAULT_L, DEFAULT_S_MAX, coupon_reference, cover_time, exact_cover_tail
-from .errors import ContractError, FitError
+from .errors import ContractError, FitError, _size
 from .montecarlo import RunPlan, simulate
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H
 from .process import Trajectory
@@ -104,11 +104,9 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
     on the shared grid.  Per-n seeds derive from the n value itself, so the
     report does not depend on the order ``ns`` is given in.
     """
-    ns = [int(n) for n in ns]
+    ns = [_size(f"ns[{i}]", n, 10) for i, n in enumerate(ns)]
     if len(ns) < 2:
         raise ContractError(f"need at least two n values, got {len(ns)}")
-    if any(n < 10 for n in ns):
-        raise ContractError("every n must be >= 10")
     if len(set(ns)) != len(ns):
         raise FitError("duplicate n values leave no spread to fit")
 
@@ -191,10 +189,7 @@ def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
     evaluates the tail at threshold K = ceil(n ln n + c n) for every c.
     The exact column is P(T >= K) = exact_cover_tail(n, K - 1).
     """
-    if trials < 100:
-        raise ContractError(f"trials must be >= 100, got {trials}")
-    if n < 10:
-        raise ContractError(f"n must be >= 10, got {n}")
+    n, trials = _size("n", n, 10), _size("trials", trials, 100)
     if len(cs) == 0:
         raise ContractError("need at least one c value")
     unbounded = [c for c in cs if not math.isfinite(n * math.log(n) + c * n)]

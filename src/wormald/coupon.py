@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _size
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, integrate
 from .process import DomainBox, ProcessSpec, Trajectory
 # Nothing here calls make_generator; the benchmark's tracer test requires
@@ -85,8 +85,7 @@ def coupon_drift(l: int):
     ``(l+2,)`` and for a batch ``(l+2, B)`` alike.  Mass flows down the
     chain, and the entries sum to zero identically.
     """
-    if not isinstance(l, (int, np.integer)) or l < 1:
-        raise ContractError(f"truncation level must be an integer >= 1, got {l!r}")
+    l = _size("l", l, 1)
     matrix = np.ascontiguousarray(_bucket_steps(l).T, dtype=float)
 
     def drift(s, z: np.ndarray) -> np.ndarray:
@@ -145,8 +144,7 @@ def closed_form(s: float, i: int) -> float:
     """
     if s < 0:
         raise ContractError(f"s must be non-negative, got {s}")
-    if i < 0:
-        raise ContractError(f"coordinate index must be non-negative, got {i}")
+    i = _size("i", i, 0)
     if s == 0.0:
         return 1.0 if i == 0 else 0.0
     if i == 0:
@@ -169,8 +167,7 @@ def cover_time(n: int, seed: int) -> int:
     integers summed as doubles, which is exact while T < 2**53, far beyond
     any n whose n - 1 draws fit in memory.
     """
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
+    n = _size("n", n, 1)
     waits = _STREAM.keyed(seed).standard_exponential(n - 1)
     np.divide(waits, _wait_rates(n), out=waits)
     np.ceil(waits, out=waits)
@@ -208,10 +205,7 @@ def exact_cover_tail(n: int, k: int) -> float:
     a ratio q, the rest is at most term * q / (1 - q), and summation stops
     when that is below 1e-40 of the partial sum.
     """
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
-    if k < 0:
-        raise ContractError(f"k must be non-negative, got {k}")
+    n, k = _size("n", n, 1), _size("k", k, 0)
     if k == 0:
         return 1.0
     if n == 1:

@@ -5,7 +5,11 @@ violated an API contract (bad dimensions, out-of-range arguments), while
 :class:`NumericalError` and its subclasses mean a computation failed for
 numerical reasons (a non-finite drift or state, degenerate data).  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
+:func:`_size` is the one rule by which every size, index and seed the
+package takes is checked.
 """
+
+import operator
 
 
 class WormaldError(Exception):
@@ -14,6 +18,23 @@ class WormaldError(Exception):
 
 class ContractError(WormaldError, ValueError):
     """An API precondition was violated by the caller."""
+
+
+def _size(name: str, value, least) -> int:
+    """``value`` as a Python int, or :class:`ContractError` naming ``name``.
+
+    A size is a Python or numpy int (anything with ``__index__``) that is
+    not a ``bool`` and, unless ``least`` is None, is at least ``least``.
+    Floats are refused even when integral, so that ``100.5`` and ``1e5``
+    alike are caught rather than truncated.
+    """
+    # An exact int is tested first: it is the common case, and hasattr is slow.
+    if type(value) is int or hasattr(value, "__index__") and not isinstance(value, bool):
+        index = operator.index(value)
+        if least is None or index >= least:
+            return index
+    bound = "" if least is None else f" >= {least}"
+    raise ContractError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class NumericalError(WormaldError, RuntimeError):

@@ -46,10 +46,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupon import DEFAULT_L, _bucket_steps
-from .errors import ContractError
+from .errors import ContractError, _size
 from .ode import DEFAULT_GRID_STRIDE, DEFAULT_H, check_grid, grid_times
 from .process import ProcessSpec, Trajectory, estimate_lipschitz, evaluate_drift
-from .rng import derive_seed, make_generator, spawn
+from .rng import _key, derive_seed, make_generator, spawn
 
 #: Stream indices reserved for auxiliary draws (pilot trajectory, Lipschitz
 #: sampling, per-state drift sampling); run indices must stay below this.
@@ -88,9 +88,8 @@ class RunPlan:
 
     def __post_init__(self):
         for name in ("n", "run_count", "truncation"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ContractError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, _size(name, getattr(self, name), 1))
+        _key(self.master_seed, "master_seed")
         if self.run_count > _AUX_STREAM_BASE:
             raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
         check_grid(self.h, self.grid_stride, self.resolved_s_max())
@@ -106,7 +105,7 @@ class RunPlan:
         return self.resolved_horizon() / self.n
 
     def run_seed(self, run_index: int) -> int:
-        if not 0 <= run_index < self.run_count:
+        if _size("run_index", run_index, 0) >= self.run_count:
             raise ContractError(
                 f"run_index {run_index} out of range [0, {self.run_count})"
             )
@@ -302,8 +301,7 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     non-negative entries with a positive sum, a negative ``t`` or
     ``sample_count`` below 100 raises :class:`ContractError`.
     """
-    if sample_count < 100:
-        raise ContractError(f"sample_count must be >= 100, got {sample_count}")
+    sample_count = _size("sample_count", sample_count, 100)
     row = np.asarray(row)
     if row.ndim != 1 or row.size < 3 or not np.issubdtype(row.dtype, np.integer):
         raise ContractError("row must be a 1-d integer array of at least 3 buckets "
@@ -313,8 +311,7 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     n = int(row.sum())
     if n < 1:
         raise ContractError("row must hold at least one type")
-    if t < 0:
-        raise ContractError(f"t must be non-negative, got {t}")
+    t = _size("t", t, 0)
     l = row.size - 2
     gen = make_generator(seed)
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
@@ -417,12 +414,9 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     :class:`ContractError` before anything runs; a non-finite drift at any
     examined point raises :class:`DriftEvaluationError`.
     """
-    if state_samples < 1:
-        raise ContractError(f"state_samples must be positive, got {state_samples}")
-    if drift_samples < 100:
-        raise ContractError(f"drift_samples must be >= 100, got {drift_samples}")
-    if lipschitz_samples < 2:
-        raise ContractError(f"lipschitz_samples must be >= 2, got {lipschitz_samples}")
+    state_samples = _size("state_samples", state_samples, 1)
+    drift_samples = _size("drift_samples", drift_samples, 100)
+    lipschitz_samples = _size("lipschitz_samples", lipschitz_samples, 2)
     worst_inc = 0
     for i in range(plan.run_count):
         worst_inc = max(worst_inc, max_increment(plan, i))

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, _size
 from .process import ProcessSpec, Trajectory, evaluate_drift, in_domain
 
 #: Grid values this close to s_max (relatively) are treated as landed on it.
@@ -48,10 +48,7 @@ def check_grid(h: float, grid_stride: int, s_max: float) -> None:
     2**53 micro-steps, where step indices and so grid times stay exact."""
     if not 0 < h < math.inf:
         raise ContractError(f"step size must be positive and finite, got {h}")
-    if not isinstance(grid_stride, (int, np.integer)):
-        raise ContractError(f"grid_stride must be an integer, got {grid_stride!r}")
-    if grid_stride < 1:
-        raise ContractError(f"grid_stride must be >= 1, got {grid_stride}")
+    _size("grid_stride", grid_stride, 1)
     if not 0 < s_max < math.inf:
         raise ContractError(f"s_max must be positive and finite, got {s_max}")
     if s_max / h > 2**53:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ContractError, DriftEvaluationError, EstimationError
+from .errors import ContractError, DriftEvaluationError, EstimationError, _size
 from .rng import make_generator
 
 #: Values :func:`estimate_lipschitz` draws and evaluates at a time: a block
@@ -236,8 +236,7 @@ def estimate_lipschitz(spec: ProcessSpec, sample_count: int, seed: int) -> float
     non-finite drift value at any sampled point raises
     :class:`DriftEvaluationError`.
     """
-    if sample_count < 2:
-        raise ContractError(f"sample_count must be >= 2, got {sample_count}")
+    sample_count = _size("sample_count", sample_count, 2)
     box = spec.domain
     gen = make_generator(seed)
     dim = 1 + spec.coord_count

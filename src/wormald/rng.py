@@ -28,6 +28,8 @@ import threading
 
 import numpy as np
 
+from .errors import _size
+
 _MASK64 = (1 << 64) - 1
 
 #: Odd constant used by the splitmix64 sequence (2^64 / golden ratio).
@@ -42,20 +44,26 @@ def mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _key(seed: int, name: str = "seed") -> int:
+    """``seed`` reduced mod 2^64, once :func:`wormald.errors._size` takes it
+    as an integer; anything else raises :class:`ContractError` naming ``name``."""
+    return _size(name, seed, None) & _MASK64
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Derive the seed for independent stream ``index`` from ``master_seed``.
 
     Bijective in ``index`` for fixed master seed, so distinct indices never
-    collide.  Negative master seeds are reduced mod 2^64.
+    collide.  Negative master seeds are reduced mod 2^64, as :func:`_key`
+    reduces every seed.  A negative ``index`` raises :class:`ContractError`.
     """
-    if index < 0:
-        raise ValueError(f"stream index must be non-negative, got {index}")
-    return mix64((master_seed & _MASK64) ^ ((index + 1) * GOLDEN_GAMMA & _MASK64))
+    index = _size("index", index, 0)
+    return mix64(_key(master_seed, "master_seed") ^ (index + 1) * GOLDEN_GAMMA)
 
 
 def make_generator(seed: int) -> np.random.Generator:
     """A Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
 def spawn(master_seed: int, index: int) -> np.random.Generator:
@@ -77,6 +85,7 @@ class KeyedStream(threading.local):
     _gen: np.random.Generator | None = None
 
     def keyed(self, seed: int) -> np.random.Generator:
+        key = _key(seed)
         if self._gen is None:
             self._gen = make_generator(0)
             self._key = np.zeros(2, dtype=np.uint64)
@@ -84,6 +93,6 @@ class KeyedStream(threading.local):
                            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
                            "buffer": np.zeros(4, dtype=np.uint64),
                            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._key[0] = seed & _MASK64
+        self._key[0] = key
         self._gen.bit_generator.state = self._state
         return self._gen

@@ -57,13 +57,13 @@ def test_spec_preconditions():
 def test_truncation_level_must_be_an_integer(build):
     # 2.5 once reached np.zeros((4.5, ...)) and raised a bare TypeError.
     for bad in (2.5, 2.0):
-        with pytest.raises(ContractError, match="truncation level must be an integer"):
+        with pytest.raises(ContractError, match="^l must be an integer"):
             build(bad)
     assert build(np.int64(2)) is not None
 
 
 def test_coupon_reference_refuses_a_fractional_grid_stride():
-    with pytest.raises(ContractError, match="^grid_stride must be an integer, got 2.5$"):
+    with pytest.raises(ContractError, match="^grid_stride must be an integer >= 1, got 2.5$"):
         coupon_reference(10, 1.0, 1e-3, 2.5)
 
 

@@ -77,8 +77,8 @@ def test_grid_times_refuses_more_than_2_53_micro_steps():
     (0.0, 10, "step size must be positive and finite, got 0.0"),
     (math.inf, 10, "step size must be positive and finite, got inf"),
     (math.nan, 10, "step size must be positive and finite, got nan"),
-    (1e-3, 0, "grid_stride must be >= 1, got 0"),
-    (1e-3, 2.5, "grid_stride must be an integer, got 2.5"),
+    (1e-3, 0, "grid_stride must be an integer >= 1, got 0"),
+    (1e-3, 2.5, "grid_stride must be an integer >= 1, got 2.5"),
 ], ids=["h-zero", "h-inf", "h-nan", "stride-zero", "stride-fractional"])
 def test_check_grid_validates_h_and_grid_stride(h, grid_stride, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
