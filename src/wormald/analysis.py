@@ -44,6 +44,7 @@ def sup_deviation(sim_traj: Trajectory, ode_traj: Trajectory,
     prefix both contain, which ends at the earlier domain exit when one
     stopped early.
     """
+    run_index = _size("run_index", run_index, 0)
     if sim_traj.coord_count != ode_traj.coord_count:
         raise ContractError(
             f"coordinate counts differ: {sim_traj.coord_count} vs {ode_traj.coord_count}"
@@ -66,6 +67,7 @@ def compare_run(n: int, l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX, seed: 
                 h: float = DEFAULT_H, grid_stride: int = DEFAULT_GRID_STRIDE,
                 ) -> tuple[Trajectory, Trajectory, DeviationReport]:
     """One simulation, one integration, one deviation report, shared grid."""
+    l, seed = _size("l", l, 1), _size("seed", seed, None)
     plan = RunPlan(n=n, master_seed=seed, truncation=l, h=h,
                    grid_stride=grid_stride, s_max=s_max)
     sim = simulate(plan, 0)
@@ -105,6 +107,8 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
     report does not depend on the order ``ns`` is given in.
     """
     ns = [_size(f"ns[{i}]", n, 10) for i, n in enumerate(ns)]
+    runs_per_n = _size("runs_per_n", runs_per_n, 1)
+    master_seed = _size("master_seed", master_seed, None)
     if len(ns) < 2:
         raise ContractError(f"need at least two n values, got {len(ns)}")
     if len(set(ns)) != len(ns):

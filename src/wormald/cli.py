@@ -9,6 +9,10 @@ Subcommands map one-to-one onto library operations:
 * ``gumbel``    cover-time tail probabilities, write gumbel.csv
 * ``check``     empirical hypothesis verification, write check.json
 
+A flag is declared once, in ``_FLAGS``, with its type, default and help
+text; a subcommand offers it by listing it in its ``_COMMANDS`` row, which
+also names the subcommand's handler and any default it overrides.
+
 Each command only computes: it returns its files as text, keyed by name,
 with its seeds and its own manifest fields.  :func:`run_cli` then writes
 those files and ``manifest.json`` (config echo, seeds, package versions,
@@ -58,17 +62,40 @@ def _list_of(kind, what: str):
     return parse
 
 
+#: Every flag, declared once: its type, default and help text.  A flag whose
+#: default is a tuple takes a comma-separated list.
+_FLAGS = {
+    # --n has no default: it is required, but may come from --config.
+    "n": (int, None, "number of coupon types"),
+    "ns": (_list_of(int, "integers"), (1000, 10000, 100000), "comma-separated n values"),
+    "cs": (_list_of(float, "reals"), (-1.0, 0.0, 1.0, 2.0), "comma-separated c values"),
+    "trials": (int, 1000, "cover times to sample"),
+    "state_samples": (int, 50, "pilot states for the drift check"),
+    "drift_samples": (int, DEFAULT_DRIFT_SAMPLES, "single-step samples per pilot state"),
+    "runs": (int, RunPlan.run_count, "number of runs"),
+    "seed": (int, RunPlan.master_seed, "master seed"),
+    "l": (int, RunPlan.truncation, "truncation level"),
+    "s_max": (float, None, "scaled-time horizon"),
+    "h": (float, RunPlan.h, "RK4 step size"),
+    "grid_stride": (int, RunPlan.grid_stride, "emit every k-th step"),
+    "config": (str, None, "JSON config file; explicit flags override it"),
+    # None stands for $WORMALD_OUT or '.', read when the command runs.
+    "out": (str, None, f"output directory (default ${OUT_DIR_ENV} or '.')"),
+}
+
+
 def _normalize_list_flags(argv: list[str]) -> list[str]:
     """Join list flags with their value so negative entries parse.
 
     argparse treats ``-1,0,1,2`` as an option string; rewriting the pair
     ``--cs -1,0,1,2`` as the single token ``--cs=-1,0,1,2`` sidesteps that.
     """
+    lists = {f"--{name}" for name, (_, default, _) in _FLAGS.items() if isinstance(default, tuple)}
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--cs", "--ns") and i + 1 < len(argv):
+        if tok in lists and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -85,60 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *names, runs=None, s_max=None):
-        # --n has no default: it is required, but may come from --config.
-        if "n" in names:
-            p.add_argument("--n", type=int, default=None, help="number of coupon types")
-        if "runs" in names:
-            p.add_argument("--runs", type=int, default=runs, help="number of runs")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=RunPlan.master_seed,
-                           help="master seed")
-        if "l" in names:
-            p.add_argument("--l", type=int, default=RunPlan.truncation,
-                           help="truncation level")
-        if "s_max" in names:
-            p.add_argument("--s-max", dest="s_max", type=float, default=s_max,
-                           help="scaled-time horizon")
-        if "h" in names:
-            p.add_argument("--h", type=float, default=RunPlan.h,
-                           help="RK4 step size")
-        if "grid_stride" in names:
-            p.add_argument("--grid-stride", dest="grid_stride", type=int,
-                           default=RunPlan.grid_stride, help="emit every k-th step")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; explicit flags override it")
-        p.add_argument("--out", type=str, default=os.environ.get(OUT_DIR_ENV, "."),
-                       help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-
-    p = sub.add_parser("solve", help="integrate the coupon ODE system")
-    add_common(p, "l", "s_max", "h", "grid_stride", s_max=DEFAULT_S_MAX)
-
-    p = sub.add_parser("simulate", help="run the coupon process")
-    add_common(p, "n", "runs", "seed", "l", "s_max", "h", "grid_stride", runs=1)
-
-    p = sub.add_parser("compare", help="one simulation against the ODE")
-    add_common(p, "n", "seed", "l", "s_max", "h", "grid_stride", s_max=DEFAULT_S_MAX)
-
-    p = sub.add_parser("scaling", help="sup-deviation decay across n")
-    p.add_argument("--ns", type=_list_of(int, "integers"), default=(1000, 10000, 100000),
-                   help="comma-separated n values")
-    add_common(p, "runs", "seed", "l", "s_max", "h", "grid_stride", runs=20, s_max=DEFAULT_S_MAX)
-
-    p = sub.add_parser("gumbel", help="cover-time tail probabilities")
-    p.add_argument("--cs", type=_list_of(float, "reals"), default=(-1.0, 0.0, 1.0, 2.0),
-                   help="comma-separated c values")
-    p.add_argument("--trials", type=int, default=1000, help="cover times to sample")
-    add_common(p, "n", "seed")
-
-    p = sub.add_parser("check", help="verify the method's hypotheses empirically")
-    p.add_argument("--state-samples", dest="state_samples", type=int, default=50,
-                   help="pilot states for the drift check")
-    p.add_argument("--drift-samples", dest="drift_samples", type=int,
-                   default=DEFAULT_DRIFT_SAMPLES, help="single-step samples per pilot state")
-    add_common(p, "n", "runs", "seed", "l", "s_max", runs=10)
-
+    for command, (_, command_help, names, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name in (*names, "config", "out"):
+            kind, default, flag_help = _FLAGS[name]
+            p.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                           default=defaults.get(name, default), help=flag_help)
     return parser
 
 
@@ -299,13 +278,22 @@ def _cmd_check(config: dict) -> tuple[dict, dict, dict]:
     return {"check.json": _json_text(payload)}, seeds, {"hypotheses_passed": report.passed}
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "scaling": _cmd_scaling,
-    "gumbel": _cmd_gumbel,
-    "check": _cmd_check,
+#: Every subcommand: its handler, its help text, the flags it offers in
+#: --help order (--config and --out follow them) and the defaults it overrides.
+_COMMANDS = {
+    "solve": (_cmd_solve, "integrate the coupon ODE system",
+              ("l", "s_max", "h", "grid_stride"), {"s_max": DEFAULT_S_MAX}),
+    "simulate": (_cmd_simulate, "run the coupon process",
+                 ("n", "runs", "seed", "l", "s_max", "h", "grid_stride"), {}),
+    "compare": (_cmd_compare, "one simulation against the ODE",
+                ("n", "seed", "l", "s_max", "h", "grid_stride"), {"s_max": DEFAULT_S_MAX}),
+    "scaling": (_cmd_scaling, "sup-deviation decay across n",
+                ("ns", "runs", "seed", "l", "s_max", "h", "grid_stride"),
+                {"runs": 20, "s_max": DEFAULT_S_MAX}),
+    "gumbel": (_cmd_gumbel, "cover-time tail probabilities", ("cs", "trials", "n", "seed"), {}),
+    "check": (_cmd_check, "verify the method's hypotheses empirically",
+              ("state_samples", "drift_samples", "n", "runs", "seed", "l", "s_max"),
+              {"runs": 10}),
 }
 
 
@@ -351,7 +339,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         config = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
         if "n" in config and config["n"] is None:
             raise ContractError(f"--n is required for '{args.command}'")
-        files, seeds, extra = _DISPATCH[args.command](config)
+        files, seeds, extra = _COMMANDS[args.command][0](config)
         manifest = {
             "command": args.command,
             "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in config.items()},
@@ -365,7 +353,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             **extra,
         }
         files["manifest.json"] = _json_text(manifest)
-        _write_all(args.out, files)
+        _write_all(os.environ.get(OUT_DIR_ENV, ".") if args.out is None else args.out, files)
         return 0
     except SystemExit as exc:  # argparse: --help, --version or a bad flag
         return int(exc.code) if exc.code is not None else 0

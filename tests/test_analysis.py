@@ -14,7 +14,8 @@ from wormald import (
     scaling_study,
     sup_deviation,
 )
-from wormald.analysis import ref_classical, ref_paper
+from wormald import analysis
+from wormald.analysis import DeviationReport, ref_classical, ref_paper
 
 REF_PAPER_C0 = 1.0 - math.exp(-math.exp(-1.0))      # about 0.3078
 REF_CLASSICAL_C0 = 1.0 - math.exp(-1.0)             # about 0.6321
@@ -123,6 +124,15 @@ def test_scaling_study_input_validation():
         scaling_study([5, 1000], 3, 0)
     with pytest.raises(FitError):
         scaling_study([1000, 1000], 3, 0)
+
+
+def test_scaling_study_refuses_a_zero_mean_deviation(monkeypatch):
+    def no_gap(sim, ode, run_index=0):
+        return DeviationReport(run_index, 0.0, 0.0, np.zeros(sim.coord_count))
+
+    monkeypatch.setattr(analysis, "sup_deviation", no_gap)
+    with pytest.raises(FitError, match="^zero mean deviation"):
+        scaling_study([10, 20], 2, 0, l=2, s_max=0.5)
 
 
 def test_scaling_study_rows_and_fit():

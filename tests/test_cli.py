@@ -252,6 +252,22 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ("{\"n\": 80,", "is not valid JSON"),
+    ("[80, 2]", "must hold a JSON object"),
+], ids=["unreadable", "not_json", "not_an_object"])
+def test_unusable_config_file_exits_2_and_names_it(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(cfg) in line and message in line
+    assert not out.exists()
+
+
 def test_config_file_lists_and_type_checks(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 40, "trials": 110, "cs": [-1, 0.5]}))

@@ -60,6 +60,11 @@ def test_plan_validation():
         RunPlan(n=10, s_max=1e300)
     with pytest.raises(ContractError, match=r"2\*\*53"):
         RunPlan(n=10, s_max=1.0, h=2.0**-54)
+    # Stream indices from 2**48 on belong to the pilot run and the drift
+    # and Lipschitz samples, so a run may not take one.
+    assert RunPlan(n=10, run_count=2**48).run_count == 2**48
+    with pytest.raises(ContractError, match=r"^run_count must be <= 281474976710656$"):
+        RunPlan(n=10, run_count=2**48 + 1)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -401,6 +401,15 @@ def test_grid_steps_stay_on_multiples_past_a_billion_micro_steps():
     assert grid[-1] == 1.0 == 10**9 * 1e-9
 
 
+def test_grid_steps_step_back_when_the_rounded_quotient_overshoots():
+    # 2.3 / 1e-3 rounds to exactly 2300.0, but 2300 steps of 1e-3 pass 2.3,
+    # so the off-grid end is reached after 2,299 full steps.
+    assert 2.3 / 1e-3 == 2300.0 and 2300 * 1e-3 > 2.3 >= 2299 * 1e-3
+    grid, steps = _grid_steps(1e-3, 10, 2.3)
+    assert grid[-2:].tolist() == [2290 * 1e-3, 2.3]
+    assert steps[-2:] == [2290, 2299]
+
+
 def test_linear_path_at_a_small_step_matches_the_closed_form():
     # 4e7 micro-steps: one matrix power per stride, not one product per step.
     ref = coupon_reference(10, 4.0, h=1e-7, grid_stride=10**5)

@@ -225,6 +225,26 @@ def test_lipschitz_deterministic_and_input_checked():
         estimate_lipschitz(spec, 1, seed=5)
 
 
+def test_lipschitz_block_with_some_degenerate_pairs_counts_only_the_valid_ones():
+    spec = make_coupon_spec(3, 4.0)
+    raw = make_generator(7).uniform(size=(6, 2, 1 + spec.coord_count))
+    raw[::2, 1] = raw[::2, 0]  # pairs 0, 2 and 4 have zero distance
+
+    class Replay:
+        def __init__(self, points):
+            self.points = points
+
+        def uniform(self, size):
+            assert size == self.points.shape
+            return self.points.copy()
+
+    with mock.patch.object(process, "make_generator", lambda seed: Replay(raw)):
+        mixed = estimate_lipschitz(spec, 6, seed=0)
+    with mock.patch.object(process, "make_generator", lambda seed: Replay(raw[1::2])):
+        valid = estimate_lipschitz(spec, 3, seed=0)
+    assert mixed == valid > 0.0
+
+
 def _lipschitz_pair_loop(spec, sample_count, seed):
     """Reference estimator: one drift call per point, pair by pair."""
     box = spec.domain

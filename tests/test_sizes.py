@@ -3,7 +3,7 @@
 A size is a Python or numpy int, not a bool, of at least the entry point's
 least value; a seed is any such integer.  Anything else raises
 ContractError naming the parameter, before a stream is built, so before any
-draw.
+draw, and before an ODE reference is integrated.
 """
 
 import re
@@ -17,7 +17,9 @@ from wormald import (
     RunPlan,
     check_hypotheses,
     closed_form,
+    compare_run,
     coupon_drift,
+    coupon_reference,
     cover_time,
     derive_seed,
     empirical_drift,
@@ -30,8 +32,9 @@ from wormald import (
     scaling_study,
     simulate,
     spawn,
+    sup_deviation,
 )
-from wormald import coupon
+from wormald import analysis, coupon
 from wormald.ode import check_grid
 from wormald.rng import KeyedStream
 
@@ -39,6 +42,7 @@ PLAN = RunPlan(n=100, run_count=2, master_seed=1, s_max=1.0)
 SPEC = make_coupon_spec(10, 1.0)
 ROW = np.array([6, 0, 0, 0])
 ROW_SPEC = make_coupon_spec(2)
+TRAJ = coupon_reference(2, 1.0)
 
 # (entry point, parameter named in the error, least value or None for a
 # seed, the call with that parameter set to v)
@@ -73,6 +77,10 @@ ENTRIES = [
     ("gumbel_experiment", "master_seed", None, lambda v: gumbel_experiment(10, 100, [0.0], v)),
     ("scaling_study", "ns[0]", 10, lambda v: scaling_study([v, 1000], 2, 1)),
     ("scaling_study", "master_seed", None, lambda v: scaling_study([100, 1000], 2, v)),
+    ("scaling_study", "runs_per_n", 1, lambda v: scaling_study([100, 1000], v, 1)),
+    ("compare_run", "l", 1, lambda v: compare_run(100, l=v)),
+    ("compare_run", "seed", None, lambda v: compare_run(100, seed=v)),
+    ("sup_deviation", "run_index", 0, lambda v: sup_deviation(TRAJ, TRAJ, v)),
     ("derive_seed", "master_seed", None, lambda v: derive_seed(v, 0)),
     ("derive_seed", "index", 0, lambda v: derive_seed(1, v)),
     ("make_generator", "seed", None, lambda v: make_generator(v)),
@@ -93,9 +101,12 @@ def _cases():
 
 @pytest.mark.parametrize("name, call, value", _cases())
 def test_every_size_and_seed_is_checked_by_one_rule(name, call, value):
-    # No stream may be built, so no draw made, before the check refuses.
+    # No stream may be built, so no draw made, nor an ODE integrated,
+    # before the check refuses.
     built = AssertionError("a stream was built before the check")
+    integrated = AssertionError("an ODE was integrated before the check")
     with mock.patch.object(np.random, "Philox", side_effect=built), \
+            mock.patch.object(analysis, "coupon_reference", side_effect=integrated), \
             mock.patch.object(coupon, "_STREAM", KeyedStream()), \
             pytest.raises(ContractError, match=f"^{re.escape(name)} must be an integer"):
         call(value)
