@@ -104,15 +104,18 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
 
     For each n the plan's runs are compared against a single ODE reference
     on the shared grid.  Per-n seeds derive from the n value itself, so the
-    report does not depend on the order ``ns`` is given in.
+    report does not depend on the order ``ns`` is given in, and a repeated n
+    would only repeat its row: the ``ns`` must be distinct, and a repeat
+    raises :class:`ContractError` naming the repeated values.
     """
     ns = [_size(f"ns[{i}]", n, 10) for i, n in enumerate(ns)]
     runs_per_n = _size("runs_per_n", runs_per_n, 1)
     master_seed = _size("master_seed", master_seed, None)
     if len(ns) < 2:
         raise ContractError(f"need at least two n values, got {len(ns)}")
-    if len(set(ns)) != len(ns):
-        raise FitError("duplicate n values leave no spread to fit")
+    repeated = sorted({n for n in ns if ns.count(n) > 1})
+    if repeated:
+        raise ContractError(f"ns must be distinct, got {repeated} more than once")
 
     ode = coupon_reference(l, s_max, h, grid_stride)
 

@@ -59,19 +59,20 @@ _STREAM = KeyedStream()
 
 @lru_cache(maxsize=8)
 def _bucket_steps(l: int) -> np.ndarray:
-    """The chain's move rule, as a read-only ``(l + 2, l + 2)`` int64 matrix.
+    """The chain's move rule, as a read-only ``(l + 2, l + 2)`` float64 matrix.
 
     Row ``b`` is the change one draw from bucket ``b`` makes to the bucket
     row: the drawn type leaves bucket ``b`` for ``b + 1`` when ``b <= l``,
     and a draw from the overflow bucket ``l + 1`` changes nothing.  With
     ``moves[r, b]`` draws from bucket ``b``, ``moves @ _bucket_steps(l)`` is
     the change they make; the chain kernel and the drift check both take it
-    so, and :func:`coupon_drift` is its mean.
+    so, and :func:`coupon_drift` is its mean.  It is float64 so that every
+    consumer's product goes through BLAS as it is.  Integer counts times it
+    are exact: the entries are 0 or +-1, and every partial sum is an integer
+    far below 2**53, so no summation order, threading or FMA moves a bit.
     """
-    steps = np.zeros((l + 2, l + 2), dtype=np.int64)
-    moving = np.arange(l + 1)
-    steps[moving, moving] = -1
-    steps[moving, moving + 1] = 1
+    steps = np.eye(l + 2, k=1) - np.eye(l + 2)
+    steps[l + 1, l + 1] = 0
     steps.flags.writeable = False
     return steps
 
@@ -81,12 +82,14 @@ def coupon_drift(l: int):
 
     Coordinates are indexed 0..l+1.  The drift is the chain's expected
     one-step change, ``sum_b z_b S[b]`` with ``S = _bucket_steps(l)`` the
-    move rule: the product ``A @ z`` with ``A = S.T``, for one point
-    ``(l+2,)`` and for a batch ``(l+2, B)`` alike.  Mass flows down the
-    chain, and the entries sum to zero identically.
+    move rule: the product ``A @ z`` with ``A = S.T``, a float64 view, for
+    one point ``(l+2,)`` and for a batch ``(l+2, B)`` alike.  Each entry is
+    ``z_{i-1} - z_i`` (``-z_0`` and ``z_l`` at the ends) rounded once, the
+    other terms being exact zeros, so the BLAS kernel does not move it.
+    Mass flows down the chain, and the entries sum to zero identically.
     """
     l = _size("l", l, 1)
-    matrix = np.ascontiguousarray(_bucket_steps(l).T, dtype=float)
+    matrix = _bucket_steps(l).T
 
     def drift(s, z: np.ndarray) -> np.ndarray:
         return matrix @ z

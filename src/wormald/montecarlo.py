@@ -144,6 +144,9 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.nda
     ``interval * (l + 2) + source`` counts every interval's draws per
     bucket; the move rule :func:`wormald.coupon._bucket_steps` turns them
     into every interval's change, and a cumulative sum into every stop's row.
+    The rule is float64, so the product is one BLAS call; its entries are
+    integers of magnitude at most the block's draw count, far below 2**53,
+    so it is exact whatever the BLAS kernel, and the rows stay int64.
     """
     l = row.size - 2
     k, d = ends.size, draws.size
@@ -172,7 +175,7 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.nda
     keys *= l + 2
     keys += np.minimum(old, l + 1, out=start)  # the source bucket
     moves = np.bincount(keys, minlength=k * (l + 2)).reshape(k, l + 2)
-    return row + np.cumsum(moves @ _bucket_steps(l), axis=0)
+    return row + np.cumsum(moves @ _bucket_steps(l), axis=0, dtype=np.int64)
 
 
 def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
@@ -291,11 +294,12 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     draws are counted by the kernel's own lookup, :func:`_bucket_sizes`, and
     the change is those counts times its own move rule,
     :func:`wormald.coupon._bucket_steps`, so the check examines the chain
-    that :func:`simulate` runs.  The variance of each coordinate's
-    change is the sampled one, floored at the smallest the prediction ``mu``
-    allows for an integer-valued increment, |mu| - mu^2, so a coordinate
-    that few samples moved is not judged by a standard error below what the
-    null allows.  Only where both are zero is the change deterministic; it
+    that :func:`simulate` runs.  The rule is float64 and the counts integers
+    below 2**53, so the float64 sums of moves are exact.  The variance of
+    each coordinate's change is the sampled one, floored at the smallest the
+    prediction ``mu`` allows for an integer-valued increment, |mu| - mu^2,
+    so a coordinate that few samples moved is not judged by a standard error
+    below what the null allows.  Only where both are zero is the change deterministic; it
     then gets a z-score of zero when it matches the prediction and infinity
     when not.  A row that is not a 1-d integer array of at least three
     non-negative entries with a positive sum, a negative ``t`` or
@@ -315,7 +319,7 @@ def empirical_drift(row: np.ndarray, t: int, sample_count: int, seed: int,
     l = row.size - 2
     gen = make_generator(seed)
     draws = gen.integers(0, n, size=sample_count, dtype=np.int64)
-    cnt = _bucket_sizes(np.sort(draws), row).astype(float)
+    cnt = _bucket_sizes(np.sort(draws), row)
     step = _bucket_steps(l)
     empirical = cnt @ step / sample_count
     mean_sq = cnt @ np.abs(step) / sample_count  # each move contributes (+-1)^2

@@ -122,8 +122,20 @@ def test_scaling_study_input_validation():
         scaling_study([1000], 3, 0)
     with pytest.raises(ContractError):
         scaling_study([5, 1000], 3, 0)
-    with pytest.raises(FitError):
+    with pytest.raises(ContractError):
         scaling_study([1000, 1000], 3, 0)
+
+
+def test_scaling_study_refuses_repeated_ns_as_invalid_input(monkeypatch):
+    # Each n's seed is derive_seed(master, n), so a repeated n would only
+    # repeat its row: it is a caller's error, named before anything runs,
+    # even with two distinct n left to fit.
+    def no_reference(*args):
+        raise AssertionError("integrated an ODE reference")
+
+    monkeypatch.setattr(analysis, "coupon_reference", no_reference)
+    with pytest.raises(ContractError, match=r"^ns must be distinct, got \[10, 100\] more than once$"):
+        scaling_study([100, 10, 1000, 10, 100], 2, 0)
 
 
 def test_scaling_study_refuses_a_zero_mean_deviation(monkeypatch):

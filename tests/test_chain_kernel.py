@@ -29,6 +29,10 @@ value, and that the answer is read off the kernel's rows at steps 0 and
 """
 
 import itertools
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -77,7 +81,8 @@ def plans(draw):
         n=n,
         run_count=draw(st.integers(1, 3)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        truncation=draw(st.integers(1, 6)),
+        # l = 254 applies a 256-bucket move rule through the BLAS product.
+        truncation=draw(st.integers(1, 6) | st.just(254)),
         h=draw(st.sampled_from([0.01, 0.05, 0.1])),
         grid_stride=draw(st.integers(1, 20)),
         s_max=draw(st.none() | st.floats(0.01, min(400, 8 * n) / n)),
@@ -287,14 +292,51 @@ def test_sorted_pass_matches_draw_by_draw_steps(inputs):
 @pytest.mark.parametrize("l", [1, 2, 10, 254, 255])
 def test_bucket_steps_is_the_draw_by_draw_rule(l):
     # One type per bucket: type b holds b copies (the overflow type l + 1),
-    # so drawing type b is one draw from bucket b.
+    # so drawing type b is one draw from bucket b.  The rule is float64, so
+    # its products go through BLAS, and its entries are integers, so counts
+    # times it are exact.
     steps = montecarlo._bucket_steps(l)
-    assert steps.shape == (l + 2, l + 2) and steps.dtype == np.int64
+    assert steps.shape == (l + 2, l + 2) and steps.dtype == np.float64
+    assert np.array_equal(steps, np.rint(steps))
     row = np.ones(l + 2, dtype=np.int64)
     for b in range(l + 2):
         state = CouponState(l + 2, 0, np.arange(l + 2), row.copy())
         coupon_step(state, b)
         assert np.array_equal(steps[b], state.counts_of_counts - row)
+
+
+def _openblas_picks_its_kernel_at_run_time() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built with ``DYNAMIC_ARCH``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 reports no build dictionary
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Sandybridge names an x86-64 kernel")
+@pytest.mark.skipif(not _openblas_picks_its_kernel_at_run_time(),
+                    reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, "
+                           "so OPENBLAS_CORETYPE selects no kernel")
+def test_large_l_rows_do_not_depend_on_the_blas_kernel(tmp_path):
+    # At l = 254 each block's move rule is one BLAS product of up to 401
+    # intervals by 256 buckets.  Its terms are integers far below 2**53, so
+    # the kernel OpenBLAS picks for this CPU and Sandybridge's (no FMA),
+    # set in one child's environment only, must write the same bytes.
+    argv = [sys.executable, "-m", "wormald.cli", "simulate", "--n", "2000", "--l", "254",
+            "--runs", "2", "--s-max", "4"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    outputs = []
+    for name, extra in (("picked", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
+        out = tmp_path / name
+        run = subprocess.run(argv + ["--out", str(out)], env={**env, **extra},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["manifest.json", "trajectory_000.csv", "trajectory_001.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_bucket_steps_is_read_only():

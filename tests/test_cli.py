@@ -1,15 +1,18 @@
 """Tests for the command-line front end: schemas, exit codes, byte stability."""
 
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wormald import cli
+from wormald import DeviationReport, analysis, cli
 from wormald.cli import _build_parser, _normalize_list_flags, run_cli
 
 
@@ -183,9 +186,16 @@ def test_unwritable_manifest_exits_2(tmp_path, capsys):
         f"error: cannot write {tmp_path / 'manifest.json'}:")
 
 
-def test_failing_command_writes_no_file(tmp_path):
+def _no_gap(sim, ode, run_index=0):
+    """A ``sup_deviation`` stand-in that finds every run on the ODE."""
+    return DeviationReport(run_index, 0.0, 0.0, np.zeros(sim.coord_count))
+
+
+def test_failing_command_writes_no_file(tmp_path, monkeypatch):
+    # scaling computes every row, then cannot fit a zero mean deviation
+    monkeypatch.setattr(analysis, "sup_deviation", _no_gap)
     out = tmp_path / "out"
-    assert run_cli(["scaling", "--ns", "1000,1000", "--out", str(out)]) == 3
+    assert run_cli(["scaling", "--ns", "50,60", "--runs", "2", "--out", str(out)]) == 3
     assert not out.exists()
 
 
@@ -219,12 +229,23 @@ def test_invalid_configurations_exit_2(tmp_path, capsys):
     assert run_in(tmp_path, ["scaling", "--ns", "100"]) == 2  # single n
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    # a repeated n leaves the log-log fit no spread, which is a numerical
-    # failure (FitError), not a config error
-    code = run_in(tmp_path, ["scaling", "--ns", "50,50", "--runs", "2", "--seed", "2"])
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a zero mean deviation leaves the log-log fit nothing to fit, which is
+    # a numerical failure (FitError), not a config error
+    monkeypatch.setattr(analysis, "sup_deviation", _no_gap)
+    code = run_in(tmp_path, ["scaling", "--ns", "50,60", "--runs", "2", "--seed", "2"])
     assert code == 3
-    assert "numerical" in capsys.readouterr().err
+    assert "numerical failure: zero mean deviation" in capsys.readouterr().err
+
+
+def test_repeated_ns_exit_2(tmp_path, capsys):
+    # A repeated n would only repeat its row (its seed derives from n), so
+    # it is invalid input even with two distinct n left to fit.
+    out = tmp_path / "out"
+    assert run_cli(["scaling", "--ns", "10,10,100", "--runs", "2", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: ns must be distinct, got [10] more than once"
+    assert not out.exists()
 
 
 def test_help_and_version_exit_0():
@@ -344,6 +365,51 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in commands:
         assert parser.parse_args(_normalize_list_flags(argv[1:])).command == argv[1]
+
+
+def _documented_default(clause: str, command: str):
+    """The default that README's clause on one flag gives ``command``.
+
+    A clause reads ``flag` VALUE``, then optionally ``VALUE for `cmd`, ...``
+    per overriding subcommand; a flag with no default reads ``has none``, and
+    ``... otherwise`` names what the subcommands not listed do instead.
+    """
+    for value, commands in re.findall(r"([-\w.,]+) for ((?:`\w+`(?:, | and )?)+)", clause):
+        if f"`{command}`" in commands:
+            return value
+    if "has none" in clause or "otherwise" in clause:
+        return None
+    return clause.split()[1].rstrip(",;")
+
+
+def test_readme_defaults_are_the_parsers():
+    # --help prints no defaults, so README's paragraph is where a user reads
+    # them: every subcommand's default of every flag, overrides included,
+    # must be the one written there.  --config has none, and --out is
+    # described in the paragraph after.
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    start = readme.index("The defaults are ")
+    paragraph = readme[start:readme.index("has none.", start) + len("has none")]
+    clauses = {clause.split("`")[0]: clause for clause in paragraph.split("`--")[1:]}
+    parser = _build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            flag = action.option_strings[-1][2:]
+            if flag in ("help", "config", "out"):
+                continue
+            assert flag in clauses, f"README gives no default for --{flag}"
+            text = _documented_default(clauses[flag], command)
+            default = action.default
+            if default is None or text is None:
+                assert default is None and text is None, (command, flag, text, default)
+            elif isinstance(default, tuple):
+                assert tuple(map(float, text.split(","))) == tuple(map(float, default))
+            else:
+                assert float(text) == default, (command, flag, text, default)
+            checked += 1
+    assert checked == sum(len(names) for _, _, names, _ in cli._COMMANDS.values())
 
 
 def test_readme_library_example_runs():
