@@ -19,7 +19,7 @@ those files and ``manifest.json`` (config echo, seeds, package versions,
 output list) into ``--out``, all of them or, if one cannot be written,
 none; a command that fails writes nothing.  ``--out`` is created only
 then, so an uncreatable ``--out`` is reported after the computation.
-Output is byte-stable: floats are printed with 17 significant digits,
+Output is byte-stable: every CSV cell is printed with ``%.17g``,
 lines end in ``\\n``, and the manifest carries no timestamps, so identical
 flags give byte-identical files.
 
@@ -162,17 +162,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
-def _csv(header: str, rows) -> str:
-    """A CSV table: float cells as %.17g, ints as decimals."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join("%.17g" % x if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, table) -> str:
+    """A CSV table of floats, every cell as %.17g, one row format for every row.
+
+    %.17g prints an integral cell below 2**53 (``n``, ``runs``, ``run``) as
+    its digits, so integer columns need no rule of their own.
+    """
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([header, *(row_format % tuple(row.tolist()) for row in table)]) + "\n"
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
     header = "s," + ",".join(f"z{i}" for i in range(traj.coord_count))
-    return _csv(header, np.column_stack((traj.s, traj.z)).tolist())
+    return _csv(header, np.column_stack((traj.s, traj.z)))
 
 
 def _json_text(payload: dict) -> str:

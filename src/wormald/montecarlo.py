@@ -92,6 +92,8 @@ class RunPlan:
         _key(self.master_seed, "master_seed")
         if self.run_count > _AUX_STREAM_BASE:
             raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
+        if self.n >= 2**63:
+            raise ContractError(f"n must be < 2**63 (the chain's rows are int64), got {self.n}")
         check_grid(self.h, self.grid_stride, self.resolved_s_max())
 
     def resolved_horizon(self) -> int:
@@ -134,7 +136,9 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.nda
     order, none or more, and ``ends[r]`` how many are taken by the end of
     interval ``r``.  Each draw is packed as ``(type << b) | interval``,
     ``b`` the interval index's bit width (0 for one interval), and the
-    keys sorted, which puts every type's draws together in interval order.
+    keys sorted, which puts every type's draws together in interval order;
+    keys are int64 at widest, so ``n << b >= 2**63`` raises
+    :class:`ContractError` rather than wrap.
     A draw's prior count is its bucket before the pass, by
     :func:`_bucket_sizes` on the sorted types, plus its rank among its
     type's earlier draws, the distance to its run's first key, read off a
@@ -154,6 +158,8 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.nda
     # Keys, counts and source buckets all fit the key type; int32 keys sort
     # about twice as fast as int64 ones.
     n = int(row.sum())
+    if n << b >= 2**63:
+        raise ContractError(f"n << {b} must be < 2**63 to pack int64 keys, got n = {n}")
     wide = max(n << b, k * (l + 2), d + l + 2) >= 2**31
     key_type = np.int64 if wide else np.int32
     keys = draws.astype(key_type)

@@ -17,6 +17,9 @@ Nothing in ``src/`` imports this module; the tests import it as
 - :func:`bucket_chain_law`: the exact law of the bucket row after ``k``
   draws from a given row, by the chain's forward equation on the
   compositions of ``n``.
+- :func:`max_load_law`: the exact probability that no type is drawn more
+  than ``l`` times in ``k`` draws, by a generating function, at sizes
+  where compositions cannot be enumerated.
 """
 
 from __future__ import annotations
@@ -254,3 +257,41 @@ def bucket_chain_law(n: int, l: int, k: int,
             after += np.bincount(target, weights=p * (rows[:, b] / n), minlength=len(rows))
         p = after
     return rows, p
+
+
+def max_load_law(n: int, k: int, l: int) -> float:
+    """P(no type is drawn more than ``l`` times in ``k`` uniform draws from ``n`` types).
+
+    The draws fall on the types as a uniform word of length ``k``, so the
+    probability is ``k! n^-k [x^k] (sum_{j<=l} x^j/j!)^n``.  The base is
+    tilted by ``lambda = k/n`` (``x = lambda y``), which makes it the
+    Poisson(lambda) pmf truncated at ``l``, up to its sum ``S``, and centres
+    its ``n``-th power near degree ``k``:  the probability is ``k! k^-k S^n
+    [y^k] (base / S)^n``.  The power is taken by repeated squaring with
+    ``np.convolve``, each product truncated at degree ``k`` and rescaled
+    to a largest coefficient of 1, its scale kept as a logarithm.  Every
+    term is positive, so nothing cancels.  Written apart from the
+    library's kernel: it shares no code with it and never draws.
+    """
+    if k == 0:
+        return 1.0
+    lam = k / n
+    j = np.arange(min(l, k) + 1)
+    base = np.exp(j * math.log(lam) - np.array([math.lgamma(i + 1) for i in j]))
+    total = float(base.sum())
+
+    def times(a, b):
+        product = np.convolve(a[0], b[0])[:k + 1]
+        top = product.max()
+        return product / top, a[1] + b[1] + math.log(top)
+
+    power, square, m = (np.ones(1), 0.0), (base / total, 0.0), n
+    while m:
+        if m & 1:
+            power = times(power, square)
+        square, m = times(square, square), m >> 1
+    coefficients, log_scale = power
+    if coefficients.size <= k:  # k > n l: some type must be drawn l + 1 times
+        return 0.0
+    return math.exp(math.lgamma(k + 1) - k * math.log(k) + n * math.log(total)
+                    + log_scale + math.log(coefficients[k]))

@@ -17,7 +17,11 @@ repeated stop, and unevenly, must give at each interval's end the bucket
 chain's law from that row.  One case across blocks, every six-draw
 sequence at n = 4 in blocks of three, holds what only the kernel carries
 from block to block, the row and the stops, to the same law.
-Beyond the replay's reach, rows at large ``n`` are checked not to depend
+At n = 1,000, where compositions cannot be enumerated, the largest
+number of draws any type got in 4,000 draws, across seven relabellings,
+is held to its exact law (``max_load_law``, itself held to exact
+fractions and to the bucket chain's law).  Beyond the replay's reach,
+rows at large ``n`` are checked not to depend
 on the grid, and against one bincount per block of draws made in one call
 (also where a pass needs int64 keys); the memory of ``simulate``,
 ``max_increment`` and the pilot walk must not grow with ``n``.
@@ -29,11 +33,13 @@ value, and that the answer is read off the kernel's rows at steps 0 and
 """
 
 import itertools
+import math
 import os
 import platform
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,8 +48,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (CouponState, bucket_chain_law, compositions, coupon_step,
-                     relabelled_replay)
-from wormald import RunPlan, max_increment, simulate, spawn
+                     max_load_law, relabelled_replay)
+from wormald import ContractError, RunPlan, make_generator, max_increment, simulate, spawn
 from wormald import montecarlo
 from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
 
@@ -173,6 +179,49 @@ def test_kernel_law_is_the_bucket_chain_law(n, t, group):
                         seen[stop][tuple(row.tolist())] += 1
         for stop in stops:
             _assert_law(seen[stop], len(sequences), *bucket_chain_law(n, l, int(stop)))
+
+
+def _max_load_fraction(n, k, l):
+    """``k! n^-k [x^k] (sum_{j<=l} x^j/j!)^n`` in exact rational arithmetic."""
+    poly = [Fraction(1)]
+    for _ in range(n):
+        grown = [Fraction(0)] * min(len(poly) + l, k + 1)
+        for i, a in enumerate(poly):
+            for j in range(min(l, len(grown) - 1 - i) + 1):
+                grown[i + j] += a / math.factorial(j)
+        poly = grown
+    return poly[k] * math.factorial(k) / Fraction(n) ** k if k < len(poly) else Fraction(0)
+
+
+@pytest.mark.parametrize("n, k, l", [(6, 9, 2), (8, 7, 1), (5, 3, 1), (10, 30, 4)])
+def test_max_load_law_is_exact(n, k, l):
+    assert max_load_law(n, k, l) == pytest.approx(float(_max_load_fraction(n, k, l)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, l, k", [(5, 2, 7), (6, 1, 4), (4, 3, 10), (6, 2, 9), (3, 1, 7)])
+def test_max_load_law_is_the_bucket_chain_laws_empty_overflow(n, l, k):
+    # No type drawn more than l times is the row's overflow bucket empty.
+    rows, p = bucket_chain_law(n, l, k)
+    assert max_load_law(n, k, l) == pytest.approx(p[rows[:, l + 1] == 0].sum(),
+                                                  rel=1e-12, abs=1e-15)
+
+
+def test_kernel_max_load_is_the_exact_law_across_relabelling():
+    # At l = 254 no type of n = 1,000 reaches the overflow in 4,000 draws,
+    # so a row's highest nonempty bucket is the most draws any type got.
+    # Blocks of 512 draws relabel the types seven times in a run, and a
+    # draw's move within a block needs its rank among its type's draws
+    # there, so the maximum load tests both.  For each l its share of
+    # 1,000 runs (seeds fixed in advance) must lie within 4 SE of the law,
+    # which reads 0.000201 / 0.0558 / 0.400 / 0.762 / 0.927 / 0.981.
+    n, k, runs = 1000, 4000, 1000
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", 512):
+        loads = np.array([np.flatnonzero(rows[0]).max()
+                          for seed in range(30_000, 30_000 + runs)
+                          for _, _, rows in _chain_states(make_generator(seed), n, 254, [k])])
+    for l in range(9, 15):
+        p = max_load_law(n, k, l)
+        assert abs(np.mean(loads <= l) - p) <= 4 * math.sqrt(p * (1 - p) / runs), l
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])
@@ -325,18 +374,25 @@ def test_large_l_rows_do_not_depend_on_the_blas_kernel(tmp_path):
     # intervals by 256 buckets.  Its terms are integers far below 2**53, so
     # the kernel OpenBLAS picks for this CPU and Sandybridge's (no FMA),
     # set in one child's environment only, must write the same bytes.
-    argv = [sys.executable, "-m", "wormald.cli", "simulate", "--n", "2000", "--l", "254",
-            "--runs", "2", "--s-max", "4"]
+    # check also takes its predicted drift through the coupon drift's BLAS
+    # product, each entry of which has two nonzero terms and so is rounded
+    # once under any kernel.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    outputs = []
-    for name, extra in (("picked", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
-        out = tmp_path / name
-        run = subprocess.run(argv + ["--out", str(out)], env={**env, **extra},
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert sorted(outputs[0]) == ["manifest.json", "trajectory_000.csv", "trajectory_001.csv"]
-    assert outputs[0] == outputs[1]
+    for args, files in (
+        (["simulate", "--n", "2000", "--l", "254", "--runs", "2", "--s-max", "4"],
+         ["manifest.json", "trajectory_000.csv", "trajectory_001.csv"]),
+        (["check", "--n", "1000", "--l", "254", "--s-max", "4", "--state-samples", "10"],
+         ["check.json", "manifest.json"]),
+    ):
+        outputs = []
+        for name, extra in (("picked", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
+            out = tmp_path / args[0] / name
+            run = subprocess.run([sys.executable, "-m", "wormald.cli", *args, "--out", str(out)],
+                                 env={**env, **extra}, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outputs[0]) == files
+        assert outputs[0] == outputs[1]
 
 
 def test_bucket_steps_is_read_only():
@@ -364,6 +420,25 @@ def test_simulate_moves_by_the_bucket_steps_rule():
         doubled = changes()
     assert np.abs(true).max() > 0
     assert np.array_equal(doubled, 2 * true)
+
+
+@pytest.mark.parametrize("n, last, refused", [
+    (2**61, 5 + 2**60, True), (2**58, 5 + 2**57, True), (2**58 - 1, 5 + 2**57, False),
+], ids=["n=2**61", "n=2**58", "n=2**58-1"])
+def test_sorted_pass_refuses_keys_past_int64(n, last, refused):
+    # 17 one-draw intervals take b = 5 bits of interval index, so a key holds
+    # types below 2**58 only.  At n = 2**61 the types 5 and 5 + 2**60 would
+    # pack to one type, and the row move by [-16, 15, 1, 0], not by the
+    # [-17, 17, 0, 0] of 17 distinct types.
+    row = np.array([n, 0, 0, 0], dtype=np.int64)
+    draws = np.array([*range(16), last], dtype=np.int64)
+    ends = np.arange(1, 18)
+    if refused:
+        with pytest.raises(ContractError, match=rf"^n << 5 must be < 2\*\*63 .* got n = {n}$"):
+            montecarlo._sorted_pass(draws, ends, row)
+    else:
+        assert np.array_equal(montecarlo._sorted_pass(draws, ends, row)[-1] - row,
+                              [-17, 17, 0, 0])
 
 
 def test_int64_key_pass_matches_one_call_bincount():

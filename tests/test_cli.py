@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wormald import DeviationReport, analysis, cli
 from wormald.cli import _build_parser, _normalize_list_flags, run_cli
@@ -78,6 +80,34 @@ def test_csv_uses_unix_line_endings(tmp_path):
     raw = read_bytes(tmp_path / "ode.csv")
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def _per_cell_csv(header, rows):
+    """The writer ``_csv`` replaced: a float cell as %.17g, an int cell by ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % x if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+_cells = st.one_of(
+    st.floats(),
+    st.integers(-2**53, 2**53).map(float),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072004e-308, 1e-300, 1e300, 2.0**53]),
+    st.integers(0, 2**53),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(
+    lambda columns: st.lists(st.lists(_cells, min_size=columns, max_size=columns),
+                             min_size=1, max_size=6)))
+@example(rows=[[0, -0.0, 2**53, 5e-324, 1e-300, 1e300, 7.0]])
+@example(rows=[[1.0], [2**53], [-0.0], [3], [1e300], [2.2250738585072004e-308]])
+def test_one_row_format_writes_what_the_per_cell_rules_wrote(rows):
+    # %.17g prints an integer below 2**53 as its digits, so one float rule
+    # writes the integer cells (n, runs, run) as str did.
+    assert cli._csv("h", rows) == _per_cell_csv("h", rows)
 
 
 def test_scaling_csv_schema(tmp_path):
@@ -245,6 +275,22 @@ def test_repeated_ns_exit_2(tmp_path, capsys):
     assert run_cli(["scaling", "--ns", "10,10,100", "--runs", "2", "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line == "error: ns must be distinct, got [10] more than once"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--n", str(2**63), "--s-max", "1e-15"],
+    ["simulate", "--n", str(2**63), "--s-max", "1e-15"],
+    ["check", "--n", str(2**63), "--s-max", "1e-15"],
+    # n below 2**63, but 2,001 stops in one block take 11 bits of interval
+    # index, and n << 11 would wrap the pass's int64 keys
+    ["compare", "--n", str(2**53), "--h", "1e-18", "--grid-stride", "1", "--s-max", "2e-15"],
+])
+def test_n_past_the_kernels_int64_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: n ") and "2**63" in line
     assert not out.exists()
 
 

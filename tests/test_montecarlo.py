@@ -67,6 +67,15 @@ def test_plan_validation():
         RunPlan(n=10, run_count=2**48 + 1)
 
 
+def test_plan_refuses_n_past_the_chains_int64_rows():
+    # The kernel's rows are int64 and start at (n, 0, ...), so the largest n
+    # they hold is 2**63 - 1; one more would raise OverflowError deep in the
+    # first block instead of naming n.
+    assert RunPlan(n=2**63 - 1).n == 2**63 - 1
+    with pytest.raises(ContractError, match=r"^n must be < 2\*\*63 .* got 9223372036854775808$"):
+        RunPlan(n=2**63)
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", 100.5), ("n", 100.0), ("run_count", 2.5), ("truncation", 2.5),
     ("grid_stride", 2.5), ("grid_stride", 10.0),
