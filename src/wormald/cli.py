@@ -229,7 +229,7 @@ def _cmd_compare(config: dict) -> tuple[dict, dict, dict]:
     # the reported one by at most max(steps between points)/n.
     n = config["n"]
     steps = np.rint(sim.s * n).astype(np.int64)
-    gap_bound = float(np.diff(steps).max()) / n if steps.size > 1 else 0.0
+    gap_bound = float(np.diff(steps).max()) / n
     extra = {
         "domain_exited": sim.sigma_exit is not None or ode.sigma_exit is not None,
         "grid_gap_bound": gap_bound,

@@ -155,6 +155,10 @@ def closed_form(s: float, i: int) -> float:
     return math.exp(i * math.log(s) - s - math.lgamma(i + 1))
 
 
+#: The largest n whose n - 1 float64 waits form one numpy array.
+_MOST_COVER_N = np.iinfo(np.intp).max // 8 + 1
+
+
 def cover_time(n: int, seed: int) -> int:
     """Steps until every type has been drawn at least once.
 
@@ -168,9 +172,13 @@ def cover_time(n: int, seed: int) -> int:
     a Philox stream keyed by ``seed``, so the result is reproducible and
     costs O(n) time and memory whatever T turns out to be.  The waits are
     integers summed as doubles, which is exact while T < 2**53, far beyond
-    any n whose n - 1 draws fit in memory.
+    any n whose n - 1 draws fit in memory.  An ``n`` whose n - 1 float64
+    waits cannot form one numpy array raises :class:`ContractError`.
     """
     n = _size("n", n, 1)
+    if n > _MOST_COVER_N:
+        raise ContractError(f"n must be at most {_MOST_COVER_N}, where its n - 1 float64 "
+                            f"waits form one array, got {n}")
     waits = _STREAM.keyed(seed).standard_exponential(n - 1)
     np.divide(waits, _wait_rates(n), out=waits)
     np.ceil(waits, out=waits)

@@ -31,10 +31,6 @@ import numpy as np
 from .errors import ContractError, DivergenceError, _size
 from .process import ProcessSpec, Trajectory, evaluate_drift, in_domain
 
-#: Grid values this close to s_max (relatively) are treated as landed on it.
-_REL_FUZZ = 1e-9
-
-
 #: Default RK4 micro-step and emission stride of every engine that takes a
 #: grid.  They put the integrator's global error (~h^4) far below Monte Carlo
 #: noise (~n^-1/2) while emitting on the order of a thousand points over
@@ -58,24 +54,22 @@ def check_grid(h: float, grid_stride: int, s_max: float) -> None:
 def _grid_steps(h: float, grid_stride: int, s_max: float) -> tuple[np.ndarray, list[int]]:
     """The emitted grid and the number of full h-steps taken before each point.
 
-    The k-th multiple of ``h * grid_stride`` is ``(k * grid_stride) * h``,
-    reached after ``k * grid_stride`` full steps.  An ``s_max`` off the grid
-    is appended after the last full step at or below it, the largest ``m``
-    with ``m * h <= s_max``, and is reached by one shorter step.
+    Every point comes from one number, the last full micro-step ``m``, the
+    largest with ``m * h <= s_max``.  The k-th multiple of ``h *
+    grid_stride`` up to it is ``(k * grid_stride) * h``, reached after ``k
+    * grid_stride`` full steps.  An ``s_max`` above the last of them is
+    appended after ``m`` full steps and is reached by one shorter step.
     """
     check_grid(h, grid_stride, s_max)
-    count = int(math.floor(s_max / (grid_stride * h) + _REL_FUZZ))
-    steps = np.arange(count + 1, dtype=np.int64) * grid_stride
+    m = math.floor(s_max / h)
+    while m * h > s_max:
+        m -= 1
+    while (m + 1) * h <= s_max:
+        m += 1
+    steps = np.arange(0, m + 1, grid_stride, dtype=np.int64)
     grid = steps * h
-    keep = grid <= s_max
-    grid, steps = grid[keep], steps[keep]
     if grid[-1] < s_max:
-        full = math.floor(s_max / h)
-        while full * h > s_max:
-            full -= 1
-        while (full + 1) * h <= s_max:
-            full += 1
-        grid, steps = np.append(grid, s_max), np.append(steps, full)
+        grid, steps = np.append(grid, s_max), np.append(steps, m)
     return grid, steps.tolist()
 
 

@@ -75,11 +75,12 @@ class KeyedStream(threading.local):
     """One Philox generator per thread, re-keyed in place for each seed.
 
     ``keyed(seed)`` returns this thread's generator in the state
-    ``make_generator(seed)`` starts in: counter 0, key ``[seed, 0]``, an
-    empty output buffer and no spare 32-bit half, so the draws are the
-    same.  It is the same object on every call, so a caller must take all
-    its draws before the next ``keyed`` call in its thread.  Nothing is
-    built until a thread first calls ``keyed``.
+    ``make_generator(seed)`` starts in, so the draws are the same: the
+    starting state of a fresh ``make_generator(0)``, read once, with the
+    first word of its key set to ``seed``.  It is the same object on every
+    call, so a caller must take all its draws before the next ``keyed``
+    call in its thread.  Nothing is built until a thread first calls
+    ``keyed``.
     """
 
     _gen: np.random.Generator | None = None
@@ -88,11 +89,8 @@ class KeyedStream(threading.local):
         key = _key(seed)
         if self._gen is None:
             self._gen = make_generator(0)
-            self._key = np.zeros(2, dtype=np.uint64)
-            self._state = {"bit_generator": "Philox",
-                           "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-                           "buffer": np.zeros(4, dtype=np.uint64),
-                           "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            self._state = self._gen.bit_generator.state
+            self._key = self._state["state"]["key"]
         self._key[0] = key
         self._gen.bit_generator.state = self._state
         return self._gen

@@ -20,6 +20,9 @@ Nothing in ``src/`` imports this module; the tests import it as
 - :func:`max_load_law`: the exact probability that no type is drawn more
   than ``l`` times in ``k`` draws, by a generating function, at sizes
   where compositions cannot be enumerated.
+- :func:`cover_law`: the exact probability that every type is drawn in
+  ``k`` draws by the same route, a cross-check of the library's
+  inclusion-exclusion ``exact_cover_tail``.
 """
 
 from __future__ import annotations
@@ -259,6 +262,33 @@ def bucket_chain_law(n: int, l: int, k: int,
     return rows, p
 
 
+def _log_power_coefficient(base: np.ndarray, n: int, k: int) -> float:
+    """``log [y^k] base^n`` for a ``base`` of positive terms, ``-inf`` past its degree.
+
+    The power is taken by repeated squaring with ``np.convolve``, each
+    product truncated at degree ``k`` and rescaled to a largest coefficient
+    of 1, its scale kept as a logarithm.  No square is taken after the last
+    bit of ``n``: it would be unused, and its lowest degree may pass ``k``,
+    leaving no coefficient to rescale by.  Every term is positive, so
+    nothing cancels.
+    """
+    def times(a, b):
+        product = np.convolve(a[0], b[0])[:k + 1]
+        top = product.max()
+        return product / top, a[1] + b[1] + math.log(top)
+
+    power, square = (np.ones(1), 0.0), (base, 0.0)
+    while True:
+        if n & 1:
+            power = times(power, square)
+        n >>= 1
+        if not n:
+            break
+        square = times(square, square)
+    coefficients, log_scale = power
+    return log_scale + math.log(coefficients[k]) if coefficients.size > k else -math.inf
+
+
 def max_load_law(n: int, k: int, l: int) -> float:
     """P(no type is drawn more than ``l`` times in ``k`` uniform draws from ``n`` types).
 
@@ -267,11 +297,9 @@ def max_load_law(n: int, k: int, l: int) -> float:
     tilted by ``lambda = k/n`` (``x = lambda y``), which makes it the
     Poisson(lambda) pmf truncated at ``l``, up to its sum ``S``, and centres
     its ``n``-th power near degree ``k``:  the probability is ``k! k^-k S^n
-    [y^k] (base / S)^n``.  The power is taken by repeated squaring with
-    ``np.convolve``, each product truncated at degree ``k`` and rescaled
-    to a largest coefficient of 1, its scale kept as a logarithm.  Every
-    term is positive, so nothing cancels.  Written apart from the
-    library's kernel: it shares no code with it and never draws.
+    [y^k] (base / S)^n``, the coefficient by :func:`_log_power_coefficient`.
+    Written apart from the library's kernel: it shares no code with it and
+    never draws.
     """
     if k == 0:
         return 1.0
@@ -279,19 +307,37 @@ def max_load_law(n: int, k: int, l: int) -> float:
     j = np.arange(min(l, k) + 1)
     base = np.exp(j * math.log(lam) - np.array([math.lgamma(i + 1) for i in j]))
     total = float(base.sum())
-
-    def times(a, b):
-        product = np.convolve(a[0], b[0])[:k + 1]
-        top = product.max()
-        return product / top, a[1] + b[1] + math.log(top)
-
-    power, square, m = (np.ones(1), 0.0), (base / total, 0.0), n
-    while m:
-        if m & 1:
-            power = times(power, square)
-        square, m = times(square, square), m >> 1
-    coefficients, log_scale = power
-    if coefficients.size <= k:  # k > n l: some type must be drawn l + 1 times
-        return 0.0
+    # k > n l leaves no coefficient: some type must be drawn l + 1 times
     return math.exp(math.lgamma(k + 1) - k * math.log(k) + n * math.log(total)
-                    + log_scale + math.log(coefficients[k]))
+                    + _log_power_coefficient(base / total, n, k))
+
+
+def cover_law(n: int, k: int) -> float:
+    """P(every one of ``n`` types is drawn in ``k`` uniform draws), with no cancellation.
+
+    The words of length ``k`` that use every type number ``k! [x^k] (e^x -
+    1)^n``, so the probability is ``k! n^-k [x^k] (e^x - 1)^n``.  Each
+    factor is ``x`` times the positive series ``sum_{j>=1} x^(j-1)/j!``, so
+    the probability is ``k! n^-k [x^(k-n)]`` of that series' ``n``-th power.
+    The tilt ``x = lambda y``, with ``lambda / (1 - e^-lambda) = k/n``,
+    makes the base the pmf of one less than a zero-truncated
+    Poisson(lambda) of mean ``k/n``, up to its sum ``S``, and centres its
+    power near degree ``k - n``:  the probability is ``k! n^-k lambda^-(k-n)
+    S^n [y^(k-n)] (base / S)^n``, the coefficient by
+    :func:`_log_power_coefficient`.  The tilt is found by bisection; any
+    ``lambda > 0`` gives the same value up to rounding.  Written apart from
+    ``exact_cover_tail``, an alternating sum in decimal arithmetic: the two
+    share no code.
+    """
+    if k < n:
+        return 0.0
+    lo, hi = 0.0, k / n
+    for _ in range(100):
+        lam = 0.5 * (lo + hi)
+        lo, hi = (lam, hi) if lam < -(k / n) * math.expm1(-lam) else (lo, lam)
+    # lambda^i / (i + 1)!, i = 0..k-n; far terms underflow to 0 and add nothing
+    base = np.cumprod(np.append(1.0, lam / np.arange(2.0, k - n + 2)))
+    base = base[:np.flatnonzero(base)[-1] + 1]
+    total = float(base.sum())
+    return math.exp(math.lgamma(k + 1) - k * math.log(n) - (k - n) * math.log(lam)
+                    + n * math.log(total) + _log_power_coefficient(base / total, n, k - n))

@@ -294,6 +294,15 @@ def test_n_past_the_kernels_int64_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [2**63, 2**62, 2**60 + 1])
+def test_gumbel_n_past_one_array_of_waits_exits_2(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert run_cli(["gumbel", "--n", str(n), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: n ") and line.endswith(f"got {n}")
+    assert not out.exists()
+
+
 def test_help_and_version_exit_0():
     assert run_cli(["--help"]) == 0
     assert run_cli(["--version"]) == 0

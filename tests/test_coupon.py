@@ -16,6 +16,7 @@ from oracles import (
     bucket_chain_law,
     closed_form_system,
     coupon_step,
+    cover_law,
     cover_time_reference,
 )
 from wormald import (
@@ -342,6 +343,13 @@ def test_cover_time_rejects_bad_n():
         cover_time(0, seed=1)
 
 
+def test_cover_time_refuses_n_whose_waits_cannot_form_one_array():
+    # 2**60 waits of 8 bytes pass numpy's largest array size; the refusal
+    # comes before anything is drawn or allocated.
+    with pytest.raises(ContractError, match=r"^n must be at most .*got 1152921504606846977$"):
+        cover_time(2**60 + 1, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 20_000), seed=st.integers(0, 2**64 - 1))
 def test_cover_time_is_numpy_geometric_sum(n, seed):
@@ -437,6 +445,36 @@ def test_exact_tail_matches_the_bucket_chain_law(n, c):
     rows, p = bucket_chain_law(n, 1, k)
     assert abs(math.fsum(p) - 1.0) <= 1e-14
     assert abs((1.0 - math.fsum(p[rows[:, 0] == 0])) - exact_cover_tail(n, k)) <= 1e-14
+
+
+def _surjections(k, n):
+    """Words of length ``k`` on ``n`` letters that use every letter: ``n! S(k, n)``,
+    with the Stirling numbers of the second kind by their recurrence."""
+    stirling = [1] + [0] * n  # S(0, j)
+    for _ in range(k):
+        stirling = [0] + [j * stirling[j] + stirling[j - 1] for j in range(1, n + 1)]
+    return math.factorial(n) * stirling[n]
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (6, 9), (10, 30), (20, 40), (8, 8), (5, 4)])
+def test_cover_law_is_the_surjection_count(n, k):
+    exact = Fraction(_surjections(k, n), n**k)
+    assert cover_law(n, k) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, k", [(5, 7), (6, 12), (4, 3), (7, 7)])
+def test_cover_law_is_the_bucket_chain_laws_empty_bucket_0(n, k):
+    rows, p = bucket_chain_law(n, 1, k)
+    assert cover_law(n, k) == pytest.approx(math.fsum(p[rows[:, 0] == 0]), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, tol", [(100, 1e-11), (1000, 1e-10)])
+@pytest.mark.parametrize("c", [-1, 0, 1, 2])
+def test_the_two_exact_cover_oracles_agree(n, tol, c):
+    # A float power of positive terms against an alternating 50-digit
+    # decimal sum: the two routes share no code.
+    k = math.ceil(n * math.log(n) + c * n)
+    assert cover_law(n, k) == pytest.approx(1.0 - exact_cover_tail(n, k), rel=tol, abs=0.0)
 
 
 def test_exact_tail_monotone_in_k():

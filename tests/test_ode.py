@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import closed_form_system, convergence_order
@@ -384,6 +384,52 @@ def test_integrate_matches_the_micro_step_walk(run):
     assert traj.s.tobytes() == s.tobytes()
     assert traj.z.tobytes() == z.tobytes()
     assert traj.sigma_exit == sigma_exit
+
+
+def grid_walk(h, grid_stride, s_max):
+    """The grid by its definition: count full micro-steps up while the next
+    one stays at or below ``s_max``, keep every ``grid_stride``-th, and end
+    at ``s_max`` after the last full step if no kept point landed on it."""
+    m, points = 0, [(0.0, 0)]
+    while (m + 1) * h <= s_max:
+        m += 1
+        if m % grid_stride == 0:
+            points.append((m * h, m))
+    if points[-1][0] < s_max:
+        points.append((s_max, m))
+    return points
+
+
+@st.composite
+def walkable_grids(draw):
+    """``(h, grid_stride, s_max)`` with at most ~10**4 micro-steps, ``s_max``
+    a multiple of ``h`` (often of the stride's span), one of its
+    neighbouring doubles, or anywhere below 10**4 h."""
+    h = 10.0 ** draw(st.floats(-9.0, 0.0))
+    grid_stride = draw(st.one_of(st.integers(1, 50), st.integers(1, 10**9)))
+    if draw(st.booleans()):
+        return h, grid_stride, draw(st.floats(1e-3 * h, 1e4 * h))
+    m = draw(st.integers(1, 10**4))
+    if grid_stride <= 10**4 and draw(st.booleans()):
+        m = grid_stride * max(1, m // grid_stride)
+    s_max = m * h
+    for _ in range(draw(st.integers(0, 2))):
+        s_max = float(np.nextafter(s_max, draw(st.sampled_from([0.0, math.inf]))))
+    return h, grid_stride, s_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=walkable_grids())
+@example(grid=(1e-3, 10, 2.3))  # 2.3 / 1e-3 rounds up to 2300, one step too many
+@example(grid=(0.1, 3, 0.3))  # 3 * 0.1 rounds above 0.3
+@example(grid=(0.1, 1, 1.0))  # ten steps of 0.1 land on 1.0 exactly
+@example(grid=(1e-3, 10, float(np.nextafter(1.0, 0.0))))
+@example(grid=(1e-3, 10, float(np.nextafter(1.0, 2.0))))
+def test_grid_steps_are_the_micro_step_walk(grid):
+    points = grid_walk(*grid)
+    times, steps = _grid_steps(*grid)
+    assert times.tolist() == [s for s, _ in points]
+    assert steps == [m for _, m in points]
 
 
 def test_grid_steps_stay_on_multiples_past_a_billion_micro_steps():
