@@ -24,8 +24,8 @@ lines end in ``\\n``, and the manifest carries no timestamps, so identical
 flags give byte-identical files.
 
 Exit codes: 0 success (including domain exit, which is an outcome, not a
-failure), 2 invalid configuration or an output file that cannot be
-written, 3 numerical failure.
+failure), 2 invalid configuration, an input too large for memory or an
+output file that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -362,6 +362,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # one allocation past what the host can give
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

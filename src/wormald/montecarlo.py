@@ -70,12 +70,19 @@ _GROUP_DRAWS = 1 << 14
 class RunPlan:
     """A reproducible batch of simulation runs at one system size.
 
-    Each run replays ceil(n * s_max) steps when the scaled horizon ``s_max``
+    The horizon is ceil(n * s_max) steps when the scaled horizon ``s_max``
     is given, and max(1, ceil(n ln n)), the natural horizon for the coupon
     process, otherwise; ``s_max`` left out is that horizon over ``n``.
     ``h`` and ``grid_stride`` define the shared sampling grid (see
     :func:`wormald.ode.grid_times`) and are checked with ``s_max`` by
-    :func:`wormald.ode.check_grid`.
+    :func:`wormald.ode.check_grid`.  :func:`simulate` stops each run at the
+    grid's last point, ``round(n * s_max)`` steps (halves to even), and the
+    pilot run of :func:`check_hypotheses` walks the whole horizon.
+
+    A horizon of 2**51 steps or more raises :class:`ContractError`.  Below
+    it every stop ``round(s * n)`` of the grid lies within the horizon; from
+    it on the float product ``s_max * n`` of a natural horizon may round
+    past it.  2**51 draws take years, so no run that could finish is refused.
     """
 
     n: int
@@ -95,6 +102,10 @@ class RunPlan:
         if self.n >= 2**63:
             raise ContractError(f"n must be < 2**63 (the chain's rows are int64), got {self.n}")
         check_grid(self.h, self.grid_stride, self.resolved_s_max())
+        # n * s_max overflows only for an explicit s_max near the float range's top
+        horizon = self.resolved_horizon() if self.n * self.resolved_s_max() < math.inf else math.inf
+        if horizon >= 2**51:
+            raise ContractError(f"the horizon must be < 2**51 steps, got {horizon} at n = {self.n}")
 
     def resolved_horizon(self) -> int:
         if self.s_max is not None:
@@ -224,15 +235,6 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
         i, begin = j, end
 
 
-def _grid_step_counts(plan: RunPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Shared grid of scaled times and the step count sampled at each."""
-    grid = grid_times(plan.h, plan.grid_stride, plan.resolved_s_max())
-    t_grid = np.minimum(
-        np.rint(grid * plan.n).astype(np.int64), plan.resolved_horizon()
-    )
-    return grid, t_grid
-
-
 def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     """Execute run ``run_index`` of the plan and sample it on the shared grid.
 
@@ -244,10 +246,10 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     coupon domain box, so ``sigma_exit`` is always ``None``.
     """
     n, l = plan.n, plan.truncation
-    grid, t_grid = _grid_step_counts(plan)
+    grid = grid_times(plan.h, plan.grid_stride, plan.resolved_s_max())
     states = np.empty((grid.size, l + 2))
     gen = make_generator(plan.run_seed(run_index))
-    for i, j, rows in _chain_states(gen, n, l, t_grid):
+    for i, j, rows in _chain_states(gen, n, l, np.rint(grid * n).astype(np.int64)):
         states[i:j] = rows / n
     return Trajectory(grid, states, None)
 

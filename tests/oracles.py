@@ -23,6 +23,8 @@ Nothing in ``src/`` imports this module; the tests import it as
 - :func:`cover_law`: the exact probability that every type is drawn in
   ``k`` draws by the same route, a cross-check of the library's
   inclusion-exclusion ``exact_cover_tail``.
+- :func:`bucket_marginal`: the exact law of one bucket after ``k`` draws,
+  the number of types drawn exactly ``j`` times, by the same route.
 """
 
 from __future__ import annotations
@@ -263,14 +265,15 @@ def bucket_chain_law(n: int, l: int, k: int,
 
 
 def _log_power_coefficient(base: np.ndarray, n: int, k: int) -> float:
-    """``log [y^k] base^n`` for a ``base`` of positive terms, ``-inf`` past its degree.
+    """``log [y^k] base^n`` for a ``base`` of non-negative terms, ``-inf`` if none is there.
 
     The power is taken by repeated squaring with ``np.convolve``, each
     product truncated at degree ``k`` and rescaled to a largest coefficient
     of 1, its scale kept as a logarithm.  No square is taken after the last
     bit of ``n``: it would be unused, and its lowest degree may pass ``k``,
-    leaving no coefficient to rescale by.  Every term is positive, so
-    nothing cancels.
+    leaving no coefficient to rescale by.  Every term is non-negative, so
+    nothing cancels.  The result is ``-inf`` past the power's degree, and
+    where the coefficient underflows, far below the largest one.
     """
     def times(a, b):
         product = np.convolve(a[0], b[0])[:k + 1]
@@ -286,7 +289,9 @@ def _log_power_coefficient(base: np.ndarray, n: int, k: int) -> float:
             break
         square = times(square, square)
     coefficients, log_scale = power
-    return log_scale + math.log(coefficients[k]) if coefficients.size > k else -math.inf
+    if coefficients.size <= k or coefficients[k] == 0:
+        return -math.inf
+    return log_scale + math.log(coefficients[k])
 
 
 def max_load_law(n: int, k: int, l: int) -> float:
@@ -341,3 +346,41 @@ def cover_law(n: int, k: int) -> float:
     total = float(base.sum())
     return math.exp(math.lgamma(k + 1) - k * math.log(n) - (k - n) * math.log(lam)
                     + n * math.log(total) + _log_power_coefficient(base / total, n, k - n))
+
+
+def bucket_marginal(n: int, k: int, j: int) -> np.ndarray:
+    """``p[m] = P(Y_j(k) = m)``, m = 0..n: the law of how many types are drawn exactly ``j`` times.
+
+    The words of length ``k`` in which ``m`` chosen types appear exactly
+    ``j`` times each and no other type does number ``k! (j!)^-m [x^(k -
+    jm)] (e_k(x) - x^j/j!)^(n - m)``, with ``e_k`` the exponential series
+    cut at degree ``k``, so ``P(Y_j = m) = C(n, m) (j!)^-m k! n^-k [x^(k -
+    jm)] (e_k(x) - x^j/j!)^(n - m)``.  Every term of the base is
+    non-negative.  As in :func:`max_load_law`, it is tilted by ``lambda =
+    k/n`` (``x = lambda y``) and scaled by its sum ``S``, so each ``m``
+    takes one power, ``lambda^-(k - jm) S^(n - m) [y^(k - jm)] (base /
+    S)^(n - m)``, by :func:`_log_power_coefficient`.  ``m`` with ``jm >
+    k`` has no such word, nor, for ``j = 0``, an ``n - m`` past ``k``: the
+    other types need a draw each.  Written apart from the library's kernel:
+    it shares no code with it and never draws.
+    """
+    p = np.zeros(n + 1)
+    if k == 0:
+        p[n if j == 0 else 0] = 1.0
+        return p
+    lam = k / n
+    i = np.arange(k + 1)
+    terms = np.exp(i * math.log(lam) - np.array([math.lgamma(a + 1) for a in i]))
+    if j <= k:
+        terms[j] = 0.0
+    for m in range(n + 1):
+        rest, degree = n - m, k - j * m
+        if degree < 0 or (j == 0 and rest > degree):
+            continue
+        base = terms[:degree + 1]
+        total = float(base.sum())
+        log_p = (math.log(math.comb(n, m)) - m * math.lgamma(j + 1) + math.lgamma(k + 1)
+                 - k * math.log(n) - degree * math.log(lam) + rest * math.log(total)
+                 + _log_power_coefficient(base / total, rest, degree))
+        p[m] = math.exp(log_p)
+    return p

@@ -20,7 +20,9 @@ from block to block, the row and the stops, to the same law.
 At n = 1,000, where compositions cannot be enumerated, the largest
 number of draws any type got in 4,000 draws, across seven relabellings,
 is held to its exact law (``max_load_law``, itself held to exact
-fractions and to the bucket chain's law).  Beyond the replay's reach,
+fractions and to the bucket chain's law).  At n = 200, buckets 0, 1 and 4
+after 800 draws, across twelve relabellings, are held by chi-square to
+their exact marginals (``bucket_marginal``, held to the bucket chain's law).  Beyond the replay's reach,
 rows at large ``n`` are checked not to depend
 on the grid, and against one bincount per block of draws made in one call
 (also where a pass needs int64 keys); the memory of ``simulate``,
@@ -47,8 +49,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (CouponState, bucket_chain_law, compositions, coupon_step,
-                     max_load_law, relabelled_replay)
+from oracles import (CouponState, bucket_chain_law, bucket_marginal, compositions,
+                     coupon_step, max_load_law, relabelled_replay)
 from wormald import ContractError, RunPlan, make_generator, max_increment, simulate, spawn
 from wormald import montecarlo
 from wormald.montecarlo import _AUX_STREAM_BASE, _chain_states, _pilot_chain
@@ -222,6 +224,53 @@ def test_kernel_max_load_is_the_exact_law_across_relabelling():
     for l in range(9, 15):
         p = max_load_law(n, k, l)
         assert abs(np.mean(loads <= l) - p) <= 4 * math.sqrt(p * (1 - p) / runs), l
+
+
+@pytest.mark.parametrize("n, k, l", [(6, 9, 4), (10, 12, 4), (8, 20, 5)])
+def test_bucket_marginal_is_the_bucket_chain_laws_marginal(n, k, l):
+    rows, p = bucket_chain_law(n, l, k)
+    for j in range(l + 1):
+        law = bucket_marginal(n, k, j)
+        assert np.abs(law - np.bincount(rows[:, j], weights=p, minlength=n + 1)).max() <= 1e-13
+        assert law.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+def _chi2_sf(x, df):
+    """P(chi-square with ``df`` degrees of freedom >= x), in closed form."""
+    half = x / 2
+    if df % 2 == 0:
+        return math.exp(-half) * math.fsum(half**i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * math.fsum(
+        half**(i - 0.5) / math.gamma(i + 0.5) for i in range(1, (df + 1) // 2))
+
+
+def test_kernel_bucket_marginals_are_the_exact_laws_across_relabelling():
+    # Blocks of 64 draws relabel the types twelve times in 800 draws, and
+    # about ten pairs of draws in a block fall on one type, so a bucket's
+    # law tests the rank, the lookup and the relabelling.  Every row must be
+    # a composition of n, and each bucket's counts over 1,000 runs (seeds
+    # fixed in advance) are pooled, from m = 0 up, into cells expecting at
+    # least 5 (the rest joins the last) and must pass a chi-square test at
+    # level 1e-4.
+    n, k, l, runs = 200, 800, 10, 1000
+    with mock.patch.object(montecarlo, "_GROUP_DRAWS", 64):
+        rows = np.array([rows[0] for seed in range(43_000, 43_000 + runs)
+                         for _, _, rows in _chain_states(make_generator(seed), n, l, [k])])
+    assert rows.min() >= 0 and (rows.sum(axis=1) == n).all()
+    for j in (0, 1, 4):
+        expected = runs * bucket_marginal(n, k, j)
+        edges, pending = [], 0.0
+        for m, e in enumerate(expected):
+            pending += e
+            if pending >= 5:
+                edges.append(m + 1)
+                pending = 0.0
+        edges[-1] = n + 1
+        cell = np.searchsorted(edges, np.arange(n + 1), side="right")
+        seen = np.bincount(cell, weights=np.bincount(rows[:, j], minlength=n + 1))
+        want = np.bincount(cell, weights=expected)
+        stat = float(((seen - want) ** 2 / want).sum())
+        assert _chi2_sf(stat, len(edges) - 1) >= 1e-4, (j, stat, len(edges) - 1)
 
 
 @pytest.mark.parametrize("sizes", [(12345, 54321), (1, 2, 3, 65536, 7), (65536, 65536)])

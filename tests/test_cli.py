@@ -303,6 +303,37 @@ def test_gumbel_n_past_one_array_of_waits_exits_2(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n", "4000000000000000000", "--s-max", "4"],
+    ["compare", "--n", "4000000000000000000"],
+    ["check", "--n", "4000000000000000000", "--s-max", "4", "--runs", "1"],
+    ["simulate", "--n", "100000000000000"],
+    ["check", "--n", "9000000000000000000"],
+    ["scaling", "--ns", "10,100000000000000000", "--runs", "2"],
+])
+def test_horizon_of_2_51_steps_exits_2(tmp_path, capsys, args):
+    # Refused when the plan is made, before any draw: 2**51 draws take years.
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the horizon must be < 2**51 steps, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, size", [
+    (["gumbel", "--n", str(2**59)], "4.00 EiB"),  # n - 1 float64 waits
+    (["solve", "--l", "100000000"], "71.1 PiB"),  # the (l + 2)^2 move rule
+])
+def test_an_allocation_past_memory_exits_2(tmp_path, capsys, args, size):
+    # Each is one array far past a 47-bit address space, so it fails at
+    # once, with nothing allocated in part.
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: out of memory: Unable to allocate {size} ")
+    assert not out.exists()
+
+
 def test_help_and_version_exit_0():
     assert run_cli(["--help"]) == 0
     assert run_cli(["--version"]) == 0

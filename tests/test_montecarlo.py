@@ -22,12 +22,13 @@ from wormald import (
     grid_times,
     integrate,
     make_coupon_spec,
+    make_generator,
     max_increment,
     simulate,
     spawn,
 )
 from wormald import montecarlo
-from wormald.montecarlo import _pilot_chain
+from wormald.montecarlo import _chain_states, _pilot_chain
 
 
 def test_plan_defaults_follow_n_log_n():
@@ -70,10 +71,76 @@ def test_plan_validation():
 def test_plan_refuses_n_past_the_chains_int64_rows():
     # The kernel's rows are int64 and start at (n, 0, ...), so the largest n
     # they hold is 2**63 - 1; one more would raise OverflowError deep in the
-    # first block instead of naming n.
-    assert RunPlan(n=2**63 - 1).n == 2**63 - 1
+    # first block instead of naming n.  A short s_max keeps the accepted
+    # plan's horizon below its own bound.
+    assert RunPlan(n=2**63 - 1, s_max=1e-15).n == 2**63 - 1
     with pytest.raises(ContractError, match=r"^n must be < 2\*\*63 .* got 9223372036854775808$"):
         RunPlan(n=2**63)
+
+
+@pytest.mark.parametrize("kwargs, horizon", [
+    # the smallest n found whose natural horizon's last stop, round(s_max * n),
+    # is one step past it: 2**51.17 steps
+    ({"n": 79073164269205}, "2530451537568103"),
+    ({"n": 4 * 10**18, "s_max": 4.0}, "16000000000000000000"),
+    ({"n": 10**14}, "3223619130191664"),
+    ({"n": 2**51, "s_max": 1.0}, "2251799813685248"),
+    # n * s_max overflows the float range
+    ({"n": 10, "s_max": 1e308, "h": 1e300}, "inf"),
+])
+def test_plan_refuses_horizons_of_2_51_steps(kwargs, horizon):
+    with pytest.raises(ContractError, match=rf"^the horizon must be < 2\*\*51 steps, got "
+                                            rf"{horizon} at n = {kwargs['n']}$"):
+        RunPlan(**kwargs)
+
+
+def test_the_smallest_refused_natural_horizon_would_overshoot():
+    # Why the bound: at this n the natural s_max = H / n times n rounds to
+    # H + 1, so simulate's last stop would pass the horizon by one step.
+    n = 79073164269205
+    horizon = math.ceil(n * math.log(n))
+    assert horizon == 2530451537568103 >= 2**51
+    assert np.rint(grid_times(RunPlan.h, RunPlan.grid_stride, horizon / n)[-1] * n) == horizon + 1
+    assert RunPlan(n=2**51 - 1, s_max=1.0).resolved_horizon() == 2**51 - 1
+
+
+@st.composite
+def accepted_plans(draw):
+    """Plans RunPlan accepts: natural horizons (n up to about 2**46, whose
+    horizon is about 2**51 steps) and explicit s_max up to 1e3 with n * s_max
+    up to 2**51."""
+    natural = draw(st.booleans())
+    bits = draw(st.integers(0, 46 if natural else 62))
+    n = draw(st.integers(2**bits, 2**(bits + 1) - 1))
+    s_max = None if natural else draw(st.floats(1e-16, min(1e3, 2**51 / n)))
+    try:
+        return RunPlan(n=n, s_max=s_max, h=draw(st.floats(1e-3, 0.5)),
+                       grid_stride=draw(st.integers(1, 100)))
+    except ContractError:
+        assume(False)  # a horizon of 2**51 steps or more
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=accepted_plans())
+def test_no_stop_passes_the_horizon(plan):
+    # simulate stops at round(s * n) for every grid time s, with no clamp:
+    # below 2**51 steps no stop passes the horizon.  Grids only, no chain.
+    grid = grid_times(plan.h, plan.grid_stride, plan.resolved_s_max())
+    assert np.rint(grid * plan.n).max() <= plan.resolved_horizon()
+
+
+@pytest.mark.parametrize("n, s_max, stop, horizon", [(5, 0.5, 2, 3), (3, 0.1, 0, 1)])
+def test_simulate_stops_at_round_n_s_max(n, s_max, stop, horizon):
+    # The last grid point is s_max itself, whose state is the one after
+    # round(n * s_max) steps, halves to even, not after the horizon
+    # ceil(n * s_max) that the pilot walks.
+    plan = RunPlan(n=n, s_max=s_max, master_seed=2)
+    assert (round(n * s_max), plan.resolved_horizon()) == (stop, horizon)
+    traj = simulate(plan, 0)
+    [(_i, _j, rows)] = _chain_states(make_generator(plan.run_seed(0)), n, plan.truncation, [stop])
+    assert np.array_equal(traj.z[-1] * n, rows[0])
+    if stop == 0:
+        assert np.array_equal(traj.z[0], traj.z[-1])
 
 
 @pytest.mark.parametrize("field, value", [
