@@ -66,19 +66,20 @@ def sup_deviation(sim_traj: Trajectory, ode_traj: Trajectory,
 def compare_run(n: int, l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX, seed: int = 0,
                 h: float = DEFAULT_H, grid_stride: int = DEFAULT_GRID_STRIDE,
                 ) -> tuple[Trajectory, Trajectory, DeviationReport]:
-    """One simulation, one integration, one deviation report, shared grid."""
-    l, seed = _size("l", l, 1), _size("seed", seed, None)
-    plan = RunPlan(n=n, master_seed=seed, truncation=l, h=h,
-                   grid_stride=grid_stride, s_max=s_max)
+    """One simulation, one integration, one deviation report, shared grid.
+
+    The plan checks every argument before a draw or an integration.
+    """
+    plan = RunPlan(n=n, seed=seed, l=l, h=h, grid_stride=grid_stride, s_max=s_max)
     sim = simulate(plan, 0)
-    ode = coupon_reference(l, s_max, h, grid_stride)
+    ode = coupon_reference(plan.l, s_max, h, grid_stride)
     return sim, ode, sup_deviation(sim, ode)
 
 
 @dataclass(frozen=True)
 class ScalingRow:
     n: int
-    run_count: int
+    runs: int
     mean_sup_deviation: float
     stderr: float
 
@@ -97,7 +98,7 @@ class ScalingReport:
     intercept: float
 
 
-def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
+def scaling_study(ns: Sequence[int], runs: int, seed: int,
                   l: int = DEFAULT_L, s_max: float = DEFAULT_S_MAX, h: float = DEFAULT_H,
                   grid_stride: int = DEFAULT_GRID_STRIDE) -> ScalingReport:
     """Measure how the mean sup-deviation decays as n grows.
@@ -109,8 +110,7 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
     raises :class:`ContractError` naming the repeated values.
     """
     ns = [_size(f"ns[{i}]", n, 10) for i, n in enumerate(ns)]
-    runs_per_n = _size("runs_per_n", runs_per_n, 1)
-    master_seed = _size("master_seed", master_seed, None)
+    runs, seed = _size("runs", runs, 1), _size("seed", seed, None)
     if len(ns) < 2:
         raise ContractError(f"need at least two n values, got {len(ns)}")
     repeated = sorted({n for n in ns if ns.count(n) > 1})
@@ -121,17 +121,13 @@ def scaling_study(ns: Sequence[int], runs_per_n: int, master_seed: int,
 
     rows = []
     for n in sorted(ns):
-        plan = RunPlan(n=n, run_count=runs_per_n, master_seed=derive_seed(master_seed, n),
-                       truncation=l, h=h, grid_stride=grid_stride, s_max=s_max)
-        sups = np.array([
-            sup_deviation(simulate(plan, i), ode, i).sup_deviation
-            for i in range(runs_per_n)
-        ])
-        stderr = float(sups.std(ddof=1) / math.sqrt(runs_per_n)) if runs_per_n > 1 else 0.0
-        rows.append(ScalingRow(
-            n=n, run_count=runs_per_n,
-            mean_sup_deviation=float(sups.mean()), stderr=stderr,
-        ))
+        plan = RunPlan(n=n, runs=runs, seed=derive_seed(seed, n), l=l, h=h,
+                       grid_stride=grid_stride, s_max=s_max)
+        sups = np.array([sup_deviation(simulate(plan, i), ode, i).sup_deviation
+                         for i in range(runs)])
+        stderr = float(sups.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+        rows.append(ScalingRow(n=n, runs=runs, mean_sup_deviation=float(sups.mean()),
+                               stderr=stderr))
 
     means = np.array([row.mean_sup_deviation for row in rows])
     if np.any(means <= 0):
@@ -188,22 +184,21 @@ def ref_classical(c: float) -> float:
     return 1.0 - math.exp(-_exp_or_inf(-c))
 
 
-def gumbel_experiment(n: int, trials: int, cs: Sequence[float],
-                      master_seed: int) -> GumbelReport:
+def gumbel_experiment(n: int, trials: int, cs: Sequence[float], seed: int) -> GumbelReport:
     """Empirical P(T >= n ln n + c n) against the exact oracle.
 
     Runs ``trials`` independent cover times (one derived stream each), then
     evaluates the tail at threshold K = ceil(n ln n + c n) for every c.
     The exact column is P(T >= K) = exact_cover_tail(n, K - 1).
     """
-    n, trials = _size("n", n, 10), _size("trials", trials, 100)
+    n, trials, seed = _size("n", n, 10), _size("trials", trials, 100), _size("seed", seed, None)
     if len(cs) == 0:
         raise ContractError("need at least one c value")
     unbounded = [c for c in cs if not math.isfinite(n * math.log(n) + c * n)]
     if unbounded:
         raise ContractError(f"n ln n + c n must be finite at n={n}, got c in {unbounded}")
 
-    times = np.array([cover_time(n, derive_seed(master_seed, i)) for i in range(trials)])
+    times = np.array([cover_time(n, derive_seed(seed, i)) for i in range(trials)])
 
     rows = []
     for c in sorted(float(c) for c in cs):

@@ -11,7 +11,10 @@ Subcommands map one-to-one onto library operations:
 
 A flag is declared once, in ``_FLAGS``, with its type, default and help
 text; a subcommand offers it by listing it in its ``_COMMANDS`` row, which
-also names the subcommand's handler and any default it overrides.
+also names the subcommand's handler and any default it overrides.  A
+flag's name is the name of the library parameter it feeds, so each
+handler passes its flags to its library call as they are, and a refusal
+names the flag that was typed.
 
 Each command only computes: it returns its files as text, keyed by name,
 with its seeds and its own manifest fields.  :func:`run_cli` then writes
@@ -72,9 +75,9 @@ _FLAGS = {
     "trials": (int, 1000, "cover times to sample"),
     "state_samples": (int, 50, "pilot states for the drift check"),
     "drift_samples": (int, DEFAULT_DRIFT_SAMPLES, "single-step samples per pilot state"),
-    "runs": (int, RunPlan.run_count, "number of runs"),
-    "seed": (int, RunPlan.master_seed, "master seed"),
-    "l": (int, RunPlan.truncation, "truncation level"),
+    "runs": (int, RunPlan.runs, "number of runs"),
+    "seed": (int, RunPlan.seed, "master seed"),
+    "l": (int, RunPlan.l, "truncation level"),
     "s_max": (float, None, "scaled-time horizon"),
     "h": (float, RunPlan.h, "RK4 step size"),
     "grid_stride": (int, RunPlan.grid_stride, "emit every k-th step"),
@@ -190,15 +193,13 @@ def _exit_fields(traj: Trajectory) -> dict:
 
 
 def _cmd_solve(config: dict) -> tuple[dict, dict, dict]:
-    traj = coupon_reference(config["l"], config["s_max"], config["h"], config["grid_stride"])
+    traj = coupon_reference(**config)
     return {"ode.csv": _trajectory_csv(traj)}, {}, _exit_fields(traj)
 
 
 def _cmd_simulate(config: dict) -> tuple[dict, dict, dict]:
-    plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
-                   truncation=config["l"], h=config["h"], grid_stride=config["grid_stride"],
-                   s_max=config["s_max"])
-    runs = plan.run_count
+    plan = RunPlan(**config)
+    runs = plan.runs
     files = {}
     exits = []
     for i in range(runs):
@@ -206,16 +207,12 @@ def _cmd_simulate(config: dict) -> tuple[dict, dict, dict]:
         name = "trajectory.csv" if runs == 1 else f"trajectory_{i:03d}.csv"
         files[name] = _trajectory_csv(traj)
         exits.append(_exit_fields(traj))
-    seeds = {"master": plan.master_seed,
-             "runs": [plan.run_seed(i) for i in range(runs)]}
+    seeds = {"master": plan.seed, "runs": [plan.run_seed(i) for i in range(runs)]}
     return files, seeds, exits[0] if runs == 1 else {"runs_exit": exits}
 
 
 def _cmd_compare(config: dict) -> tuple[dict, dict, dict]:
-    sim, ode, report = compare_run(
-        n=config["n"], l=config["l"], s_max=config["s_max"], seed=config["seed"],
-        h=config["h"], grid_stride=config["grid_stride"],
-    )
+    sim, ode, report = compare_run(**config)
     a = len(report.per_coordinate)
     deviation = _csv("run,sup_dev,argmax_s," + ",".join(f"z{i}_dev" for i in range(a)),
                      [[report.run_index, report.sup_deviation, report.argmax_s,
@@ -241,13 +238,9 @@ def _cmd_compare(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_scaling(config: dict) -> tuple[dict, dict, dict]:
-    report = scaling_study(
-        config["ns"], config["runs"], config["seed"],
-        l=config["l"], s_max=config["s_max"],
-        h=config["h"], grid_stride=config["grid_stride"],
-    )
+    report = scaling_study(**config)
     table = _csv("n,runs,mean_sup_dev,stderr",
-                 [[row.n, row.run_count, row.mean_sup_deviation, row.stderr]
+                 [[row.n, row.runs, row.mean_sup_deviation, row.stderr]
                   for row in report.rows])
     seeds = {"master": config["seed"],
              "per_n": {str(row.n): derive_seed(config["seed"], row.n) for row in report.rows}}
@@ -255,7 +248,7 @@ def _cmd_scaling(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_gumbel(config: dict) -> tuple[dict, dict, dict]:
-    report = gumbel_experiment(config["n"], config["trials"], config["cs"], config["seed"])
+    report = gumbel_experiment(**config)
     table = _csv("c,empirical,stderr,ref_paper,ref_classical,exact",
                  [[row.c, row.empirical, row.stderr, row.ref_paper, row.ref_classical, row.exact]
                   for row in report.rows])
@@ -263,9 +256,9 @@ def _cmd_gumbel(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_check(config: dict) -> tuple[dict, dict, dict]:
-    plan = RunPlan(n=config["n"], run_count=config["runs"], master_seed=config["seed"],
-                   truncation=config["l"], s_max=config["s_max"])
-    spec = make_coupon_spec(config["l"], plan.resolved_s_max())
+    plan = RunPlan(**{k: v for k, v in config.items()
+                      if k not in ("state_samples", "drift_samples")})
+    spec = make_coupon_spec(plan.l, plan.resolved_s_max())
     report = check_hypotheses(spec, plan, config["state_samples"],
                               drift_samples=config["drift_samples"])
     payload = {
@@ -276,8 +269,7 @@ def _cmd_check(config: dict) -> tuple[dict, dict, dict]:
             for chk in report.checks
         ],
     }
-    seeds = {"master": plan.master_seed,
-             "runs": [plan.run_seed(i) for i in range(plan.run_count)]}
+    seeds = {"master": plan.seed, "runs": [plan.run_seed(i) for i in range(plan.runs)]}
     return {"check.json": _json_text(payload)}, seeds, {"hypotheses_passed": report.passed}
 
 

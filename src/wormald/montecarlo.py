@@ -1,7 +1,7 @@
 """Seeded Monte Carlo execution of the coupon process, plus hypothesis checks.
 
 Runs are embarrassingly parallel: run ``i`` draws from its own Philox stream
-keyed by ``derive_seed(master_seed, i)``, so any subset of runs can execute
+keyed by ``derive_seed(seed, i)``, so any subset of runs can execute
 concurrently and aggregation is a deterministic fold over run indices.
 States are sampled on the same scaled-time grid the ODE engine emits
 (:func:`wormald.ode.grid_times`), which makes trajectories directly
@@ -86,19 +86,19 @@ class RunPlan:
     """
 
     n: int
-    run_count: int = 1
-    master_seed: int = 0
-    truncation: int = DEFAULT_L
+    runs: int = 1
+    seed: int = 0
+    l: int = DEFAULT_L
     h: float = DEFAULT_H
     grid_stride: int = DEFAULT_GRID_STRIDE
     s_max: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("n", "run_count", "truncation"):
+        for name in ("n", "runs", "l"):
             object.__setattr__(self, name, _size(name, getattr(self, name), 1))
-        _key(self.master_seed, "master_seed")
-        if self.run_count > _AUX_STREAM_BASE:
-            raise ContractError(f"run_count must be <= {_AUX_STREAM_BASE}")
+        _key(self.seed)
+        if self.runs > _AUX_STREAM_BASE:
+            raise ContractError(f"runs must be <= {_AUX_STREAM_BASE}")
         if self.n >= 2**63:
             raise ContractError(f"n must be < 2**63 (the chain's rows are int64), got {self.n}")
         check_grid(self.h, self.grid_stride, self.resolved_s_max())
@@ -118,11 +118,9 @@ class RunPlan:
         return self.resolved_horizon() / self.n
 
     def run_seed(self, run_index: int) -> int:
-        if _size("run_index", run_index, 0) >= self.run_count:
-            raise ContractError(
-                f"run_index {run_index} out of range [0, {self.run_count})"
-            )
-        return derive_seed(self.master_seed, run_index)
+        if _size("run_index", run_index, 0) >= self.runs:
+            raise ContractError(f"run_index {run_index} out of range [0, {self.runs})")
+        return derive_seed(self.seed, run_index)
 
 
 def _bucket_sizes(types: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -173,7 +171,7 @@ def _sorted_pass(draws: np.ndarray, ends: np.ndarray, row: np.ndarray) -> np.nda
         raise ContractError(f"n << {b} must be < 2**63 to pack int64 keys, got n = {n}")
     wide = max(n << b, k * (l + 2), d + l + 2) >= 2**31
     key_type = np.int64 if wide else np.int32
-    keys = draws.astype(key_type)
+    keys = draws.astype(key_type)  # a copy even at int32: ``draws`` is left as given
     keys <<= b
     per_interval = ends.copy()
     per_interval[1:] -= ends[:-1]
@@ -216,18 +214,23 @@ def _chain_states(gen: np.random.Generator, n: int, l: int, stops):
     steps depends only on the stream's first ``t`` values and on the block
     size, not on the stops, and memory is O(block + stops in a block),
     whatever ``n``.  Bounded Philox draws are prefix-stable however a
-    stream is split into calls.
+    stream is split into calls, and for ``n <= 2**31`` numpy draws the
+    same values as int32 as it does as int64.  So a block is drawn as int32
+    there: 64 KiB, below glibc's default 128 KiB mmap threshold, which the
+    128 KiB of a block of int64 draws passed, so that some processes
+    trimmed the heap and faulted it in again after every block.
     """
     stops = np.asarray(stops, dtype=np.int64)
     row = np.zeros(l + 2, dtype=np.int64)
     row[0] = n
+    draw_type = np.int32 if n <= 2**31 else np.int64
     i = begin = 0
     while i < stops.size:
         end = min(begin + _GROUP_DRAWS, int(stops[-1]))
         j = int(np.searchsorted(stops, end, side="right"))
         # the block's stops, then its trailing part up to the next stop
         ends = np.minimum(stops[i:j + 1], end) - begin
-        draws = gen.integers(0, n, size=end - begin, dtype=np.int64)
+        draws = gen.integers(0, n, size=end - begin, dtype=draw_type)
         rows = _sorted_pass(draws, ends, row)
         row = rows[-1]
         if j > i:
@@ -245,7 +248,7 @@ def simulate(plan: RunPlan, run_index: int) -> Trajectory:
     scaled counts in [0, 1] at times in [0, s_max], strictly inside the
     coupon domain box, so ``sigma_exit`` is always ``None``.
     """
-    n, l = plan.n, plan.truncation
+    n, l = plan.n, plan.l
     grid = grid_times(plan.h, plan.grid_stride, plan.resolved_s_max())
     states = np.empty((grid.size, l + 2))
     gen = make_generator(plan.run_seed(run_index))
@@ -265,7 +268,7 @@ def max_increment(plan: RunPlan, run_index: int) -> int:
     asks :func:`_chain_states` for the rows at steps 0 and 1, which draws
     that one step, and returns the largest change between them.
     """
-    n, l = plan.n, plan.truncation
+    n, l = plan.n, plan.l
     gen = make_generator(plan.run_seed(run_index))
     _i, _j, rows = next(_chain_states(gen, n, l, [0, 1]))
     return int(np.abs(rows[1] - rows[0]).max())
@@ -368,11 +371,11 @@ def _pilot_chain(plan: RunPlan, count: int):
     before the times are spaced: above that, the rounded times are exactly
     0..m.
     """
-    n, l, m = plan.n, plan.truncation, plan.resolved_horizon()
+    n, l, m = plan.n, plan.l, plan.resolved_horizon()
     times = np.linspace(0, m, min(count, m + 1)).round().astype(np.int64)
     # Already sorted, so dropping repeats needs no np.unique (which imports numpy.ma).
     times = times[np.diff(times, prepend=-1) > 0]
-    for i, _j, rows in _chain_states(spawn(plan.master_seed, _AUX_STREAM_BASE), n, l, times):
+    for i, _j, rows in _chain_states(spawn(plan.seed, _AUX_STREAM_BASE), n, l, times):
         for t, row in zip(times[i:], rows):
             yield int(t), row.copy()
 
@@ -430,14 +433,14 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     drift_samples = _size("drift_samples", drift_samples, 100)
     lipschitz_samples = _size("lipschitz_samples", lipschitz_samples, 2)
     worst_inc = 0
-    for i in range(plan.run_count):
+    for i in range(plan.runs):
         worst_inc = max(worst_inc, max_increment(plan, i))
     increment = HypothesisCheck(
         name="bounded_increments",
         passed=worst_inc <= spec.increment_bound,
         observed=float(worst_inc),
         bound=float(spec.increment_bound),
-        detail=f"max one-step change over {plan.run_count} runs of "
+        detail=f"max one-step change over {plan.runs} runs of "
                f"{plan.resolved_horizon()} steps at n={plan.n}",
     )
 
@@ -446,7 +449,7 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
     for examined, (t, row) in enumerate(_pilot_chain(plan, state_samples), start=1):
         report = empirical_drift(
             row, t, drift_samples,
-            seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + examined),
+            seed=derive_seed(plan.seed, _AUX_STREAM_BASE + examined),
             spec=spec,
         )
         # ties go to the earliest state, so one is named even if every |z| is 0
@@ -464,7 +467,7 @@ def check_hypotheses(spec: ProcessSpec, plan: RunPlan, state_samples: int,
 
     estimate = estimate_lipschitz(
         spec, lipschitz_samples,
-        seed=derive_seed(plan.master_seed, _AUX_STREAM_BASE + 2**32),
+        seed=derive_seed(plan.seed, _AUX_STREAM_BASE + 2**32),
     )
     hint = spec.lipschitz_hint
     lippass = True if hint is None else estimate <= hint * (1.0 + 1e-9) + 1e-12

@@ -98,7 +98,7 @@ def test_03_conservation_exact():
 
 def test_04_increment_bound():
     runs = 100
-    plan = RunPlan(n=1000, run_count=runs, master_seed=MASTER_SEED)
+    plan = RunPlan(n=1000, runs=runs, seed=MASTER_SEED)
     observed = {max_increment(plan, i) for i in range(runs)}
     report(4, "one-step coordinate change equals 1 on every run",
            observed == {1},
@@ -108,7 +108,7 @@ def test_04_increment_bound():
 def test_05_drift_check_accepts_true_and_rejects_flipped():
     budget = 10.0
     start = time.perf_counter()
-    plan = RunPlan(n=1000, run_count=1, master_seed=MASTER_SEED)
+    plan = RunPlan(n=1000, runs=1, seed=MASTER_SEED)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     good = check_hypotheses(spec, plan, 50, drift_samples=10_000,
                             lipschitz_samples=1000)
@@ -142,11 +142,10 @@ def test_06_lipschitz_estimate_within_known_constant():
 def test_07_trajectories_concentrate_at_large_n():
     budget, tol = 30.0, 0.02
     start = time.perf_counter()
-    plan = RunPlan(n=100_000, run_count=20, master_seed=MASTER_SEED,
-                   truncation=10, s_max=4.0)
+    plan = RunPlan(n=100_000, runs=20, seed=MASTER_SEED, l=10, s_max=4.0)
     ode = integrate(make_coupon_spec(10, 4.0), coupon_z0(), 4.0)
     sups = [sup_deviation(simulate(plan, i), ode, i).sup_deviation
-            for i in range(plan.run_count)]
+            for i in range(plan.runs)]
     elapsed = time.perf_counter() - start
     report(7, "all 20 sup-deviations small at n=10^5, s_max=4",
            max(sups) <= tol and elapsed < budget,
@@ -156,7 +155,7 @@ def test_07_trajectories_concentrate_at_large_n():
 def test_08_deviation_scales_like_inverse_sqrt_n():
     budget = 60.0
     start = time.perf_counter()
-    rep = scaling_study([1000, 10_000, 100_000], 20, master_seed=MASTER_SEED)
+    rep = scaling_study([1000, 10_000, 100_000], 20, seed=MASTER_SEED)
     elapsed = time.perf_counter() - start
     means = [row.mean_sup_deviation for row in rep.rows]
     decreasing = means[0] > means[1] > means[2]
@@ -170,8 +169,7 @@ def test_08_deviation_scales_like_inverse_sqrt_n():
 def test_09_cover_time_tail_matches_exact_oracle():
     budget = 120.0
     start = time.perf_counter()
-    rep = gumbel_experiment(1000, 10_000, [-1.0, 0.0, 1.0, 2.0],
-                            master_seed=MASTER_SEED)
+    rep = gumbel_experiment(1000, 10_000, [-1.0, 0.0, 1.0, 2.0], seed=MASTER_SEED)
     elapsed = time.perf_counter() - start
     worst_z = 0.0
     ok = elapsed < budget

@@ -148,7 +148,7 @@ def test_scaling_study_refuses_a_zero_mean_deviation(monkeypatch):
 
 
 def test_scaling_study_rows_and_fit():
-    report = scaling_study([100, 1000, 10000], 6, master_seed=17, l=6, s_max=3.0)
+    report = scaling_study([100, 1000, 10000], 6, seed=17, l=6, s_max=3.0)
     ns = [row.n for row in report.rows]
     assert ns == sorted(ns)
     means = [row.mean_sup_deviation for row in report.rows]
@@ -157,13 +157,13 @@ def test_scaling_study_rows_and_fit():
     assert 0.2 <= report.alpha <= 0.8
     assert math.isfinite(report.intercept)
     for row in report.rows:
-        assert row.run_count == 6
+        assert row.runs == 6
         assert row.stderr > 0
 
 
 def test_scaling_study_is_order_independent():
-    a = scaling_study([100, 2000], 3, master_seed=2, l=4, s_max=2.0)
-    b = scaling_study([2000, 100], 3, master_seed=2, l=4, s_max=2.0)
+    a = scaling_study([100, 2000], 3, seed=2, l=4, s_max=2.0)
+    b = scaling_study([2000, 100], 3, seed=2, l=4, s_max=2.0)
     assert a == b
 
 
@@ -180,7 +180,7 @@ def test_gumbel_input_validation():
 
 
 def test_gumbel_reference_curves_at_zero():
-    report = gumbel_experiment(50, 200, [0.0], master_seed=1)
+    report = gumbel_experiment(50, 200, [0.0], seed=1)
     row = report.rows[0]
     assert abs(row.ref_paper - REF_PAPER_C0) <= 1e-15
     assert abs(row.ref_classical - REF_CLASSICAL_C0) <= 1e-15
@@ -189,7 +189,7 @@ def test_gumbel_reference_curves_at_zero():
 
 
 def test_gumbel_rows_sorted_and_monotone():
-    report = gumbel_experiment(200, 400, [2.0, -1.0, 0.0, 1.0], master_seed=4)
+    report = gumbel_experiment(200, 400, [2.0, -1.0, 0.0, 1.0], seed=4)
     cs = [row.c for row in report.rows]
     assert cs == sorted(cs)
     emp = [row.empirical for row in report.rows]
@@ -203,12 +203,12 @@ def test_gumbel_rows_sorted_and_monotone():
 
 
 def test_gumbel_exact_column_presence():
-    small = gumbel_experiment(100, 150, [0.0], master_seed=6)
+    small = gumbel_experiment(100, 150, [0.0], seed=6)
     assert 0.0 <= small.rows[0].exact <= 1.0
-    large = gumbel_experiment(2500, 100, [0.0], master_seed=6)
+    large = gumbel_experiment(2500, 100, [0.0], seed=6)
     assert 0.0 < large.rows[0].exact < 1.0
     # far below n ln n the tail is within 2**-54 of 1, and the cell says so
-    mixed = gumbel_experiment(1000, 100, [-4.0, 0.0], master_seed=1)
+    mixed = gumbel_experiment(1000, 100, [-4.0, 0.0], seed=1)
     left, middle = mixed.rows
     assert left.exact == 1.0 and left.empirical == 1.0
     assert 0.0 < middle.exact < 1.0
@@ -217,19 +217,19 @@ def test_gumbel_exact_column_presence():
 def test_gumbel_classical_curve_is_the_limit_and_the_paper_curve_is_not():
     # At n = 1e4, c = 0 the double exponential 1 - e^-1 is within 1e-3 of
     # the exact tail; the triple exponential is more than 0.1 away.
-    [row] = gumbel_experiment(10_000, 100, [0.0], master_seed=2).rows
+    [row] = gumbel_experiment(10_000, 100, [0.0], seed=2).rows
     assert abs(row.ref_classical - row.exact) < 1e-3
     assert abs(row.ref_paper - row.exact) > 0.1
 
 
 def test_gumbel_empirical_tracks_exact_oracle():
-    report = gumbel_experiment(300, 2000, [-1.0, 0.0, 1.0], master_seed=8)
+    report = gumbel_experiment(300, 2000, [-1.0, 0.0, 1.0], seed=8)
     for row in report.rows:
         se = max(row.stderr, 1e-12)
         assert abs(row.empirical - row.exact) <= 4 * se
 
 
 def test_gumbel_is_deterministic():
-    a = gumbel_experiment(60, 150, [0.0, 1.0], master_seed=3)
-    b = gumbel_experiment(60, 150, [0.0, 1.0], master_seed=3)
+    a = gumbel_experiment(60, 150, [0.0, 1.0], seed=3)
+    b = gumbel_experiment(60, 150, [0.0, 1.0], seed=3)
     assert a == b

@@ -26,7 +26,9 @@ their exact marginals (``bucket_marginal``, held to the bucket chain's law).  Be
 rows at large ``n`` are checked not to depend
 on the grid, and against one bincount per block of draws made in one call
 (also where a pass needs int64 keys); the memory of ``simulate``,
-``max_increment`` and the pilot walk must not grow with ``n``.
+``max_increment`` and the pilot walk must not grow with ``n``.  The kernel
+draws int32 blocks for ``n <= 2**31``; that numpy gives them the values of
+int64 draws, split calls included, is pinned on numpy 2.4.
 ``max_increment`` draws one step, the coupon chain's first, which always
 moves, so its own tests cover that step: the answer at plans whose horizon
 is shorter than, equal to and longer than ``n``, that a run draws one
@@ -60,9 +62,9 @@ _BLOCK = montecarlo._GROUP_DRAWS
 
 def _replay(plan, stream_index, block=_BLOCK):
     """Bucket rows after every step 0..horizon of one stream, by the relabelled replay."""
-    gen = spawn(plan.master_seed, stream_index)
+    gen = spawn(plan.seed, stream_index)
     draws = gen.integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
-    return relabelled_replay(draws, plan.n, plan.truncation, block)
+    return relabelled_replay(draws, plan.n, plan.l, block)
 
 
 def _blockwise_rows(draws, n, l, block, stops):
@@ -87,10 +89,10 @@ def plans(draw):
     n = draw(st.integers(1, 60))
     return RunPlan(
         n=n,
-        run_count=draw(st.integers(1, 3)),
-        master_seed=draw(st.integers(0, 2**64 - 1)),
+        runs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**64 - 1)),
         # l = 254 applies a 256-bucket move rule through the BLAS product.
-        truncation=draw(st.integers(1, 6) | st.just(254)),
+        l=draw(st.integers(1, 6) | st.just(254)),
         h=draw(st.sampled_from([0.01, 0.05, 0.1])),
         grid_stride=draw(st.integers(1, 20)),
         s_max=draw(st.none() | st.floats(0.01, min(400, 8 * n) / n)),
@@ -100,7 +102,7 @@ def plans(draw):
 @settings(max_examples=80, deadline=None)
 @given(plan=plans(), group=st.integers(1, 70), data=st.data())
 def test_kernel_matches_step_by_step_replay(plan, group, data):
-    run = data.draw(st.integers(0, plan.run_count - 1))
+    run = data.draw(st.integers(0, plan.runs - 1))
     count = data.draw(st.integers(1, 12))
     with mock.patch.object(montecarlo, "_GROUP_DRAWS", group):
         traj = simulate(plan, run)
@@ -281,15 +283,49 @@ def test_bounded_philox_draws_are_prefix_stable_across_splits(sizes):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                    reason="int32 and int64 bounded draws are pinned equal on numpy 2.4 only; "
+                           "numpy does not promise it across versions")
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       n=st.integers(1, 2**31) | st.sampled_from([1, 2, 3, 2**16, 2**31 - 1, 2**31]),
+       sizes=st.lists(st.integers(0, 2 * _BLOCK), min_size=1, max_size=4))
+def test_int32_bounded_draws_are_the_int64_draws(seed, n, sizes):
+    # The kernel draws its blocks as int32 for n <= 2**31, and its rows are
+    # those of int64 draws only because numpy gives the same values, however
+    # the stream is split into calls.
+    whole = make_generator(seed).integers(0, n, size=sum(sizes), dtype=np.int64)
+    gen = make_generator(seed)
+    parts = [gen.integers(0, n, size=k, dtype=np.int32) for k in sizes]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("n, dtype", [(2**31, np.int32), (2**31 + 1, np.int64)])
+def test_kernel_draws_int32_blocks_up_to_2_31(n, dtype):
+    drawn = []
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def integers(self, low, high, size, dtype):
+            drawn.append(dtype)
+            return self.gen.integers(low, high, size=size, dtype=dtype)
+
+    [(_i, _j, rows)] = _chain_states(Recording(make_generator(1)), n, 2, [0, 1])
+    assert drawn == [dtype]
+    assert np.array_equal(rows, [[n, 0, 0, 0], [n - 1, 1, 0, 0]])
+
+
 def test_simulate_spanning_several_blocks_matches_one_shot_counts():
     # 4 * 30000 steps span several blocks, each drawn in its own call; the
     # reference counts every prefix with one bincount per block over draws
     # made in a single call.
-    plan = RunPlan(n=30_000, master_seed=3, s_max=4.0, grid_stride=50)
+    plan = RunPlan(n=30_000, seed=3, s_max=4.0, grid_stride=50)
     traj = simulate(plan, 0)
     draws = spawn(3, 0).integers(0, plan.n, size=plan.resolved_horizon(), dtype=np.int64)
     stops = np.rint(traj.s * plan.n).astype(np.int64)
-    expected = _blockwise_rows(draws, plan.n, plan.truncation, _BLOCK, stops)
+    expected = _blockwise_rows(draws, plan.n, plan.l, _BLOCK, stops)
     assert np.array_equal(traj.z, np.array(expected) / plan.n)
 
 
@@ -316,7 +352,7 @@ def test_rows_do_not_depend_on_the_grid(n):
     # bit for bit, wherever the grids share a time.
     runs = []
     for stride in (7, 10, 20):
-        traj = simulate(RunPlan(n=n, master_seed=4, grid_stride=stride), 0)
+        traj = simulate(RunPlan(n=n, seed=4, grid_stride=stride), 0)
         runs.append((np.rint(traj.s * n).astype(np.int64), traj.z))
     for (t_a, z_a), (t_b, z_b) in itertools.combinations(runs, 2):
         shared, at_a, at_b = np.intersect1d(t_a, t_b, return_indices=True)
@@ -456,8 +492,8 @@ def test_simulate_moves_by_the_bucket_steps_rule():
     # The kernel reads where a draw goes from _bucket_steps alone.  The
     # 1,000 steps of this plan fit one block, whose source buckets are read
     # off the fresh row, so a doubled rule doubles every row's change.
-    plan = RunPlan(n=1000, master_seed=5, s_max=1.0)
-    fresh = np.zeros(plan.truncation + 2, dtype=np.int64)
+    plan = RunPlan(n=1000, seed=5, s_max=1.0)
+    fresh = np.zeros(plan.l + 2, dtype=np.int64)
     fresh[0] = plan.n
 
     def changes():
@@ -524,7 +560,7 @@ def test_int64_key_pass_matches_one_call_bincount():
     (1000, 0.3, "m < n"), (1000, 1.0, "m = n"), (1000, 1.5, "m > n"),
 ])
 def test_max_increment_matches_full_replay_at_edge_plans(n, s_max, horizon):
-    plan = RunPlan(n=n, master_seed=11, s_max=s_max)
+    plan = RunPlan(n=n, seed=11, s_max=s_max)
     m = plan.resolved_horizon()
     assert horizon == {-1: "m < n", 0: "m = n", 1: "m > n"}[np.sign(m - n)]
     buckets = _replay(plan, 0)
@@ -547,7 +583,7 @@ def test_max_increment_stops_after_the_first_step():
     real = montecarlo.make_generator
     with mock.patch.object(montecarlo, "make_generator",
                            lambda seed: Counting(real(seed))):
-        assert max_increment(RunPlan(n=100_000, master_seed=3), 0) == 1
+        assert max_increment(RunPlan(n=100_000, seed=3), 0) == 1
     assert drawn == [1]
 
 
@@ -567,7 +603,7 @@ def test_max_increment_measures_the_first_row(moved):
         yield 0, 2, rows
 
     with mock.patch.object(montecarlo, "_chain_states", kernel):
-        assert max_increment(RunPlan(n=1000, master_seed=5), 0) == moved
+        assert max_increment(RunPlan(n=1000, seed=5), 0) == moved
     assert seen == [[0, 1]]
 
 
@@ -582,7 +618,7 @@ def test_golden_check_pilot_runs_through_a_sorted_pass():
         return real(draws, ends, *args)
 
     with mock.patch.object(montecarlo, "_sorted_pass", counting):
-        states = list(_pilot_chain(RunPlan(n=2000, run_count=2, master_seed=5), 50))
+        states = list(_pilot_chain(RunPlan(n=2000, runs=2, seed=5), 50))
     assert len(states) == 50
     assert passes and max(passes) > 1
 
@@ -595,7 +631,7 @@ def test_pilot_walk_holds_no_per_type_array(traced_peak_mb):
         for _state in _pilot_chain(plan, count):
             pass
 
-    assert traced_peak_mb(walk, RunPlan(n=1_000_000, master_seed=1, s_max=1.0), 50) < 2
+    assert traced_peak_mb(walk, RunPlan(n=1_000_000, seed=1, s_max=1.0), 50) < 2
 
 
 @pytest.mark.parametrize("n", [1_000_000, 10_000_000])
@@ -603,6 +639,6 @@ def test_simulate_memory_does_not_grow_with_n(n, traced_peak_mb):
     # The chain holds its bucket row and one block's draws and temporaries,
     # 0.56 MB at either n (1.3 MB as the first call in a process); one byte
     # per type alone would take 10 MB at n = 1e7.
-    plan = RunPlan(n=n, master_seed=1, s_max=1.0)
+    plan = RunPlan(n=n, seed=1, s_max=1.0)
     assert traced_peak_mb(simulate, plan, 0) < 2
     assert traced_peak_mb(max_increment, plan, 0) < 2

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, exit codes, byte stability."""
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -14,8 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wormald import DeviationReport, analysis, cli
+from wormald import (DeviationReport, RunPlan, Trajectory, analysis, check_hypotheses, cli,
+                     compare_run, coupon_reference, gumbel_experiment, make_generator, montecarlo,
+                     scaling_study, simulate, sup_deviation)
 from wormald.cli import _build_parser, _normalize_list_flags, run_cli
+from wormald.montecarlo import _chain_states
+from wormald.ode import grid_times
 
 
 def read_bytes(path):
@@ -50,6 +55,70 @@ def test_simulate_single_and_multi_run_naming(tmp_path):
     assert names == ["trajectory_000.csv", "trajectory_001.csv", "trajectory_002.csv"]
     manifest = json.loads((many / "manifest.json").read_text())
     assert len(manifest["seeds"]["runs"]) == 3
+
+
+def _replayed_trajectory_csv(seed, n, l, s_max, h=1e-3, grid_stride=10):
+    """The trajectory CSV of a run whose stream is ``make_generator(seed)``."""
+    grid = grid_times(h, grid_stride, s_max)
+    states = np.empty((grid.size, l + 2))
+    stops = np.rint(grid * n).astype(np.int64)
+    for i, j, rows in _chain_states(make_generator(seed), n, l, stops):
+        states[i:j] = rows / n
+    return cli._trajectory_csv(Trajectory(grid, states, None))
+
+
+def _seeds(out):
+    return json.loads((out / "manifest.json").read_text())["seeds"]
+
+
+def test_simulate_and_compare_seeds_reproduce_their_trajectories(tmp_path):
+    # Each seed the manifest records, taken as a stream key, draws the
+    # trajectory that was written, byte for byte.
+    assert run_in(tmp_path, ["simulate", "--n", "300", "--runs", "3", "--seed", "8",
+                             "--l", "3", "--s-max", "2"]) == 0
+    runs = _seeds(tmp_path)["runs"]
+    assert len(runs) == 3
+    for i, seed in enumerate(runs):
+        assert (tmp_path / f"trajectory_{i:03d}.csv").read_text() == \
+            _replayed_trajectory_csv(seed, 300, 3, 2.0)
+    compared = tmp_path / "compare"
+    assert run_cli(["compare", "--n", "500", "--seed", "9", "--l", "4", "--s-max", "1.5",
+                    "--grid-stride", "7", "--out", str(compared)]) == 0
+    [seed] = _seeds(compared)["runs"]
+    assert (compared / "trajectory.csv").read_text() == \
+        _replayed_trajectory_csv(seed, 500, 4, 1.5, grid_stride=7)
+
+
+def test_check_seeds_are_the_streams_of_its_first_steps(tmp_path, monkeypatch):
+    # check replays the first step of every run (max_increment), each from
+    # the stream its manifest seed keys, in run order, before anything else.
+    keys = []
+
+    def recording(seed):
+        keys.append(seed)
+        return make_generator(seed)
+
+    monkeypatch.setattr(montecarlo, "make_generator", recording)
+    assert run_in(tmp_path, ["check", "--n", "200", "--runs", "4", "--seed", "6",
+                             "--state-samples", "3", "--drift-samples", "100"]) == 0
+    runs = _seeds(tmp_path)["runs"]
+    assert len(runs) == 4
+    assert keys[:4] == runs
+
+
+def test_scaling_seeds_reproduce_each_rows_mean(tmp_path):
+    # The seed recorded for each n, as a plan's seed, gives that row's mean.
+    assert run_in(tmp_path, ["scaling", "--ns", "60,200", "--runs", "3", "--seed", "4",
+                             "--l", "3", "--s-max", "2"]) == 0
+    per_n = _seeds(tmp_path)["per_n"]
+    rows = (tmp_path / "scaling.csv").read_text().splitlines()[1:]
+    assert sorted(per_n, key=int) == [row.split(",")[0] for row in rows] == ["60", "200"]
+    ode = coupon_reference(l=3, s_max=2.0)
+    for row in rows:
+        n = int(row.split(",")[0])
+        plan = RunPlan(n=n, runs=3, seed=per_n[str(n)], l=3, s_max=2.0)
+        mean = np.mean([sup_deviation(simulate(plan, i), ode).sup_deviation for i in range(3)])
+        assert row.split(",")[2] == "%.17g" % mean
 
 
 def test_compare_outputs_and_deviation_schema(tmp_path):
@@ -276,6 +345,45 @@ def test_repeated_ns_exit_2(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line == "error: ns must be distinct, got [10] more than once"
     assert not out.exists()
+
+
+def _size_refusals():
+    for command, (_, _, names, _) in cli._COMMANDS.items():
+        for flag in ("n", "runs", "l"):
+            if flag in names:
+                args = [command, f"--{flag}", "0"]
+                if flag != "n" and "n" in names:
+                    args += ["--n", "10"]
+                at_least = 10 if command == "gumbel" else 1
+                yield pytest.param(args, f"error: {flag} must be an integer >= {at_least}, got 0",
+                                   id=f"{command}-{flag}")
+
+
+@pytest.mark.parametrize("args, line", _size_refusals())
+def test_every_size_refusal_names_the_flag_typed(tmp_path, capsys, args, line):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+#: The library call each subcommand hands its flags to.
+_FED = {"solve": coupon_reference, "simulate": RunPlan, "compare": compare_run,
+        "scaling": scaling_study, "gumbel": gumbel_experiment, "check": RunPlan}
+
+
+def test_every_flag_is_a_parameter_of_the_call_it_feeds():
+    # Handlers pass their flags through by name, so each flag a subcommand
+    # offers must be a parameter of that call; check's sample counts feed
+    # check_hypotheses instead.
+    assert set(_FED) == set(cli._COMMANDS)
+    for command, (_, _, names, _) in cli._COMMANDS.items():
+        flags = set(names)
+        if command == "check":
+            samples = {"state_samples", "drift_samples"}
+            assert samples <= set(inspect.signature(check_hypotheses).parameters)
+            flags -= samples
+        assert flags <= set(inspect.signature(_FED[command]).parameters), command
 
 
 @pytest.mark.parametrize("args", [

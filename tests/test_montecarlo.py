@@ -46,9 +46,9 @@ def test_plan_validation():
     with pytest.raises(ContractError):
         RunPlan(n=0)
     with pytest.raises(ContractError):
-        RunPlan(n=10, run_count=0)
+        RunPlan(n=10, runs=0)
     with pytest.raises(ContractError):
-        RunPlan(n=10, truncation=0)
+        RunPlan(n=10, l=0)
     with pytest.raises(ContractError):
         RunPlan(n=10, grid_stride=0)
     for bad in (math.inf, math.nan, -1.0):
@@ -63,9 +63,9 @@ def test_plan_validation():
         RunPlan(n=10, s_max=1.0, h=2.0**-54)
     # Stream indices from 2**48 on belong to the pilot run and the drift
     # and Lipschitz samples, so a run may not take one.
-    assert RunPlan(n=10, run_count=2**48).run_count == 2**48
-    with pytest.raises(ContractError, match=r"^run_count must be <= 281474976710656$"):
-        RunPlan(n=10, run_count=2**48 + 1)
+    assert RunPlan(n=10, runs=2**48).runs == 2**48
+    with pytest.raises(ContractError, match=r"^runs must be <= 281474976710656$"):
+        RunPlan(n=10, runs=2**48 + 1)
 
 
 def test_plan_refuses_n_past_the_chains_int64_rows():
@@ -134,17 +134,19 @@ def test_simulate_stops_at_round_n_s_max(n, s_max, stop, horizon):
     # The last grid point is s_max itself, whose state is the one after
     # round(n * s_max) steps, halves to even, not after the horizon
     # ceil(n * s_max) that the pilot walks.
-    plan = RunPlan(n=n, s_max=s_max, master_seed=2)
+    plan = RunPlan(n=n, s_max=s_max, seed=2)
     assert (round(n * s_max), plan.resolved_horizon()) == (stop, horizon)
     traj = simulate(plan, 0)
-    [(_i, _j, rows)] = _chain_states(make_generator(plan.run_seed(0)), n, plan.truncation, [stop])
+    [(_i, _j, rows)] = _chain_states(make_generator(plan.run_seed(0)), n, plan.l, [stop])
     assert np.array_equal(traj.z[-1] * n, rows[0])
     if stop == 0:
         assert np.array_equal(traj.z[0], traj.z[-1])
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 100.5), ("n", 100.0), ("run_count", 2.5), ("truncation", 2.5),
+    ("n", 100.5), ("n", 100.0),
+    # ids with the names these fields had when the cases were added
+    pytest.param("runs", 2.5, id="run_count-2.5"), pytest.param("l", 2.5, id="truncation-2.5"),
     ("grid_stride", 2.5), ("grid_stride", 10.0),
 ])
 def test_plan_refuses_non_integral_sizes(field, value):
@@ -155,13 +157,13 @@ def test_plan_refuses_non_integral_sizes(field, value):
 
 
 def test_plan_takes_numpy_integer_sizes():
-    plan = RunPlan(n=np.int64(100), run_count=np.int32(2), truncation=np.int64(3),
+    plan = RunPlan(n=np.int64(100), runs=np.int32(2), l=np.int64(3),
                    grid_stride=np.int64(10), s_max=1.0)
     assert simulate(plan, 1).z.shape == (101, 5)
 
 
 def test_run_seeds_are_distinct_and_range_checked():
-    plan = RunPlan(n=10, run_count=50, master_seed=99)
+    plan = RunPlan(n=10, runs=50, seed=99)
     seeds = [plan.run_seed(i) for i in range(50)]
     assert len(set(seeds)) == 50
     assert seeds[0] == derive_seed(99, 0)
@@ -172,7 +174,7 @@ def test_run_seeds_are_distinct_and_range_checked():
 
 
 def test_single_type_single_step():
-    traj = simulate(RunPlan(n=1, run_count=1, master_seed=5), 0)
+    traj = simulate(RunPlan(n=1, runs=1, seed=5), 0)
     assert traj.s[0] == 0.0
     assert np.array_equal(traj.z[0], [1.0] + [0.0] * 11)
     assert traj.s[-1] == 1.0
@@ -180,14 +182,14 @@ def test_single_type_single_step():
 
 
 def test_first_point_is_initial_condition():
-    traj = simulate(RunPlan(n=1000, master_seed=0), 0)
+    traj = simulate(RunPlan(n=1000, seed=0), 0)
     assert traj.s[0] == 0.0
     assert traj.z[0, 0] == 1.0
     assert np.all(traj.z[0, 1:] == 0.0)
 
 
 def test_simulation_is_bitwise_reproducible():
-    plan = RunPlan(n=500, run_count=3, master_seed=21)
+    plan = RunPlan(n=500, runs=3, seed=21)
     a = simulate(plan, 1)
     b = simulate(plan, 1)
     assert np.array_equal(a.s, b.s)
@@ -195,19 +197,19 @@ def test_simulation_is_bitwise_reproducible():
 
 
 def test_distinct_runs_differ():
-    plan = RunPlan(n=500, run_count=2, master_seed=21)
+    plan = RunPlan(n=500, runs=2, seed=21)
     a = simulate(plan, 0)
     b = simulate(plan, 1)
     assert not np.array_equal(a.z, b.z)
 
 
 def test_simulation_grid_matches_ode_grid_bitwise():
-    plan = RunPlan(n=777, master_seed=4)
+    plan = RunPlan(n=777, seed=4)
     traj = simulate(plan, 0)
     shared = grid_times(plan.h, plan.grid_stride, plan.resolved_s_max())
     assert np.array_equal(traj.s, shared)
 
-    spec = make_coupon_spec(plan.truncation, plan.resolved_s_max())
+    spec = make_coupon_spec(plan.l, plan.resolved_s_max())
     z0 = np.zeros(spec.coord_count)
     z0[0] = 1.0
     ode = integrate(spec, z0, plan.resolved_s_max())
@@ -215,7 +217,7 @@ def test_simulation_grid_matches_ode_grid_bitwise():
 
 
 def test_scaled_states_stay_in_unit_interval():
-    traj = simulate(RunPlan(n=200, master_seed=8), 0)
+    traj = simulate(RunPlan(n=200, seed=8), 0)
     assert traj.z.min() >= 0.0
     assert traj.z.max() <= 1.0
     # rows are counts/n, so each sums to 1 up to float addition error
@@ -223,16 +225,16 @@ def test_scaled_states_stay_in_unit_interval():
 
 
 def test_simulation_tracks_exponential_decay():
-    traj = simulate(RunPlan(n=50_000, master_seed=13), 0)
+    traj = simulate(RunPlan(n=50_000, seed=13), 0)
     s_final = traj.s[-1]
     assert abs(traj.z[-1, 0] - math.exp(-s_final)) <= 0.02
 
 
 def test_max_increment_is_one_for_coupon():
-    plan = RunPlan(n=1000, run_count=3, master_seed=6)
+    plan = RunPlan(n=1000, runs=3, seed=6)
     for i in range(3):
         assert max_increment(plan, i) == 1
-    assert max_increment(RunPlan(n=2, master_seed=0, s_max=5.0), 0) == 1
+    assert max_increment(RunPlan(n=2, seed=0, s_max=5.0), 0) == 1
 
 
 def test_empirical_drift_fresh_state_is_deterministic_transition():
@@ -320,7 +322,7 @@ def test_kernel_and_drift_check_share_one_bucket_lookup():
     # through _bucket_sizes; a lookup that sends each bucket's first type
     # to the bucket below must move both off their oracles.  At n = 5 and
     # blocks of 3 draws, draws hit the bucket boundaries of relabelled rows.
-    plan = RunPlan(n=5, master_seed=2, truncation=2, s_max=4.0)
+    plan = RunPlan(n=5, seed=2, l=2, s_max=4.0)
     draws = spawn(2, 0).integers(0, 5, size=plan.resolved_horizon(), dtype=np.int64)
     with mock.patch.object(montecarlo, "_GROUP_DRAWS", 3):
         true = simulate(plan, 0)
@@ -342,7 +344,7 @@ def test_check_hypotheses_fails_a_kernel_that_sends_bucket_l_to_bucket_0():
     # A kernel whose bucket-l draws land in bucket 0 instead of the
     # overflow bucket is not the chain the drift describes; the check must
     # see it (worst |z| 29.5, against 3.2 for the true rule).
-    plan = RunPlan(n=1000, run_count=2, master_seed=5)
+    plan = RunPlan(n=1000, runs=2, seed=5)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     real = montecarlo._bucket_steps
 
@@ -359,19 +361,19 @@ def test_check_hypotheses_fails_a_kernel_that_sends_bucket_l_to_bucket_0():
 
 
 def test_pilot_states_span_the_run():
-    plan = RunPlan(n=300, master_seed=10)
+    plan = RunPlan(n=300, seed=10)
     states = list(_pilot_chain(plan, 7))
     assert len(states) == 7
     assert states[0][0] == 0
     assert states[-1][0] == plan.resolved_horizon()
     for _t, row in states:
-        assert row.dtype == np.int64 and row.shape == (plan.truncation + 2,)
+        assert row.dtype == np.int64 and row.shape == (plan.l + 2,)
         assert int(row.sum()) == plan.n
 
 
 @pytest.mark.parametrize("state_samples", [0, -3])
 def test_check_hypotheses_refuses_state_samples_below_one_before_it_runs(state_samples):
-    plan = RunPlan(n=300, master_seed=10)
+    plan = RunPlan(n=300, seed=10)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     with mock.patch.object(montecarlo, "max_increment") as replay, \
             pytest.raises(ContractError, match="state_samples"):
@@ -386,7 +388,7 @@ def test_check_hypotheses_refuses_state_samples_below_one_before_it_runs(state_s
     ({"lipschitz_samples": -5}, "lipschitz_samples"),
 ])
 def test_check_hypotheses_refuses_too_few_samples_before_it_runs(samples, name):
-    plan = RunPlan(n=300, master_seed=10)
+    plan = RunPlan(n=300, seed=10)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     with mock.patch.object(montecarlo, "max_increment") as replay, \
             pytest.raises(ContractError, match=name):
@@ -396,7 +398,7 @@ def test_check_hypotheses_refuses_too_few_samples_before_it_runs(samples, name):
 
 @pytest.mark.parametrize("n, s_max", [(1, 1.0), (3, 2.0), (7, 0.5), (50, 3.0)])
 def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
-    plan = RunPlan(n=n, master_seed=2, s_max=s_max)
+    plan = RunPlan(n=n, seed=2, s_max=s_max)
     m = plan.resolved_horizon()
     for count in (*range(1, m + 3), 3 * m + 7, 10_000):
         unclamped = np.unique(np.linspace(0, m, count).round().astype(np.int64))
@@ -407,7 +409,7 @@ def test_pilot_times_past_the_horizon_are_every_step(n, s_max):
 def test_check_memory_does_not_grow_with_state_samples(traced_peak_mb):
     # A horizon of 10 steps has 11 states; asking for five million must not
     # space five million times first (40 MB of float64).
-    plan = RunPlan(n=5, master_seed=1)
+    plan = RunPlan(n=5, seed=1)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     peak = traced_peak_mb(lambda: check_hypotheses(
         spec, plan, 5_000_000, drift_samples=100, lipschitz_samples=100))
@@ -415,7 +417,7 @@ def test_check_memory_does_not_grow_with_state_samples(traced_peak_mb):
 
 
 def test_check_hypotheses_examines_the_pilot_states():
-    plan = RunPlan(n=200, run_count=1, master_seed=4)
+    plan = RunPlan(n=200, runs=1, seed=4)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     seen = []
 
@@ -434,7 +436,7 @@ def test_check_hypotheses_examines_the_pilot_states():
 def test_check_hypotheses_holds_one_pilot_state_at_a_time(traced_peak_mb):
     # The kernel's block of draws and its pass; 200 states
     # held at once as per-type arrays would take 20 MB.
-    plan = RunPlan(n=100_000, master_seed=5)
+    plan = RunPlan(n=100_000, seed=5)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     peak = traced_peak_mb(lambda: check_hypotheses(
         spec, plan, 200, drift_samples=100, lipschitz_samples=100))
@@ -442,7 +444,7 @@ def test_check_hypotheses_holds_one_pilot_state_at_a_time(traced_peak_mb):
 
 
 def test_check_hypotheses_passes_for_coupon():
-    plan = RunPlan(n=500, run_count=4, master_seed=3)
+    plan = RunPlan(n=500, runs=4, seed=3)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     report = check_hypotheses(spec, plan, 8, drift_samples=2000,
                               lipschitz_samples=3000)
@@ -453,7 +455,7 @@ def test_check_hypotheses_passes_for_coupon():
 
 
 def test_check_hypotheses_rejects_too_small_increment_bound():
-    plan = RunPlan(n=200, run_count=2, master_seed=3)
+    plan = RunPlan(n=200, runs=2, seed=3)
     base = make_coupon_spec(10, plan.resolved_s_max())
     tight = ProcessSpec(
         drift=base.drift,
@@ -468,7 +470,7 @@ def test_check_hypotheses_rejects_too_small_increment_bound():
 
 
 def test_check_hypotheses_rejects_sign_flipped_drift():
-    plan = RunPlan(n=500, run_count=2, master_seed=3)
+    plan = RunPlan(n=500, runs=2, seed=3)
     base = make_coupon_spec(10, plan.resolved_s_max())
     true_drift = coupon_drift(10)
     flipped = ProcessSpec(
@@ -554,7 +556,7 @@ def test_empirical_drift_rejects_wrong_shape_drift():
 def test_check_hypotheses_rejects_drift_nonfinite_on_the_simplex():
     # Every pilot state sums to 1 and almost no Lipschitz sample does: a NaN
     # there compares false against the z threshold and would pass silently.
-    plan = RunPlan(n=2000, run_count=1, master_seed=3)
+    plan = RunPlan(n=2000, runs=1, seed=3)
     true_drift = coupon_drift(10)
 
     def simplex_nan(s, z):
@@ -577,7 +579,7 @@ def test_empirical_drift_deterministic_mismatch_is_infinite():
 
 
 def test_check_hypotheses_rejects_doubled_drift():
-    plan = RunPlan(n=10_000, run_count=1, master_seed=2)
+    plan = RunPlan(n=10_000, runs=1, seed=2)
     base = make_coupon_spec(10, plan.resolved_s_max())
     true_drift = coupon_drift(10)
     doubled = ProcessSpec(
@@ -592,7 +594,7 @@ def test_check_hypotheses_rejects_doubled_drift():
 
 
 def test_check_hypotheses_passes_true_drift_at_large_n():
-    plan = RunPlan(n=100_000, run_count=1, master_seed=7)
+    plan = RunPlan(n=100_000, runs=1, seed=7)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     report = check_hypotheses(spec, plan, 50, lipschitz_samples=1000)
     assert report.drift.passed, report.drift.detail
@@ -602,7 +604,7 @@ def test_check_hypotheses_passes_true_drift_at_large_n():
 def test_check_hypotheses_passes_true_drift_at_benchmark_size():
     # The benchmark's `check --n 100000 --runs 4` at seed 24.  Unfloored, the
     # overflow coordinate read z = -6.40: 1 move seen against 7.4 expected.
-    plan = RunPlan(n=100_000, run_count=4, master_seed=24)
+    plan = RunPlan(n=100_000, runs=4, seed=24)
     spec = make_coupon_spec(10, plan.resolved_s_max())
     report = check_hypotheses(spec, plan, 50)
     assert report.drift.passed, report.drift.detail

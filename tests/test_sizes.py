@@ -38,7 +38,7 @@ from wormald import analysis, coupon
 from wormald.ode import check_grid
 from wormald.rng import KeyedStream
 
-PLAN = RunPlan(n=100, run_count=2, master_seed=1, s_max=1.0)
+PLAN = RunPlan(n=100, runs=2, seed=1, s_max=1.0)
 SPEC = make_coupon_spec(10, 1.0)
 ROW = np.array([6, 0, 0, 0])
 ROW_SPEC = make_coupon_spec(2)
@@ -48,9 +48,9 @@ TRAJ = coupon_reference(2, 1.0)
 # seed, the call with that parameter set to v)
 ENTRIES = [
     ("RunPlan", "n", 1, lambda v: RunPlan(n=v, s_max=1.0)),
-    ("RunPlan", "run_count", 1, lambda v: RunPlan(n=10, run_count=v, s_max=1.0)),
-    ("RunPlan", "truncation", 1, lambda v: RunPlan(n=10, truncation=v, s_max=1.0)),
-    ("RunPlan", "master_seed", None, lambda v: RunPlan(n=10, master_seed=v, s_max=1.0)),
+    ("RunPlan", "runs", 1, lambda v: RunPlan(n=10, runs=v, s_max=1.0)),
+    ("RunPlan", "l", 1, lambda v: RunPlan(n=10, l=v, s_max=1.0)),
+    ("RunPlan", "seed", None, lambda v: RunPlan(n=10, seed=v, s_max=1.0)),
     ("RunPlan", "grid_stride", 1, lambda v: RunPlan(n=10, grid_stride=v, s_max=1.0)),
     ("simulate", "run_index", 0, lambda v: simulate(PLAN, v)),
     ("max_increment", "run_index", 0, lambda v: max_increment(PLAN, v)),
@@ -74,10 +74,10 @@ ENTRIES = [
     ("exact_cover_tail", "k", 0, lambda v: exact_cover_tail(10, v)),
     ("gumbel_experiment", "n", 10, lambda v: gumbel_experiment(v, 100, [0.0], 1)),
     ("gumbel_experiment", "trials", 100, lambda v: gumbel_experiment(10, v, [0.0], 1)),
-    ("gumbel_experiment", "master_seed", None, lambda v: gumbel_experiment(10, 100, [0.0], v)),
+    ("gumbel_experiment", "seed", None, lambda v: gumbel_experiment(10, 100, [0.0], v)),
     ("scaling_study", "ns[0]", 10, lambda v: scaling_study([v, 1000], 2, 1)),
-    ("scaling_study", "master_seed", None, lambda v: scaling_study([100, 1000], 2, v)),
-    ("scaling_study", "runs_per_n", 1, lambda v: scaling_study([100, 1000], v, 1)),
+    ("scaling_study", "seed", None, lambda v: scaling_study([100, 1000], 2, v)),
+    ("scaling_study", "runs", 1, lambda v: scaling_study([100, 1000], v, 1)),
     ("compare_run", "l", 1, lambda v: compare_run(100, l=v)),
     ("compare_run", "seed", None, lambda v: compare_run(100, seed=v)),
     ("sup_deviation", "run_index", 0, lambda v: sup_deviation(TRAJ, TRAJ, v)),
@@ -91,12 +91,24 @@ ENTRIES = [
 
 BAD = [("float", 10.0), ("fraction", 10.5), ("bool", True), ("np.float64", np.float64(10))]
 
+# Parameters that have been renamed keep their former name in the test ids,
+# so that each case keeps one id across the rename.
+FORMER_NAMES = {
+    ("RunPlan", "runs"): "run_count",
+    ("RunPlan", "l"): "truncation",
+    ("RunPlan", "seed"): "master_seed",
+    ("gumbel_experiment", "seed"): "master_seed",
+    ("scaling_study", "seed"): "master_seed",
+    ("scaling_study", "runs"): "runs_per_n",
+}
+
 
 def _cases():
     for entry, name, least, call in ENTRIES:
         values = BAD + ([] if least is None else [("below", least - 1)])
+        id_name = FORMER_NAMES.get((entry, name), name)
         for label, value in values:
-            yield pytest.param(name, call, value, id=f"{entry}-{name}-{label}")
+            yield pytest.param(name, call, value, id=f"{entry}-{id_name}-{label}")
 
 
 @pytest.mark.parametrize("name, call, value", _cases())
@@ -113,7 +125,7 @@ def test_every_size_and_seed_is_checked_by_one_rule(name, call, value):
 
 
 @pytest.mark.parametrize("name, call", [
-    ("master_seed", lambda: simulate(RunPlan(n=10, master_seed=1.5, s_max=1.0), 0)),
+    ("seed", lambda: simulate(RunPlan(n=10, seed=1.5, s_max=1.0), 0)),
     ("drift_samples", lambda: check_hypotheses(SPEC, PLAN, 2, drift_samples=1000.5)),
     ("n", lambda: cover_time(10.5, 1)),
     ("sample_count", lambda: estimate_lipschitz(SPEC, 100.5, 1)),
@@ -140,7 +152,7 @@ def test_numpy_ints_give_the_results_python_ints_give():
         assert cover_time(1000, np.uint64(seed)) == cover_time(1000, seed)
     assert closed_form(1.5, np.int32(3)) == closed_form(1.5, 3)
     assert derive_seed(np.uint64(2**63), np.int32(5)) == derive_seed(2**63, 5)
-    plan = RunPlan(n=np.int64(100), run_count=np.int32(2), master_seed=np.int64(-3), s_max=1.0)
-    assert plan == RunPlan(n=100, run_count=2, master_seed=-3, s_max=1.0)
+    plan = RunPlan(n=np.int64(100), runs=np.int32(2), seed=np.int64(-3), s_max=1.0)
+    assert plan == RunPlan(n=100, runs=2, seed=-3, s_max=1.0)
     assert np.array_equal(simulate(plan, np.int64(1)).z,
-                          simulate(RunPlan(n=100, run_count=2, master_seed=-3, s_max=1.0), 1).z)
+                          simulate(RunPlan(n=100, runs=2, seed=-3, s_max=1.0), 1).z)
